@@ -1,7 +1,7 @@
 """Command-line entry point: run, list, and validate experiments.
 
-Exit codes for ``run --check``: 0 when every criterion in the summary passes,
-1 when any fails, 2 on configuration errors.
+Exit codes for ``run --check``: 0 when the summary has criteria and every one
+passes, 1 when any fails or there are none, 2 on configuration errors.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     p_run.add_argument("--threads", type=int, default=None,
-                       help="worker threads (fallback: HDCLT_THREADS, then 1)")
+                       help="worker threads (fallback: HDCLT_THREADS, then "
+                            "the config 'threads' key, then 1)")
     p_run.add_argument("--check", action="store_true",
                        help="exit 1 unless every summary criterion passes")
     p_run.add_argument("--out", default=None, help="output directory override")
@@ -41,7 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads(flag) -> int:
+def _resolve_threads(flag, configured) -> int:
+    """Flag, then HDCLT_THREADS, then the config's ``threads``, then 1."""
     if flag is not None:
         return max(1, int(flag))
     env = os.environ.get("HDCLT_THREADS")
@@ -50,6 +52,8 @@ def _resolve_threads(flag) -> int:
             return max(1, int(env))
         except ValueError as exc:
             raise ConfigInvalid(f"bad HDCLT_THREADS value {env!r}") from exc
+    if configured is not None:
+        return max(1, configured)
     return 1
 
 
@@ -72,9 +76,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        threads = _resolve_threads(args.threads)
-        if config.threads is not None and args.threads is None:
-            threads = max(1, config.threads)
+        threads = _resolve_threads(args.threads, config.threads)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
         manifest = run(config, out_dir=args.out, threads=threads)
@@ -88,6 +90,8 @@ def main(argv=None) -> int:
     checks = manifest.summary.get("checks", {})
     for name, passed in sorted(checks.items()):
         print(f"{'PASS' if passed else 'FAIL'} {manifest.experiment}.{name}")
+    if not checks:
+        print(f"FAIL {manifest.experiment}.no_checks")
     print(f"wrote {manifest.summary_path}")
     if args.check:
         return 0 if manifest.all_checks_pass else 1

@@ -164,6 +164,30 @@ class ExperimentConfig:
             value = getattr(self, key)
             if value is not None and (not value or any(v < 1 for v in value)):
                 raise ConfigInvalid(f"{key} must be a nonempty positive list")
+        for key in ("eps_list", "phi_list", "v_list", "rho_list"):
+            if getattr(self, key) == []:
+                raise ConfigInvalid(f"{key} must be nonempty")
+        if self.experiment == "smoothing_verify":
+            self._check_smoothing()
+
+    def _check_smoothing(self):
+        """Reject grids the derivative sums cannot evaluate, before any
+        cell is computed."""
+        if any(not phi > 0 for phi in self.phi_list or ()):
+            raise ConfigInvalid("phi_list entries must be > 0 (inf allowed)")
+        if any(not eps > 0 for eps in self.eps_list or ()):
+            raise ConfigInvalid("eps_list entries must be > 0")
+        if any(not 1 <= v <= smoothing.MAX_SUM_ORDER for v in self.v_list or ()):
+            raise ConfigInvalid(
+                f"v_list entries must lie in 1..{smoothing.MAX_SUM_ORDER}")
+        if any(d < 2 for d in self.d_list or ()):
+            raise ConfigInvalid("d_list entries must be >= 2 (the constants "
+                                "divide by log d)")
+        for d in self.d_list or ():
+            for v in self.v_list or ():
+                if d**v > smoothing.TUPLE_BUDGET:
+                    raise ConfigInvalid(f"d^v = {d}^{v} exceeds the tuple "
+                                        f"budget {smoothing.TUPLE_BUDGET}")
 
     @staticmethod
     def from_mapping(mapping: dict) -> "ExperimentConfig":
@@ -548,7 +572,9 @@ class RunManifest:
 
     @property
     def all_checks_pass(self) -> bool:
-        return all(self.summary.get("checks", {}).values())
+        """True when the summary has at least one check and all pass."""
+        checks = self.summary.get("checks", {})
+        return bool(checks) and all(checks.values())
 
 
 def run(config: ExperimentConfig, out_dir=None, threads: int = 1) -> RunManifest:

@@ -6,14 +6,33 @@ scale ``eps``.  For diagonal covariance the result and all its mixed partials
 reduce to one-dimensional Gauss-Legendre quadrature of products of normal
 CDFs and Gaussian-density Hermite terms, which is what the derivative-sum
 verification sweeps evaluate.
+
+Evaluation is batched.  One integrand builder serves :func:`rho_eval`,
+:func:`rho_partial` and :func:`derivative_sum`: given evaluation points and
+per-coordinate derivative-order profiles, it returns one integrand row per
+(profile, point) pair, and one row-wise quadrature integrates all rows
+together.  A derivative sum is thus one quadrature over every (perturbation
+point x index profile) row, and ``rho_eval``/``rho_partial`` are its one-row
+case.  Gauss-Legendre nodes and weights are computed once per order and
+cached as read-only arrays.
+
+Rows converge independently: each row keeps its value from the first order
+at which it agrees with the previous order to tolerance (or its
+``max_order`` value), exactly as if it were integrated alone.  A shared
+stopping order would hand early-converging rows a value from a later order,
+so a row's value would depend on which other rows share its batch, and a
+derivative sum would no longer equal, bit for bit, the one built from
+single-row :func:`rho_partial` calls.  For the same reason each row value is
+a dot product of the weights with that contiguous row, never one
+matrix-vector product over all rows, whose summation order may differ.
 """
 
 from __future__ import annotations
 
-import csv
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,9 +40,10 @@ from numpy.polynomial import hermite_e, polynomial as npoly
 from scipy.special import ndtr
 
 from .errors import BudgetExceeded, NonDiagonalSigma, OrderTooHigh
-from .matcore import CovarianceModel, RectangleSpec, enlarge
+from .matcore import CovarianceModel, RectangleSpec
 
 MAX_DERIVATIVE_ORDER = 6
+MAX_SUM_ORDER = 4
 TUPLE_BUDGET = 10_000
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -37,29 +57,6 @@ def hermite_coefficients(nu: int) -> np.ndarray:
     basis = np.zeros(nu + 1)
     basis[nu] = 1.0
     return hermite_e.herme2poly(basis)
-
-
-def hermite_max_root(nu: int) -> float:
-    """Largest root of the nu-th probabilists' Hermite polynomial (nu >= 1)."""
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    basis = np.zeros(nu + 1)
-    basis[nu] = 1.0
-    return float(np.max(hermite_e.hermeroots(basis).real))
-
-
-@dataclass(frozen=True)
-class HermiteTable:
-    """Coefficients and largest root of one Hermite polynomial."""
-
-    order: int
-    coefficients: np.ndarray = field(init=False)
-    max_root: Optional[float] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", hermite_coefficients(self.order))
-        object.__setattr__(self, "max_root",
-                           hermite_max_root(self.order) if self.order >= 1 else None)
 
 
 def gaussian_pdf(t: np.ndarray) -> np.ndarray:
@@ -170,44 +167,108 @@ def _require_diagonal(params: SmoothingParams):
         raise ValueError("diagonal covariance entries must be positive")
 
 
-def _phi_factors(w, params: SmoothingParams, s: np.ndarray) -> np.ndarray:
-    """(d, len(s)) array of CDF-difference factors for the integrand."""
-    sd = params.eps * np.sqrt(params.sigma.diagonal)
-    up = params.rect.upper[:, None] + s[None, :] - np.asarray(w)[:, None]
-    lo = params.rect.lower[:, None] - s[None, :] - np.asarray(w)[:, None]
-    with np.errstate(invalid="ignore"):
-        f_up = np.where(np.isinf(up), (up > 0).astype(float), ndtr(up / sd[:, None]))
-        f_lo = np.where(np.isinf(lo), (lo > 0).astype(float), ndtr(lo / sd[:, None]))
-    return f_up - f_lo
-
-
-def _h_factors(w, params: SmoothingParams, s: np.ndarray, orders: dict) -> np.ndarray:
-    """Product over differentiated coordinates of the signed h_nu terms."""
-    sd = params.eps * np.sqrt(params.sigma.diagonal)
-    out = np.ones_like(s)
-    for j, nu in orders.items():
-        up = (params.rect.upper[j] + s - w[j]) / sd[j]
-        lo = (params.rect.lower[j] - s - w[j]) / sd[j]
-        # each derivative in w_j pulls out -1/sd_j and steps h_nu -> h_{nu+1}
-        # via h' = -h_{nu+1}, so the net sign is -1 for every order nu
-        out = out * -(1.0 / sd[j]) ** nu * (h_nu(nu, up) - h_nu(nu, lo))
-    return out
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _quadrature(f, upper: float, order: int, tol: float = 1e-10,
-                max_order: int = 512) -> float:
-    """Gauss-Legendre on [0, upper] with order doubling to tolerance."""
-    prev = None
+                max_order: int = 512) -> np.ndarray:
+    """Row-wise Gauss-Legendre on [0, upper] with order doubling to tolerance.
+
+    ``f`` maps the node vector s to a C-contiguous (rows, len(s)) array.
+    Each row keeps its value from the first order at which it agrees with
+    the previous order, or its ``max_order`` value.
+    """
+    prev = result = pending = None
     while True:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
+        nodes, weights = _gauss_legendre(order)
         s = 0.5 * upper * (nodes + 1.0)
-        val = 0.5 * upper * float(np.dot(weights, f(s)))
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return val
-        if order >= max_order:
-            return val
-        prev = val
+        vals = np.array([0.5 * upper * float(np.dot(weights, row))
+                         for row in f(s)])
+        if prev is None:
+            result, pending = vals.copy(), np.ones(vals.shape, dtype=bool)
+        else:
+            result[pending] = vals[pending]
+            pending &= ~(np.abs(vals - prev)
+                         <= tol * np.maximum(1.0, np.abs(vals)))
+        if not pending.any() or order >= max_order:
+            return result
+        prev = vals
         order *= 2
+
+
+def _orders_from_index(multi_index: Sequence[int], d: int) -> dict:
+    """Coordinate -> derivative order, in ascending coordinate order."""
+    orders: dict = {}
+    for j in multi_index:
+        j = int(j)
+        if not 0 <= j < d:
+            raise IndexError(f"coordinate index {j} out of range for d={d}")
+        orders[j] = orders.get(j, 0) + 1
+    return dict(sorted(orders.items()))
+
+
+def _integrand(points: np.ndarray, profiles: Sequence[dict],
+               params: SmoothingParams):
+    """Integrand rows for every (profile, point) pair, profile-major.
+
+    Row (k, p) at s is the product over coordinates of the factor at point
+    p: a coordinate j that profile k differentiates nu times contributes
+    ``-(1/sd_j)^nu * [h_nu(upper arg) - h_nu(lower arg)]`` (multiplied in
+    ascending j), and every other coordinate its CDF difference over the
+    s-enlarged rectangle.
+    """
+    sd = params.eps * np.sqrt(params.sigma.diagonal)
+    upper = params.rect.upper[:, None]
+    lower = params.rect.lower[:, None]
+    w = points[:, :, None]
+    # each derivative in w_j pulls out -1/sd_j and steps h_nu -> h_{nu+1}
+    # via h' = -h_{nu+1}, so the net sign is -1 for every order nu
+    scale = {(j, nu): -(1.0 / sd[j]) ** nu
+             for orders in profiles for j, nu in orders.items()}
+    nus = {nu for _, nu in scale}
+    plains = [[j for j in range(params.d) if j not in orders]
+              for orders in profiles]
+
+    def f(s):
+        t_up = (upper + s - w) / sd[:, None]
+        t_lo = (lower - s - w) / sd[:, None]
+        cdf = ndtr(t_up) - ndtr(t_lo)
+        hermite = {nu: h_nu(nu, t_up) - h_nu(nu, t_lo) for nu in nus}
+        blocks = []
+        for orders, plain in zip(profiles, plains):
+            out = np.ones((len(points), len(s)))
+            for j, nu in orders.items():
+                out = out * scale[j, nu] * hermite[nu][:, j]
+            if plain:
+                out = out * np.prod(cdf[:, plain], axis=1)
+            blocks.append(out)
+        return np.concatenate(blocks)
+    return f
+
+
+def _integrate(points, profiles: Sequence[dict], params: SmoothingParams,
+               quad_order: int) -> np.ndarray:
+    """(len(profiles), len(points)) smoothed-function partials.
+
+    phi times the row-wise quadrature over s in [0, 1/phi]; at phi = inf,
+    the integrand at s = 0 (plain Gaussian convolution of the indicator).
+    """
+    _require_diagonal(params)
+    if quad_order < 8:
+        raise ValueError("quad_order must be >= 8")
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    f = _integrand(points, profiles, params)
+    if math.isinf(params.phi):
+        vals = f(np.zeros(1))[:, 0]
+    else:
+        vals = params.phi * _quadrature(f, 1.0 / params.phi, quad_order)
+    return vals.reshape(len(profiles), len(points))
 
 
 def rho_eval(w, params: SmoothingParams, quad_order: int = 32) -> float:
@@ -217,17 +278,7 @@ def rho_eval(w, params: SmoothingParams, quad_order: int = 32) -> float:
     differences of the s-enlarged rectangle; at phi = inf, the integrand at
     s = 0 (plain Gaussian convolution of the indicator).
     """
-    _require_diagonal(params)
-    if quad_order < 8:
-        raise ValueError("quad_order must be >= 8")
-    w = np.asarray(w, dtype=float)
-
-    def integrand(s):
-        return np.prod(_phi_factors(w, params, np.asarray(s)), axis=0)
-
-    if math.isinf(params.phi):
-        return float(integrand(np.array([0.0]))[0])
-    return params.phi * _quadrature(integrand, 1.0 / params.phi, quad_order)
+    return float(_integrate(w, [{}], params, quad_order)[0, 0])
 
 
 def rho_eval_mc(w, params: SmoothingParams, reps: int, seed: int = 0) -> tuple[float, float]:
@@ -248,16 +299,6 @@ def rho_eval_mc(w, params: SmoothingParams, reps: int, seed: int = 0) -> tuple[f
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps))
 
 
-def _orders_from_index(multi_index: Sequence[int], d: int) -> dict:
-    orders: dict = {}
-    for j in multi_index:
-        j = int(j)
-        if not 0 <= j < d:
-            raise IndexError(f"coordinate index {j} out of range for d={d}")
-        orders[j] = orders.get(j, 0) + 1
-    return orders
-
-
 def rho_partial(w, multi_index: Sequence[int], params: SmoothingParams,
                 quad_order: int = 32) -> float:
     """Exact mixed partial of the smoothed function at w.
@@ -265,29 +306,14 @@ def rho_partial(w, multi_index: Sequence[int], params: SmoothingParams,
     ``multi_index`` lists coordinate indices with repetition, e.g. (0, 0, 2)
     for the third-order partial twice in coordinate 0 and once in 2.  Each
     differentiated coordinate replaces its CDF-difference factor by
-    ``-(1/(eps*sigma_j))^nu * [h_nu(upper arg) - h_nu(lower arg)]``.
+    ``-(1/(eps*sigma_j))^nu * [h_nu(upper arg) - h_nu(lower arg)]``.  An
+    empty ``multi_index`` gives :func:`rho_eval`.
     """
-    _require_diagonal(params)
-    w = np.asarray(w, dtype=float)
-    v = len(multi_index)
-    if v < 1:
-        return rho_eval(w, params, quad_order)
-    if v > MAX_DERIVATIVE_ORDER:
-        raise OrderTooHigh(f"total order {v} exceeds cap {MAX_DERIVATIVE_ORDER}")
+    if len(multi_index) > MAX_DERIVATIVE_ORDER:
+        raise OrderTooHigh(f"total order {len(multi_index)} exceeds cap "
+                           f"{MAX_DERIVATIVE_ORDER}")
     orders = _orders_from_index(multi_index, params.d)
-    plain = [j for j in range(params.d) if j not in orders]
-
-    def integrand(s):
-        s = np.asarray(s)
-        val = _h_factors(w, params, s, orders)
-        if plain:
-            factors = _phi_factors(w, params, s)[plain]
-            val = val * np.prod(factors, axis=0)
-        return val
-
-    if math.isinf(params.phi):
-        return float(integrand(np.array([0.0]))[0])
-    return params.phi * _quadrature(integrand, 1.0 / params.phi, quad_order)
+    return float(_integrate(w, [orders], params, quad_order)[0, 0])
 
 
 def derivative_sum(v: int, w, params: SmoothingParams,
@@ -296,25 +322,24 @@ def derivative_sum(v: int, w, params: SmoothingParams,
 
     The sup over the perturbation ball is approximated from below by the
     finite grid in ``params.perturbations()``; tuples sharing a per-coordinate
-    order profile are evaluated once and weighted by their multiplicity.
+    order profile are evaluated once and weighted by their multiplicity.  All
+    (profile, perturbation point) partials come from one batched quadrature.
     """
-    if not 1 <= v <= 4:
-        raise ValueError("v must be in 1..4")
+    if not 1 <= v <= MAX_SUM_ORDER:
+        raise ValueError(f"v must be in 1..{MAX_SUM_ORDER}")
     d = params.d
     if d**v > TUPLE_BUDGET:
         raise BudgetExceeded(f"d^v = {d**v} exceeds budget {TUPLE_BUDGET}")
-    w = np.asarray(w, dtype=float)
-    ys = params.perturbations()
+    points = np.asarray(w, dtype=float) + params.perturbations()
+    profiles = [_orders_from_index(combo, d) for combo in
+                itertools.combinations_with_replacement(range(d), v)]
+    partials = _integrate(points, profiles, params, quad_order)
     total = 0.0
-    for combo in itertools.combinations_with_replacement(range(d), v):
-        counts: dict = {}
-        for j in combo:
-            counts[j] = counts.get(j, 0) + 1
+    for orders, row in zip(profiles, partials):
         mult = math.factorial(v)
-        for c in counts.values():
+        for c in orders.values():
             mult //= math.factorial(c)
-        best = max(abs(rho_partial(w + y, combo, params, quad_order)) for y in ys)
-        total += mult * best
+        total += mult * float(np.max(np.abs(row)))
     return total
 
 
@@ -380,11 +405,3 @@ def verify_lemmas(d_list: Sequence[int], v_list: Sequence[int],
                                  "attained_C61": c61, "attained_C62": c62,
                                  "decay_ratio": decay})
     return rows
-
-
-def write_verify_csv(rows: list[dict], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=VERIFY_COLUMNS)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row[k] for k in VERIFY_COLUMNS})

@@ -155,6 +155,51 @@ class TestCli:
         assert set(summary["checks"]) == {"residual_within_bound",
                                           "lambda_le_10"}
 
+    def test_run_without_checks_fails(self, tmp_path, capsys):
+        # v = 2 at finite phi and eps != 1 yields none of the smoothing checks
+        cfg = self._write(tmp_path, "experiment = smoothing_verify\n"
+                                    "v_list = 2\nphi_list = 8\neps_list = 0.5\n")
+        code = cli_main(["run", cfg, "--check", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "FAIL smoothing_verify.no_checks" in capsys.readouterr().out
+        summary = json.load(open(str(tmp_path / "out" / "summary.json")))
+        assert summary["checks"] == {}
+
+    @pytest.mark.parametrize("override", [
+        "d_list = 1", "v_list = 5", "v_list = 0", "phi_list = -1",
+        "phi_list = 0", "eps_list = 0", "eps_list = -0.5", "phi_list =",
+        "eps_list =", "v_list =", "d_list = 11\nv_list = 4",
+    ])
+    def test_bad_smoothing_config_exit_2(self, tmp_path, override):
+        base = {"experiment": "smoothing_verify", "phi_list": "4",
+                "eps_list": "1"}
+        key = override.split("=")[0].strip()
+        lines = [f"{k} = {v}" for k, v in base.items() if k != key]
+        cfg = self._write(tmp_path, "\n".join(lines + [override]) + "\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_thread_precedence(self, tmp_path, monkeypatch):
+        import hdclt.cli as cli_module
+        seen = []
+        real_run = cli_module.run
+
+        def spy(config, out_dir=None, threads=1):
+            seen.append(threads)
+            return real_run(config, out_dir=out_dir, threads=threads)
+
+        monkeypatch.setattr(cli_module, "run", spy)
+        cfg = self._write(tmp_path, "experiment = poisson_check\n"
+                                    "replications = 500\nthreads = 3\n")
+        out = str(tmp_path / "out")
+        monkeypatch.setenv("HDCLT_THREADS", "2")
+        assert cli_main(["run", cfg, "--out", out]) == 0
+        assert cli_main(["run", cfg, "--out", out, "--threads", "1"]) == 0
+        monkeypatch.delenv("HDCLT_THREADS")
+        assert cli_main(["run", cfg, "--out", out]) == 0
+        assert seen == [2, 1, 3]
+
     def test_load_config_round_trip(self, tmp_path):
         cfg_path = self._write(tmp_path,
                                "experiment = anticoncentration\nd = 7\n")

@@ -1,15 +1,23 @@
+import collections
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
+from hdclt import smoothing
 from hdclt.errors import BudgetExceeded, NonDiagonalSigma, OrderTooHigh
 from hdclt.matcore import CovarianceModel, RectangleSpec, enlarge
+from hdclt.runner import ExperimentConfig, run
 from hdclt.smoothing import (SmoothingParams, derivative_sum, g_phi,
                              gaussian_pdf, h_derivative_coefficient_check,
                              h_nu, hermite_coefficients, m_indicator,
                              rho_eval, rho_eval_mc, rho_partial, verify_lemmas)
+
+REFERENCE_CSV = (Path(__file__).resolve().parents[1] / "perfbench"
+                 / "reference" / "smoothing_verify.csv")
 
 
 def _params(d=1, lower=None, upper=None, phi=math.inf, eps=1.0, **kw):
@@ -181,3 +189,55 @@ class TestVerifySweep:
         rows = verify_lemmas([3], [1], [4.0, 8.0], [1.0 / 256], K=4.0)
         vals = [r["attained_C61"] for r in rows]
         assert max(vals) / min(vals) <= 2.0
+
+
+class TestBatchedQuadrature:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("v", [1, 2])
+    @pytest.mark.parametrize("phi", [8.0, math.inf])
+    def test_derivative_sum_equals_partials(self, d, v, phi):
+        params = _params(d=d, lower=[-1.5] * d, upper=[1.5] * d, phi=phi,
+                         eps=0.5)
+        w = np.full(d, 1.5)
+        expected = 0.0
+        for combo in itertools.combinations_with_replacement(range(d), v):
+            mult = math.factorial(v)
+            for c in collections.Counter(combo).values():
+                mult //= math.factorial(c)
+            expected += mult * max(abs(rho_partial(w + y, combo, params))
+                                   for y in params.perturbations())
+        assert derivative_sum(v, w, params) == expected
+
+    def test_rows_converge_independently(self):
+        # exp converges within a few doublings; sqrt's endpoint singularity
+        # needs many more, and must not change the exp row's value
+        both = smoothing._quadrature(
+            lambda s: np.vstack([np.exp(s), np.sqrt(s)]), 1.0, 32)
+        alone = [smoothing._quadrature(lambda s: f(s)[None], 1.0, 32)[0]
+                 for f in (np.exp, np.sqrt)]
+        assert both.tolist() == alone
+        assert both[0] == pytest.approx(math.e - 1.0, rel=1e-14)
+
+    def test_nodes_computed_once_per_order(self, monkeypatch):
+        smoothing._gauss_legendre.cache_clear()
+        calls = collections.Counter()
+        real = np.polynomial.legendre.leggauss
+
+        def counting(order):
+            calls[order] += 1
+            return real(order)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        verify_lemmas([3], [1, 2], [8.0, math.inf], [1.0, 0.25], K=4.0)
+        assert calls and max(calls.values()) == 1
+        for order in calls:
+            nodes, weights = smoothing._gauss_legendre(order)
+            assert not nodes.flags.writeable and not weights.flags.writeable
+            with pytest.raises(ValueError):
+                nodes[0] = 0.0
+
+    def test_default_sweep_matches_reference_csv(self, tmp_path):
+        cfg = ExperimentConfig.from_mapping({"experiment": "smoothing_verify"})
+        manifest = run(cfg, out_dir=str(tmp_path))
+        assert (Path(manifest.csv_paths[0]).read_bytes()
+                == REFERENCE_CSV.read_bytes())
