@@ -20,6 +20,13 @@ from .matcore import CovarianceModel
 from .sampler import substream
 
 
+def max_statistic(draws: np.ndarray, side: str = "one_sided") -> np.ndarray:
+    """Per-row max statistic, unsorted: max_j draw_j ("one_sided") or
+    max_j |draw_j| ("two_sided")."""
+    draws = np.atleast_2d(draws)
+    return np.max(np.abs(draws), axis=1) if side == "two_sided" else np.max(draws, axis=1)
+
+
 @dataclass(frozen=True)
 class MaxStatSample:
     """Sorted Monte Carlo draws of a max statistic (an empirical CDF)."""
@@ -41,9 +48,7 @@ class MaxStatSample:
 
     @staticmethod
     def from_draws(draws: np.ndarray, side: str = "one_sided") -> "MaxStatSample":
-        draws = np.atleast_2d(draws)
-        stat = np.max(np.abs(draws), axis=1) if side == "two_sided" else np.max(draws, axis=1)
-        return MaxStatSample(stat, side=side)
+        return MaxStatSample(max_statistic(draws, side), side=side)
 
     def cdf(self, x) -> np.ndarray:
         """Right-continuous empirical CDF at the points x."""
@@ -77,9 +82,19 @@ def gaussian_max_cdf(sigma: CovarianceModel, x: float, reps: int = 0,
 
 def ks_distance(a: MaxStatSample, b: MaxStatSample) -> float:
     """Two-sample Kolmogorov distance: sup over pooled jump points."""
+    return ks_distance_with_se(a, b)[0]
+
+
+def ks_distance_with_se(a: MaxStatSample, b: MaxStatSample) -> tuple[float, float]:
+    """Two-sample Kolmogorov distance plus the binomial standard error of
+    the CDF difference at the pooled point where the sup is attained."""
     pooled = np.concatenate([a.values, b.values])
     pooled.sort(kind="mergesort")
-    return float(np.max(np.abs(a.cdf(pooled) - b.cdf(pooled))))
+    fa, fb = a.cdf(pooled), b.cdf(pooled)
+    gaps = np.abs(fa - fb)
+    k = int(np.argmax(gaps))
+    se = math.sqrt(fa[k] * (1 - fa[k]) / a.size + fb[k] * (1 - fb[k]) / b.size)
+    return float(gaps[k]), se
 
 
 def ks_two_sample_critical(ra: int, rb: int, alpha: float = 0.01) -> float:

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 from scipy.stats import binom
 
+from .distance import MaxStatSample, ks_distance_with_se, max_statistic
 from .sampler import (DistributionSpec, derive_seed, sample_scaled_sums,
                       two_point_support)
 
@@ -163,50 +164,34 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]
     return slope, slope_se, intercept
 
 
-def _ks_with_se(stat_a: np.ndarray, stat_b: np.ndarray) -> tuple[float, float]:
-    """Two-sample KS distance on sorted statistic vectors plus a binomial
-    standard error at the attained sup point."""
-    pooled = np.concatenate([stat_a, stat_b])
-    pooled.sort(kind="mergesort")
-    fa = np.searchsorted(stat_a, pooled, side="right") / stat_a.size
-    fb = np.searchsorted(stat_b, pooled, side="right") / stat_b.size
-    gaps = np.abs(fa - fb)
-    k = int(np.argmax(gaps))
-    se = math.sqrt(fa[k] * (1 - fa[k]) / stat_a.size
-                   + fb[k] * (1 - fb[k]) / stat_b.size)
-    return float(gaps[k]), se
-
-
-def _max_stat(draws: np.ndarray, family: str) -> np.ndarray:
-    return np.abs(draws).max(axis=1) if family == "two_sided_max" else draws.max(axis=1)
-
-
 def reference_max_stats(spec: DistributionSpec, reps: int, seed: int,
                         family: str = "one_sided_max",
-                        chunk: int = 200_000) -> np.ndarray:
-    """Sorted max statistics of N(0, covariance of spec), drawn in chunks so
+                        chunk: int = 200_000) -> MaxStatSample:
+    """Max statistics of N(0, covariance of spec), drawn in chunks so
     reference replication counts far above the W side stay affordable."""
     ref_spec = DistributionSpec.gaussian(spec.population_covariance())
+    side = _side(family)
     out = np.empty(reps)
     done, idx = 0, 0
     while done < reps:
         m = min(chunk, reps - done)
         draws = sample_scaled_sums(ref_spec, 1, m, derive_seed(seed, 999, idx))
-        out[done:done + m] = _max_stat(draws, family)
+        out[done:done + m] = max_statistic(draws, side)
         done += m
         idx += 1
-    out.sort(kind="mergesort")
-    return out
+    return MaxStatSample(out, side=side)
+
+
+def _side(family: str) -> str:
+    if family not in ("one_sided_max", "two_sided_max"):
+        raise ValueError(f"rate_curve supports max families, not {family!r}")
+    return family.removesuffix("_max")
 
 
 def _rate_point(spec: DistributionSpec, n: int, reps: int, seed: int,
-                family, ref_stats: np.ndarray) -> RatePoint:
+                family, ref: MaxStatSample) -> RatePoint:
     draws = sample_scaled_sums(spec, int(n), reps, seed)
-    if family in ("one_sided_max", "two_sided_max"):
-        stat = np.sort(_max_stat(draws, family))
-        dist, se = _ks_with_se(stat, ref_stats)
-    else:
-        raise ValueError(f"rate_curve supports max families, not {family!r}")
+    dist, se = ks_distance_with_se(MaxStatSample.from_draws(draws, _side(family)), ref)
     return RatePoint(n=int(n), distance=dist, se=se)
 
 
@@ -228,9 +213,9 @@ def rate_curve(spec: DistributionSpec, d: int, n_list: Sequence[int],
         raise ValueError("n_list must be ascending")
     if spec.dim != d:
         spec = DistributionSpec(**{**spec.__dict__, "dim": d})
-    ref_stats = reference_max_stats(spec, reps * ref_factor, seed, family)
+    ref = reference_max_stats(spec, reps * ref_factor, seed, family)
 
-    tasks = [(spec, int(n), reps, derive_seed(seed, 1, i), family, ref_stats)
+    tasks = [(spec, int(n), reps, derive_seed(seed, 1, i), family, ref)
              for i, n in enumerate(n_list)]
     points = list(pmap(lambda t: _rate_point(*t), tasks))
 

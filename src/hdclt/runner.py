@@ -355,8 +355,7 @@ def _local_means_row(args):
                                          cfg.replications * cfg.ref_factor,
                                          derive_seed(cfg.seed, 31, d))
     dist = distance.ks_distance(
-        distance.MaxStatSample.from_draws(draws, "one_sided"),
-        distance.MaxStatSample(ref))
+        distance.MaxStatSample.from_draws(draws, "one_sided"), ref)
     identity = CovarianceModel.identity(d)
     sigma_w = CovarianceModel.local_means(d)
     gap = sup_norm_diff(identity, sigma_w)

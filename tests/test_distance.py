@@ -6,7 +6,7 @@ from scipy.special import ndtr
 
 from hdclt.distance import (MaxStatSample, anticoncentration_probe,
                             gaussian_max_cdf, ks_distance,
-                            ks_two_sample_critical, rect_family_distance)
+                            ks_distance_with_se, ks_two_sample_critical, rect_family_distance)
 from hdclt.errors import BadDiagonal, DimensionMismatch
 from hdclt.lowerbound import threshold_xn
 from hdclt.matcore import CovarianceModel
@@ -55,6 +55,15 @@ class TestKsDistance:
         a = MaxStatSample(np.array([0.0, 1.0]))
         b = MaxStatSample(np.array([5.0, 6.0]))
         assert ks_distance(a, b) == 1.0
+
+    def test_standard_error_at_sup_point(self):
+        # pooled points 0, 1, 2, 3, 3.5, 3.6, 3.7, 4: the gap peaks at x = 3
+        # with F_a = 3/4 and F_b = 1/4, so se^2 = 2 * (3/4)(1/4)/4 = 6/64
+        a = MaxStatSample(np.array([1.0, 2.0, 3.0, 4.0]))
+        b = MaxStatSample(np.array([0.0, 3.5, 3.6, 3.7]))
+        dist, se = ks_distance_with_se(a, b)
+        assert dist == 0.5 == ks_distance(a, b)
+        assert se == pytest.approx(math.sqrt(6.0) / 8.0, rel=1e-15)
 
     def test_critical_value_formula(self):
         r = 100_000
