@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateSigma
 from .matcore import CovarianceModel, sup_norm_diff
-from .sampler import DataMatrix, substream
+from .sampler import DataMatrix, blocks, substream
 
 # Mammen two-point multiplier: values (1 -+ sqrt5)/2 with probabilities
 # (sqrt5 +- 1)/(2 sqrt5); satisfies E xi = 0, E xi^2 = 1, E xi^3 = 1.
@@ -25,6 +25,9 @@ MAMMEN_HIGH = (1.0 + _SQRT5) / 2.0
 MAMMEN_P_LOW = (_SQRT5 + 1.0) / (2.0 * _SQRT5)
 
 MULTIPLIER_KINDS = ("gaussian", "rademacher", "mammen")
+
+# fewest draws simultaneous_quantile accepts
+MIN_QUANTILE_DRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,7 @@ class MultiplierKind:
 
 
 def multiplier_draws(x: DataMatrix, reps: int, kind: MultiplierKind | str,
-                     seed: int, chunk: int = 2_000_000) -> np.ndarray:
+                     seed: int) -> np.ndarray:
     """reps x d draws of the multiplier-bootstrap statistic.
 
     Each draw is ``n^{-1/2} sum_i xi_i (X_i - Xbar)`` with fresh multipliers;
@@ -56,20 +59,13 @@ def multiplier_draws(x: DataMatrix, reps: int, kind: MultiplierKind | str,
         kind = MultiplierKind(kind)
     xc = (x.values - x.values.mean(axis=0)) / math.sqrt(x.n)
     out = np.empty((reps, x.d))
-    block = max(1, chunk // max(x.n, 1))
-    done, idx = 0, 0
-    while done < reps:
-        m = min(block, reps - done)
-        rng = substream(seed, 10, idx)
-        xi = kind.draw(rng, (m, x.n))
-        out[done:done + m] = xi @ xc
-        done += m
-        idx += 1
+    for idx, rows in blocks(reps, x.n):
+        xi = kind.draw(substream(seed, 10, idx), (rows.stop - rows.start, x.n))
+        out[rows] = xi @ xc
     return out
 
 
-def empirical_draws(x: DataMatrix, reps: int, seed: int,
-                    chunk: int = 2_000_000) -> np.ndarray:
+def empirical_draws(x: DataMatrix, reps: int, seed: int) -> np.ndarray:
     """reps x d draws of the empirical-bootstrap statistic.
 
     Each draw resamples n rows with replacement and recenters by the sample
@@ -79,16 +75,11 @@ def empirical_draws(x: DataMatrix, reps: int, seed: int,
         raise ValueError("empirical bootstrap requires n >= 1")
     xbar = x.values.mean(axis=0)
     out = np.empty((reps, x.d))
-    block = max(1, chunk // max(x.n, 1))
-    done, idx = 0, 0
-    while done < reps:
-        m = min(block, reps - done)
+    # the resampled rows x.values[picks] are the n*d-float slab per draw
+    for idx, rows in blocks(reps, x.n * x.d):
         rng = substream(seed, 11, idx)
-        rows = rng.integers(0, x.n, size=(m, x.n))
-        sums = x.values[rows].sum(axis=1)
-        out[done:done + m] = (sums - x.n * xbar) / math.sqrt(x.n)
-        done += m
-        idx += 1
+        picks = rng.integers(0, x.n, size=(rows.stop - rows.start, x.n))
+        out[rows] = (x.values[picks].sum(axis=1) - x.n * xbar) / math.sqrt(x.n)
     return out
 
 
@@ -135,8 +126,8 @@ def simultaneous_quantile(draws: np.ndarray, level: float,
 
     ``side``: "two_sided" uses max_j |draw_j|, "one_sided" uses max_j draw_j.
     """
-    if draws.shape[0] < 100:
-        raise ValueError("need at least 100 replications")
+    if draws.shape[0] < MIN_QUANTILE_DRAWS:
+        raise ValueError(f"need at least {MIN_QUANTILE_DRAWS} replications")
     if not 0.0 < level <= 1.0:
         raise ValueError("level must lie in (0, 1]")
     if side == "two_sided":

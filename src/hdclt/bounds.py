@@ -182,24 +182,33 @@ def bound_gauss_bounded(inputs: BoundInputs,
     return BoundReport(tag, value, inputs, constants)
 
 
-def bound_gauss_unbounded(inputs: BoundInputs,
-                          constants: ConstantsPolicy = UNIT_CONSTANTS) -> BoundReport:
-    """Gaussian approximation bound with truncation level psi."""
-    tag = "gauss_unbounded"
+def _unbounded_shape(tag: str, inputs: BoundInputs, constants: ConstantsPolicy,
+                     delta0: float, delta1: float, m_max: float,
+                     m_psi: float) -> BoundReport:
+    """The unbounded-case bound with truncation level psi, evaluated on the
+    given (Delta_0, Delta_1, M, M(psi)); n, d, sigma_* and psi come from
+    ``inputs``."""
     n, d = inputs.n, inputs.d
     s, psi = inputs.sigma_star, inputs.psi
     if psi is None or psi <= 0:
-        raise ValueError("bound_gauss_unbounded requires psi > 0")
+        raise ValueError(f"bound_{tag} requires psi > 0")
     if s is None or s <= 0:
         return _degenerate_report(tag, inputs, constants)
     ld = math.log(d)
     value = constants.get("C") * (
-        math.log(n) * (inputs.delta0 + math.sqrt(inputs.delta1 * ld)
-                       + (inputs.m_max * ld) ** 2 / (n * s**2))
-        + math.sqrt(lambda1(n, d) * inputs.m_psi / (n * s**4))
+        math.log(n) * (delta0 + math.sqrt(delta1 * ld)
+                       + (m_max * ld) ** 2 / (n * s**2))
+        + math.sqrt(lambda1(n, d) * m_psi / (n * s**4))
         + psi * ld**1.5 / (s * math.sqrt(n))
     )
     return BoundReport(tag, value, inputs, constants)
+
+
+def bound_gauss_unbounded(inputs: BoundInputs,
+                          constants: ConstantsPolicy = UNIT_CONSTANTS) -> BoundReport:
+    """Gaussian approximation bound with truncation level psi."""
+    return _unbounded_shape("gauss_unbounded", inputs, constants, inputs.delta0,
+                            inputs.delta1, inputs.m_max, inputs.m_psi)
 
 
 def bound_corollary_simple(case: str, inputs: BoundInputs,
@@ -266,21 +275,9 @@ def bound_bootstrap_multiplier(delta0_prime: float, d: int,
 def bound_bootstrap_empirical(inputs: BoundInputs,
                               constants: ConstantsPolicy = UNIT_CONSTANTS) -> BoundReport:
     """Empirical-bootstrap bound: unbounded-case shape with primed inputs."""
-    tag = "bootstrap_empirical"
-    n, d = inputs.n, inputs.d
-    s, psi = inputs.sigma_star, inputs.psi
-    if psi is None or psi <= 0:
-        raise ValueError("bound_bootstrap_empirical requires psi > 0")
-    if s is None or s <= 0:
-        return _degenerate_report(tag, inputs, constants)
-    ld = math.log(d)
-    value = constants.get("C") * (
-        math.log(n) * (inputs.delta0_prime + math.sqrt(inputs.delta1_prime * ld)
-                       + (inputs.m_max_star * ld) ** 2 / (n * s**2))
-        + math.sqrt(lambda1(n, d) * inputs.m_psi_star / (n * s**4))
-        + psi * ld**1.5 / (s * math.sqrt(n))
-    )
-    return BoundReport(tag, value, inputs, constants)
+    return _unbounded_shape("bootstrap_empirical", inputs, constants,
+                            inputs.delta0_prime, inputs.delta1_prime,
+                            inputs.m_max_star, inputs.m_psi_star)
 
 
 def bound_smooth(delta0_tilde: float, delta1_tilde_value: float,

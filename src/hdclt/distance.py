@@ -17,7 +17,7 @@ from scipy.special import ndtr
 
 from .errors import BadDiagonal, DimensionMismatch
 from .matcore import CovarianceModel
-from .sampler import substream
+from .sampler import blocks, substream
 
 
 def max_statistic(draws: np.ndarray, side: str = "one_sided") -> np.ndarray:
@@ -104,8 +104,7 @@ def ks_two_sample_critical(ra: int, rb: int, alpha: float = 0.01) -> float:
 
 
 def rect_family_distance(draws_a: np.ndarray, draws_b: np.ndarray,
-                         family: str | tuple = "one_sided_max",
-                         chunk: int = 10_000_000) -> float:
+                         family: str | tuple = "one_sided_max") -> float:
     """Max over a rectangle family of |P_hat_A(rect) - P_hat_B(rect)|.
 
     ``family`` is "one_sided_max", "two_sided_max", or
@@ -127,11 +126,11 @@ def rect_family_distance(draws_a: np.ndarray, draws_b: np.ndarray,
                            MaxStatSample.from_draws(draws_b, "two_sided"))
     if isinstance(family, tuple) and family[0] == "random_rects":
         _, count, seed = family
-        return _random_rects_distance(draws_a, draws_b, int(count), int(seed), chunk)
+        return _random_rects_distance(draws_a, draws_b, int(count), int(seed))
     raise ValueError(f"unknown family {family!r}")
 
 
-def _random_rects_distance(draws_a, draws_b, count, seed, chunk) -> float:
+def _random_rects_distance(draws_a, draws_b, count, seed) -> float:
     d = draws_a.shape[1]
     rng = substream(seed, 21)
     pooled = np.concatenate([draws_a, draws_b], axis=0)
@@ -158,9 +157,8 @@ def _random_rects_distance(draws_a, draws_b, count, seed, chunk) -> float:
     if n_one:
         best = float(np.max(np.abs(fa - fb)))
 
-    block = max(1, chunk // max(draws_a.shape[0] + draws_b.shape[0], 1) // max(d, 1))
-    for start in range(0, n_gen, block):
-        sl = slice(start, min(start + block, n_gen))
+    # a block of rectangles broadcasts against every draw of both samples
+    for _, sl in blocks(n_gen, len(pooled) * d):
         in_a = np.all((draws_a[:, None, :] > lowers[sl]) &
                       (draws_a[:, None, :] <= uppers[sl]), axis=2)
         in_b = np.all((draws_b[:, None, :] > lowers[sl]) &
@@ -185,15 +183,10 @@ def anticoncentration_probe(sigma: CovarianceModel, eps: float, reps: int,
     scale = np.sqrt(sigma.diagonal) if sigma.is_diagonal else None
     chol = None if sigma.is_diagonal else sigma.chol
     stat = np.empty(reps)
-    done, idx, block = 0, 0, max(1, 10_000_000 // max(sigma.dim, 1))
-    while done < reps:
-        m = min(block, reps - done)
+    for idx, rows in blocks(reps, sigma.dim):
         rng = substream(seed, 22, idx)
-        z = rng.standard_normal((m, sigma.dim))
-        draws = z * scale if chol is None else z @ chol.T
-        stat[done:done + m] = draws.max(axis=1)
-        done += m
-        idx += 1
+        z = rng.standard_normal((rows.stop - rows.start, sigma.dim))
+        stat[rows] = max_statistic(z * scale if chol is None else z @ chol.T)
     stat.sort(kind="mergesort")
     z = np.linspace(np.quantile(stat, 0.0005), np.quantile(stat, 0.9995), grid)
     upper = np.searchsorted(stat, z + eps, side="right")

@@ -17,8 +17,8 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import binom
 
 from .distance import MaxStatSample, ks_distance_with_se, max_statistic
-from .sampler import (DistributionSpec, derive_seed, sample_scaled_sums,
-                      two_point_support)
+from .sampler import (DistributionSpec, blocks, derive_seed,
+                      sample_scaled_sums, two_point_support)
 
 GAUSS_TARGET = math.exp(-1.0)
 
@@ -165,20 +165,17 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]
 
 
 def reference_max_stats(spec: DistributionSpec, reps: int, seed: int,
-                        family: str = "one_sided_max",
-                        chunk: int = 200_000) -> MaxStatSample:
-    """Max statistics of N(0, covariance of spec), drawn in chunks so
-    reference replication counts far above the W side stay affordable."""
+                        family: str = "one_sided_max") -> MaxStatSample:
+    """Max statistics of N(0, covariance of spec), drawn in :func:`blocks`
+    so reference replication counts far above the W side stay affordable."""
     ref_spec = DistributionSpec.gaussian(spec.population_covariance())
     side = _side(family)
     out = np.empty(reps)
-    done, idx = 0, 0
-    while done < reps:
-        m = min(chunk, reps - done)
-        draws = sample_scaled_sums(ref_spec, 1, m, derive_seed(seed, 999, idx))
-        out[done:done + m] = max_statistic(draws, side)
-        done += m
-        idx += 1
+    for idx, rows in blocks(reps, spec.dim):
+        # one expression, so no block's draws outlive its maxima
+        out[rows] = max_statistic(
+            sample_scaled_sums(ref_spec, 1, rows.stop - rows.start,
+                               derive_seed(seed, 999, idx)), side)
     return MaxStatSample(out, side=side)
 
 

@@ -27,7 +27,7 @@ class CovarianceModel:
 
     Construction validates symmetry (1e-12 absolute) and PSD-ness up to a
     1e-10 eigenvalue tolerance.  Exactly singular matrices are representable;
-    only :meth:`cholesky` requires strict positive definiteness.
+    only :attr:`chol` requires strict positive definiteness.
     """
 
     def __init__(self, entries):
@@ -74,6 +74,8 @@ class CovarianceModel:
 
     @property
     def chol(self) -> np.ndarray:
+        """Lower-triangular L with L @ L.T == entries; raises
+        :class:`NotPositiveDefinite` when a pivot falls below 1e-12."""
         if self._chol is None:
             with self._lock:
                 if self._chol is None:
@@ -129,20 +131,6 @@ def _cholesky_lower(s: np.ndarray) -> np.ndarray:
             a[k + 1:, k] /= a[k, k]
             a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k + 1:, k])
     return np.tril(a)
-
-
-def cholesky(s: CovarianceModel) -> np.ndarray:
-    """Lower-triangular L with L @ L.T == s.entries (1e-10 per entry).
-
-    Raises :class:`NotPositiveDefinite` when a pivot falls below 1e-12;
-    callers working with nearly singular matrices may add jitter first.
-    """
-    return s.chol
-
-
-def min_eigenvalue(s: CovarianceModel) -> float:
-    """Smallest eigenvalue sigma_*^2; works on singular and indefinite input."""
-    return s.min_eig
 
 
 def sup_norm_diff(s: CovarianceModel, q: CovarianceModel) -> float:

@@ -167,12 +167,31 @@ class ExperimentConfig:
         for key in ("eps_list", "phi_list", "v_list", "rho_list"):
             if getattr(self, key) == []:
                 raise ConfigInvalid(f"{key} must be nonempty")
-        if self.experiment == "smoothing_verify":
+        self._check_experiment()
+
+    def _check_experiment(self):
+        """Reject values the experiment's own code cannot run, before any
+        output directory exists."""
+        exp = self.experiment
+        if exp in ("rate_vs_n", "zero_skew_rate") and self.d is not None \
+                and self.d < 2:
+            raise ConfigInvalid("d must be >= 2 (the normalization divides "
+                                "by log d)")
+        if exp in ("rate_vs_n", "poisson_check") and self.B is not None \
+                and not self.B >= 2.0:
+            raise ConfigInvalid("B must be >= 2 for the two-point family")
+        if exp == "bootstrap_coverage" and self.inner_replications is not None \
+                and self.inner_replications < bootstrap.MIN_QUANTILE_DRAWS:
+            raise ConfigInvalid("inner_replications must be >= "
+                                f"{bootstrap.MIN_QUANTILE_DRAWS}")
+        if exp in ("local_means", "smoothing_verify") and any(
+                d < 2 for d in self.d_list or ()):
+            raise ConfigInvalid("d_list entries must be >= 2")
+        if exp == "smoothing_verify":
             self._check_smoothing()
 
     def _check_smoothing(self):
-        """Reject grids the derivative sums cannot evaluate, before any
-        cell is computed."""
+        """Reject grids the derivative sums cannot evaluate."""
         if any(not phi > 0 for phi in self.phi_list or ()):
             raise ConfigInvalid("phi_list entries must be > 0 (inf allowed)")
         if any(not eps > 0 for eps in self.eps_list or ()):
@@ -180,9 +199,6 @@ class ExperimentConfig:
         if any(not 1 <= v <= smoothing.MAX_SUM_ORDER for v in self.v_list or ()):
             raise ConfigInvalid(
                 f"v_list entries must lie in 1..{smoothing.MAX_SUM_ORDER}")
-        if any(d < 2 for d in self.d_list or ()):
-            raise ConfigInvalid("d_list entries must be >= 2 (the constants "
-                                "divide by log d)")
         for d in self.d_list or ():
             for v in self.v_list or ():
                 if d**v > smoothing.TUPLE_BUDGET:

@@ -25,6 +25,9 @@ from .matcore import CovarianceModel
 FAMILIES = ("gaussian", "two_point", "rademacher", "uniform_bounded",
             "local_means", "quasi_gaussian")
 
+# Memory budget of one Monte Carlo block: 2e6 float64 elements (16 MB).
+BLOCK_FLOATS = 2_000_000
+
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for substream ``key`` of master ``seed``."""
@@ -37,6 +40,20 @@ def derive_seed(seed: int, *key: int) -> int:
     their own (bootstrap engines, per-replication experiment units)."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def blocks(total: int, row_floats: int):
+    """Split ``total`` rows into consecutive ``(idx, slice)`` blocks.
+
+    ``row_floats`` is the element count of the widest per-row array a block
+    allocates; each block holds ``max(1, BLOCK_FLOATS // row_floats)`` rows,
+    so peak memory stays near ``BLOCK_FLOATS`` whatever ``d`` is.  Callers
+    key their substream on ``idx``, so draws depend on this budget, never on
+    the thread count.
+    """
+    rows = max(1, BLOCK_FLOATS // max(row_floats, 1))
+    for idx, start in enumerate(range(0, total, rows)):
+        yield idx, slice(start, min(start + rows, total))
 
 
 @dataclass(frozen=True)
@@ -241,19 +258,6 @@ def _local_means_values(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
-def sample_local_means(n: int, d: int, kappa: int, seed: int) -> DataMatrix:
-    """Many-local-means rows: one indicator cell per observation, p = 1/d.
-
-    The geometric dimension ``kappa`` only enters the Hungarian-coupling bound
-    formula; cell membership is sampled directly as a uniform categorical,
-    which is distributionally exact for every quantity computed here.
-    """
-    if d < 2:
-        raise ValueError("local_means requires d >= 2")
-    rng = substream(seed, 0)
-    return DataMatrix(_local_means_values(n, d, rng))
-
-
 def scaled_sum(x: DataMatrix) -> np.ndarray:
     """W = n^{-1/2} * column sums."""
     return x.values.sum(axis=0) / np.sqrt(x.n)
@@ -276,8 +280,8 @@ def apply_quasi_gaussian(x: DataMatrix, sigma0: CovarianceModel, seed: int
     return scaled_sum(x) + g, g
 
 
-def sample_scaled_sums(spec: DistributionSpec, n: int, reps: int, seed: int,
-                       chunk: int = 200_000) -> np.ndarray:
+def sample_scaled_sums(spec: DistributionSpec, n: int, reps: int,
+                       seed: int) -> np.ndarray:
     """reps x d draws of W = n^{-1/2} sum_i X_i, each from fresh data.
 
     Uses exact closed-form transforms where the family admits them:
@@ -289,7 +293,7 @@ def sample_scaled_sums(spec: DistributionSpec, n: int, reps: int, seed: int,
     * quasi_gaussian: base transform plus one N(0, sigma0) draw per rep.
 
     Families without a transform (uniform_bounded) fall back to summing
-    explicitly sampled data in chunks.
+    explicitly sampled data in :func:`blocks` of replications.
     """
     rng = substream(seed, 1)
     d = spec.dim
@@ -309,19 +313,14 @@ def sample_scaled_sums(spec: DistributionSpec, n: int, reps: int, seed: int,
         counts = rng.multinomial(n, np.full(d, p), size=reps).astype(float)
         return (counts * hi + (n - counts) * lo) / np.sqrt(n)
     if spec.kind == "quasi_gaussian":
-        w = sample_scaled_sums(spec.base, n, reps, seed, chunk=chunk)
+        w = sample_scaled_sums(spec.base, n, reps, seed)
         g = substream(seed, 2).standard_normal((reps, d)) @ spec.sigma0.chol.T
         return w + g
-    # generic fallback: explicit data, chunked over replications
+    # generic fallback: explicit data, one n x d slab per replication
     out = np.empty((reps, d))
-    done = 0
-    block = max(1, chunk // max(n, 1))
-    idx = 0
-    while done < reps:
-        m = min(block, reps - done)
-        sub = substream(seed, 3, idx)
-        vals = _sample_values(spec, n * m, sub).reshape(m, n, d)
-        out[done:done + m] = vals.sum(axis=1) / np.sqrt(n)
-        done += m
-        idx += 1
+    for idx, rows in blocks(reps, n * d):
+        # one expression, so no block's slab outlives its sum
+        m = rows.stop - rows.start
+        out[rows] = _sample_values(spec, n * m, substream(seed, 3, idx)
+                                   ).reshape(m, n, d).sum(axis=1) / np.sqrt(n)
     return out

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hdclt.bootstrap import (MAMMEN_HIGH, MAMMEN_LOW, MAMMEN_P_LOW,
                              empirical_draws, multiplier_draws,
                              simultaneous_quantile)
 from hdclt.matcore import CovarianceModel
-from hdclt.sampler import DataMatrix, DistributionSpec, sample, substream
+from hdclt.sampler import (BLOCK_FLOATS, DataMatrix, DistributionSpec, sample,
+                           sample_scaled_sums, substream)
 
 
 class TestMammenLaw:
@@ -47,13 +49,6 @@ class TestMultiplierDraws:
         emp = np.cov(draws.T, bias=True)
         assert np.max(np.abs(emp - target)) < 0.02
 
-    def test_chunk_invariance(self):
-        x = sample(DistributionSpec.gaussian(CovarianceModel.identity(2)),
-                   30, seed=5)
-        a = multiplier_draws(x, 1000, "mammen", seed=6, chunk=10**9)
-        b = multiplier_draws(x, 1000, "mammen", seed=6, chunk=10**9)
-        np.testing.assert_array_equal(a, b)
-
 
 class TestEmpiricalDraws:
     def test_constant_rows_give_zero(self):
@@ -68,6 +63,32 @@ class TestEmpiricalDraws:
         target = empirical_cov_centered(x).entries
         assert np.max(np.abs(draws.mean(axis=0))) < 0.02
         assert np.max(np.abs(np.cov(draws.T, bias=True) - target)) < 0.03
+
+
+class TestBlockBudget:
+    # allocations outside the block slab: index arrays, partial sums, and
+    # the interpreter's own bookkeeping while tracing
+    SLACK_BYTES = 4_000_000
+
+    def _peak(self, fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return tracemalloc.get_traced_memory()[1], out
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_independent_of_d(self):
+        for d in (10, 50):
+            x = sample(DistributionSpec.gaussian(CovarianceModel.identity(d)),
+                       100, seed=5)
+            spec = DistributionSpec.uniform_bounded(1.0, d)
+            for fn in (lambda: empirical_draws(x, 1000, seed=6),
+                       lambda: sample_scaled_sums(spec, 10, 20_000, seed=7),
+                       lambda: multiplier_draws(x, 1000, "mammen", seed=6)):
+                peak, out = self._peak(fn)
+                assert peak <= BLOCK_FLOATS * 8 + out.nbytes + self.SLACK_BYTES
+                np.testing.assert_array_equal(out, fn())
 
 
 class TestEmpiricalCov:

@@ -6,17 +6,17 @@ from hypothesis import strategies as st
 from hdclt.errors import (DegenerateRectangle, DimensionMismatch,
                           NotPositiveDefinite)
 from hdclt.matcore import (CovarianceModel, RectangleSpec, _cholesky_lower,
-                           cholesky, enlarge, min_eigenvalue, sup_norm_diff)
+                           enlarge, sup_norm_diff)
 
 
 class TestCholesky:
     def test_identity_factor_is_identity(self):
-        assert np.array_equal(cholesky(CovarianceModel.identity(3)), np.eye(3))
+        assert np.array_equal(CovarianceModel.identity(3).chol, np.eye(3))
 
     def test_two_by_two_closed_form(self):
         s = CovarianceModel([[1.0, 0.5], [0.5, 1.0]])
         expected = np.array([[1.0, 0.0], [0.5, np.sqrt(0.75)]])
-        np.testing.assert_allclose(cholesky(s), expected, atol=1e-12)
+        np.testing.assert_allclose(s.chol, expected, atol=1e-12)
         np.testing.assert_allclose(s.chol @ s.chol.T, s.entries, atol=1e-12)
 
     def test_indefinite_matrix_rejected(self):
@@ -29,7 +29,7 @@ class TestCholesky:
     def test_singular_matrix_has_no_factor(self):
         s = CovarianceModel.local_means(5)
         with pytest.raises(NotPositiveDefinite):
-            cholesky(s)
+            s.chol
 
     @given(st.integers(min_value=1, max_value=6), st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -37,31 +37,30 @@ class TestCholesky:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((d, d))
         s = CovarianceModel(a @ a.T + 0.1 * np.eye(d))
-        low = cholesky(s)
+        low = s.chol
         np.testing.assert_allclose(low @ low.T, s.entries, atol=1e-10)
         assert np.allclose(np.triu(low, 1), 0.0)
 
 
 class TestMinEigenvalue:
     def test_identity(self):
-        assert min_eigenvalue(CovarianceModel.identity(7)) == pytest.approx(1.0)
+        assert CovarianceModel.identity(7).min_eig == pytest.approx(1.0)
 
     def test_equicorrelation(self):
         # eigenvalues are 1 - rho (multiplicity d-1) and 1 + (d-1) rho
         s = CovarianceModel.equicorrelation(3, 0.5)
-        assert min_eigenvalue(s) == pytest.approx(0.5, abs=1e-12)
+        assert s.min_eig == pytest.approx(0.5, abs=1e-12)
 
     def test_local_means_exactly_singular(self):
         for d in (5, 11, 40):
-            assert abs(min_eigenvalue(CovarianceModel.local_means(d))) < 1e-9
+            assert abs(CovarianceModel.local_means(d).min_eig) < 1e-9
 
     def test_matches_dense_solver(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((6, 6))
         m = a @ a.T
         s = CovarianceModel(m)
-        assert min_eigenvalue(s) == pytest.approx(np.linalg.eigvalsh(m)[0],
-                                                  rel=1e-10)
+        assert s.min_eig == pytest.approx(np.linalg.eigvalsh(m)[0], rel=1e-10)
 
 
 class TestSupNormDiff:

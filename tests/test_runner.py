@@ -169,6 +169,10 @@ class TestCli:
         "d_list = 1", "v_list = 5", "v_list = 0", "phi_list = -1",
         "phi_list = 0", "eps_list = 0", "eps_list = -0.5", "phi_list =",
         "eps_list =", "v_list =", "d_list = 11\nv_list = 4",
+        "experiment = rate_vs_n\nd = 1", "experiment = zero_skew_rate\nd = 1",
+        "experiment = rate_vs_n\nB = 1.5", "experiment = poisson_check\nB = 1.5",
+        "experiment = bootstrap_coverage\ninner_replications = 50",
+        "experiment = local_means\nd_list = 1",
     ])
     def test_bad_smoothing_config_exit_2(self, tmp_path, override):
         base = {"experiment": "smoothing_verify", "phi_list": "4",

@@ -7,8 +7,8 @@ from scipy.stats import binom
 from hdclt.distance import gaussian_max_cdf
 from hdclt.matcore import CovarianceModel
 from hdclt.sampler import (DataMatrix, DistributionSpec, apply_quasi_gaussian,
-                           derive_seed, sample, sample_local_means,
-                           sample_scaled_sums, scaled_sum, substream,
+                           derive_seed, sample, sample_scaled_sums,
+                           scaled_sum, substream,
                            two_point_support)
 
 
@@ -64,11 +64,11 @@ class TestGaussianFamily:
 
 class TestLocalMeans:
     def test_rows_sum_to_zero_exactly(self):
-        x = sample_local_means(200, 10, kappa=1, seed=2).values
+        x = sample(DistributionSpec.local_means(10), 200, seed=2).values
         np.testing.assert_allclose(x.sum(axis=1), 0.0, atol=1e-12)
 
     def test_empirical_covariance_matches_exact(self):
-        x = sample_local_means(100_000, 10, kappa=1, seed=4).values
+        x = sample(DistributionSpec.local_means(10), 100_000, seed=4).values
         emp = np.cov(x.T, bias=True)
         assert np.max(np.abs(np.diag(emp) - 1.0)) < 0.03
         off = emp[~np.eye(10, dtype=bool)]
