@@ -280,6 +280,20 @@ def apply_quasi_gaussian(x: DataMatrix, sigma0: CovarianceModel, seed: int
     return scaled_sum(x) + g, g
 
 
+def _count_sums(counts: np.ndarray, n: int, hi: float, lo: float) -> np.ndarray:
+    """``(k*hi + (n-k)*lo) / sqrt(n)`` for counts k of the high value among n
+    two-valued summands, computed in place so that at most two arrays of
+    the output's size are alive at once."""
+    k = counts.astype(float)
+    del counts  # the caller's integer draw is this frame's only reference
+    rest = n - k
+    rest *= lo
+    k *= hi
+    k += rest
+    k /= np.sqrt(n)
+    return k
+
+
 def sample_scaled_sums(spec: DistributionSpec, n: int, reps: int,
                        seed: int) -> np.ndarray:
     """reps x d draws of W = n^{-1/2} sum_i X_i, each from fresh data.
@@ -301,21 +315,18 @@ def sample_scaled_sums(spec: DistributionSpec, n: int, reps: int,
         return rng.standard_normal((reps, d)) @ spec.cov.chol.T
     if spec.kind == "two_point":
         a, b, p = two_point_support(spec.B)
-        k = rng.binomial(n, p, size=(reps, d)).astype(float)
-        return (k * a + (n - k) * b) / np.sqrt(n)
+        return _count_sums(rng.binomial(n, p, size=(reps, d)), n, a, b)
     if spec.kind == "rademacher":
-        k = rng.binomial(n, 0.5, size=(reps, d)).astype(float)
-        return (2.0 * k - n) / np.sqrt(n)
+        return _count_sums(rng.binomial(n, 0.5, size=(reps, d)), n, 1.0, -1.0)
     if spec.kind == "local_means":
         p = 1.0 / d
         hi = np.sqrt((1 - p) / p)
         lo = -np.sqrt(p / (1 - p))
-        counts = rng.multinomial(n, np.full(d, p), size=reps).astype(float)
-        return (counts * hi + (n - counts) * lo) / np.sqrt(n)
+        return _count_sums(rng.multinomial(n, np.full(d, p), size=reps), n, hi, lo)
     if spec.kind == "quasi_gaussian":
         w = sample_scaled_sums(spec.base, n, reps, seed)
-        g = substream(seed, 2).standard_normal((reps, d)) @ spec.sigma0.chol.T
-        return w + g
+        w += substream(seed, 2).standard_normal((reps, d)) @ spec.sigma0.chol.T
+        return w
     # generic fallback: explicit data, one n x d slab per replication
     out = np.empty((reps, d))
     for idx, rows in blocks(reps, n * d):

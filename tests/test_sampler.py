@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,22 @@ class TestScaledSumTransforms:
         for k in (0, 1, 2, 3):
             p_hat = np.mean(np.isclose(draws, support[k]))
             assert p_hat == pytest.approx(binom.pmf(k, n, p), abs=0.006)
+
+    def test_count_transform_in_place(self):
+        # equals the plain formula bit for bit with at most two arrays of
+        # the output's size alive at once
+        a, b, p = two_point_support(2.0)
+        n, reps, d = 100, 20_000, 50
+        k = substream(31, 1).binomial(n, p, size=(reps, d)).astype(float)
+        tracemalloc.start()
+        try:
+            draws = sample_scaled_sums(DistributionSpec.two_point(2.0, d), n,
+                                       reps, seed=31)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(draws, (k * a + (n - k) * b) / np.sqrt(n))
+        assert peak <= 2 * draws.nbytes + 1_000_000
 
     def test_rademacher_parity(self):
         draws = sample_scaled_sums(DistributionSpec.rademacher(2), 4, 1000, seed=21)
