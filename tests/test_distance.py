@@ -6,7 +6,8 @@ from scipy.special import ndtr
 
 from hdclt.distance import (MaxStatSample, anticoncentration_probe,
                             gaussian_max_cdf, ks_distance,
-                            ks_distance_with_se, ks_two_sample_critical, rect_family_distance)
+                            ks_distance_with_se, ks_two_sample_critical,
+                            rect_family_distance)
 from hdclt.errors import BadDiagonal, DimensionMismatch
 from hdclt.lowerbound import threshold_xn
 from hdclt.matcore import CovarianceModel

@@ -9,8 +9,7 @@ from hdclt.distance import gaussian_max_cdf
 from hdclt.matcore import CovarianceModel
 from hdclt.sampler import (DataMatrix, DistributionSpec, apply_quasi_gaussian,
                            derive_seed, sample, sample_scaled_sums,
-                           scaled_sum, substream,
-                           two_point_support)
+                           scaled_sum, substream, two_point_support)
 
 
 class TestSubstream:
