@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distance import max_statistic
 from .errors import DegenerateSigma
 from .matcore import CovarianceModel, sup_norm_diff
 from .sampler import DataMatrix, blocks, substream
@@ -130,12 +131,9 @@ def simultaneous_quantile(draws: np.ndarray, level: float,
         raise ValueError(f"need at least {MIN_QUANTILE_DRAWS} replications")
     if not 0.0 < level <= 1.0:
         raise ValueError("level must lie in (0, 1]")
-    if side == "two_sided":
-        stats = np.max(np.abs(draws), axis=1)
-    elif side == "one_sided":
-        stats = np.max(draws, axis=1)
-    else:
+    if side not in ("one_sided", "two_sided"):
         raise ValueError(f"unknown side {side!r}")
+    stats = max_statistic(draws, side)
     if level == 1.0:
         return float(stats.max())
     return float(np.quantile(stats, level, method="higher"))

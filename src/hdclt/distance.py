@@ -138,7 +138,7 @@ def _random_rects_distance(draws_a, draws_b, count, seed) -> float:
     hi = np.quantile(pooled, 0.999, axis=0)
 
     n_one = count // 2
-    max_pool = pooled.max(axis=1)
+    max_pool = max_statistic(pooled)
     thresholds = rng.uniform(max_pool.min(), max_pool.max(), size=n_one)
 
     n_gen = count - n_one
@@ -150,11 +150,9 @@ def _random_rects_distance(draws_a, draws_b, count, seed) -> float:
 
     best = 0.0
     # one-sided equal-threshold rectangles reduce to the max statistic
-    stat_a = np.sort(draws_a.max(axis=1))
-    stat_b = np.sort(draws_b.max(axis=1))
-    fa = np.searchsorted(stat_a, thresholds, side="right") / stat_a.size
-    fb = np.searchsorted(stat_b, thresholds, side="right") / stat_b.size
     if n_one:
+        fa = MaxStatSample.from_draws(draws_a).cdf(thresholds)
+        fb = MaxStatSample.from_draws(draws_b).cdf(thresholds)
         best = float(np.max(np.abs(fa - fb)))
 
     # a block of rectangles broadcasts against every draw of both samples

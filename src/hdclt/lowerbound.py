@@ -120,7 +120,7 @@ def poisson_approx_check(spec: DistributionSpec, n: int, d: int, reps: int,
         spec = DistributionSpec(**{**spec.__dict__, "dim": d})
     x_n = threshold_xn(d)
     draws = sample_scaled_sums(spec, n, reps, seed)
-    f_hat = float(np.mean(draws.max(axis=1) <= x_n))
+    f_hat = float(np.mean(max_statistic(draws) <= x_n))
     tail = float(np.mean(draws > x_n))
     lam = d * tail
     se_f = math.sqrt(max(f_hat * (1 - f_hat), 1e-300) / reps)

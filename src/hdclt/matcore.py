@@ -117,20 +117,18 @@ class CovarianceModel:
 
 
 def _cholesky_lower(s: np.ndarray) -> np.ndarray:
-    """Outer-product Cholesky with an explicit pivot tolerance."""
-    d = s.shape[0]
-    a = np.array(s, dtype=float)
-    for k in range(d):
-        pivot = a[k, k]
-        if pivot <= PIVOT_TOL:
-            raise NotPositiveDefinite(
-                f"pivot {pivot:.3e} <= {PIVOT_TOL:g} at index {k}"
-            )
-        a[k, k] = np.sqrt(pivot)
-        if k + 1 < d:
-            a[k + 1:, k] /= a[k, k]
-            a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k + 1:, k])
-    return np.tril(a)
+    """LAPACK Cholesky factor, rejected when any pivot (squared diagonal
+    entry of the factor) is at most PIVOT_TOL."""
+    try:
+        low = scipy.linalg.cholesky(s, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"not positive definite: {exc}") from exc
+    pivots = np.diag(low) ** 2
+    bad = np.flatnonzero(pivots <= PIVOT_TOL)
+    if bad.size:
+        raise NotPositiveDefinite(
+            f"pivot {pivots[bad[0]]:.3e} <= {PIVOT_TOL:g} at index {bad[0]}")
+    return low
 
 
 def sup_norm_diff(s: CovarianceModel, q: CovarianceModel) -> float:

@@ -27,26 +27,10 @@ from .matcore import CovarianceModel, sup_norm_diff
 from .sampler import (DistributionSpec, derive_seed, sample, scaled_sum,
                       sample_scaled_sums)
 
-EXPERIMENTS = ("rate_vs_n", "zero_skew_rate", "bootstrap_coverage",
-               "bootstrap_agreement", "local_means", "smoothing_verify",
-               "gaussian_comparison", "poisson_check", "anticoncentration")
+RUN_KEYS = ("experiment", "seed", "out_dir", "threads")
 
-# config key -> value type tag; any key outside this table is rejected
-SCHEMA = {
-    "experiment": "str", "seed": "int", "replications": "int",
-    "n": "int", "d": "int", "B": "float",
-    "n_list": "int_list", "d_list": "int_list",
-    "kappa_geom": "int", "q": "float", "level": "float",
-    "multiplier": "str", "family": "str",
-    "inner_replications": "int", "outer_replications": "int",
-    "ref_factor": "int",
-    "eps_list": "float_list", "phi_list": "float_list", "v_list": "int_list",
-    "K": "float", "kappa": "float", "half_width": "float",
-    "rho_list": "float_list",
-    "constants_c": "float", "out_dir": "str", "threads": "int",
-}
-
-# desk-scale defaults per experiment; every value is overridable
+# each experiment's keys and their desk-scale defaults; besides RUN_KEYS, an
+# experiment accepts exactly these keys, and any of them can be overridden
 DEFAULTS = {
     "rate_vs_n": {"B": 2.0, "d": 50, "n_list": [250, 500, 1000, 2000],
                   "replications": 200_000, "ref_factor": 10,
@@ -60,162 +44,141 @@ DEFAULTS = {
                            "outer_replications": 2000},
     "bootstrap_agreement": {"n": 200, "d": 10, "replications": 100_000},
     "local_means": {"d_list": [10, 40], "kappa_geom": 1,
-                    "replications": 100_000, "ref_factor": 10},
+                    "replications": 100_000, "ref_factor": 10,
+                    "constants_c": 1.0},
     "smoothing_verify": {"d_list": [3], "v_list": [1, 2],
                          "phi_list": [4.0, 8.0, 16.0, 32.0, math.inf],
                          "eps_list": [1.0, 0.5, 0.25],
                          "K": 4.0, "kappa": 4.0, "half_width": 1.5},
     "gaussian_comparison": {"d": 10, "rho_list": [0.05, 0.1, 0.2],
-                            "replications": 200_000},
+                            "replications": 200_000, "constants_c": 1.0},
     "poisson_check": {"B": 2.0, "n": 1000, "d": 50, "replications": 200_000},
     "anticoncentration": {"d": 20, "eps_list": [0.05, 0.1, 0.2],
                           "replications": 200_000},
 }
 
-
-def _parse_value(key: str, raw: str):
-    kind = SCHEMA[key]
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "int_list":
-            return [int(tok) for tok in raw.replace(",", " ").split()]
-        if kind == "float_list":
-            return [float(tok) for tok in raw.replace(",", " ").split()]
-        return raw
-    except ValueError as exc:
-        raise ConfigInvalid(f"bad value for {key!r}: {raw!r}") from exc
+EXPERIMENTS = tuple(DEFAULTS)
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse the flat ``key = value`` config grammar into a typed mapping.
+def _key(parse, ok=None, need=None, default=None):
+    """Declare a config key: ``parse`` reads its text value, and a value
+    must satisfy ``ok(value, config)``, which ``need`` states in words."""
+    return field(default=default,
+                 metadata={"parse": parse, "ok": ok, "need": need})
 
-    Blank lines and lines starting with '#' are ignored; values for list
-    keys are whitespace or comma separated; 'inf' is a valid float.
-    """
-    out = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigInvalid(f"line {lineno}: expected 'key = value'")
-        key, _, raw = stripped.partition("=")
-        key, raw = key.strip(), raw.strip()
-        if key not in SCHEMA:
-            raise ConfigInvalid(f"line {lineno}: unknown key {key!r}")
-        if key in out:
-            raise ConfigInvalid(f"line {lineno}: duplicate key {key!r}")
-        out[key] = _parse_value(key, raw)
-    return out
+
+def _list(parse):
+    return lambda raw: [parse(tok) for tok in raw.replace(",", " ").split()]
+
+
+def _each(ok):
+    """Rule of a list key: nonempty, and every entry satisfies ``ok``."""
+    return lambda values, cfg: bool(values) and all(ok(v) for v in values)
+
+
+def _fits_tuple_budget(v_list, cfg) -> bool:
+    """Rule of v_list: supported derivative orders, and no (d, v) cell
+    beyond the derivative-sum tuple budget."""
+    return (_each(lambda v: 1 <= v <= smoothing.MAX_SUM_ORDER)(v_list, cfg)
+            and all(d**v <= smoothing.TUPLE_BUDGET
+                    for d in cfg.d_list for v in v_list))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, fully-defaulted description of one experiment run."""
+    """Validated, fully-defaulted description of one experiment run.
 
-    experiment: str
-    seed: int = 0
-    replications: Optional[int] = None
-    n: Optional[int] = None
-    d: Optional[int] = None
-    B: Optional[float] = None
-    n_list: Optional[list] = None
-    d_list: Optional[list] = None
-    kappa_geom: Optional[int] = None
-    q: Optional[float] = None
-    level: Optional[float] = None
-    multiplier: Optional[str] = None
-    family: Optional[str] = None
-    inner_replications: Optional[int] = None
-    outer_replications: Optional[int] = None
-    ref_factor: Optional[int] = None
-    eps_list: Optional[list] = None
-    phi_list: Optional[list] = None
-    v_list: Optional[list] = None
-    K: Optional[float] = None
-    kappa: Optional[float] = None
-    half_width: Optional[float] = None
-    rho_list: Optional[list] = None
-    constants_c: float = 1.0
-    out_dir: Optional[str] = None
-    threads: Optional[int] = None
+    Each field is one config key with its parser and value rule.  An
+    experiment reads the keys of its ``DEFAULTS`` entry plus ``RUN_KEYS``;
+    the others must stay unset.
+    """
+
+    experiment: Optional[str] = _key(str)
+    seed: int = _key(int, lambda v, c: v >= 0, ">= 0", default=0)
+    replications: Optional[int] = _key(int, lambda v, c: v >= 1, ">= 1")
+    n: Optional[int] = _key(int, lambda v, c: v >= 2, ">= 2")
+    d: Optional[int] = _key(int, lambda v, c: v >= 2, ">= 2")
+    B: Optional[float] = _key(
+        float, need="finite; >= 2 for the two-point law of rate_vs_n and "
+                    "poisson_check, > 0 for the uniform law of "
+                    "bootstrap_coverage")
+    n_list: Optional[list] = _key(
+        _list(int),
+        lambda v, c: len(set(v)) >= 2 and v == sorted(v) and v[0] >= 1,
+        "ascending, all >= 1, with at least two distinct values")
+    d_list: Optional[list] = _key(_list(int), _each(lambda d: d >= 2),
+                                  "nonempty, all >= 2")
+    kappa_geom: Optional[int] = _key(int, lambda v, c: v >= 1, ">= 1")
+    level: Optional[float] = _key(float, lambda v, c: 0.0 < v < 1.0,
+                                  "in (0, 1)")
+    multiplier: Optional[str] = _key(
+        str, lambda v, c: v in bootstrap.MULTIPLIER_KINDS,
+        " or ".join(bootstrap.MULTIPLIER_KINDS))
+    family: Optional[str] = _key(
+        str, lambda v, c: v in ("one_sided_max", "two_sided_max"),
+        "one_sided_max or two_sided_max")
+    inner_replications: Optional[int] = _key(
+        int, lambda v, c: v >= bootstrap.MIN_QUANTILE_DRAWS,
+        f">= {bootstrap.MIN_QUANTILE_DRAWS}")
+    outer_replications: Optional[int] = _key(int, lambda v, c: v >= 1, ">= 1")
+    ref_factor: Optional[int] = _key(int, lambda v, c: v >= 1, ">= 1")
+    eps_list: Optional[list] = _key(_list(float), _each(lambda e: e > 0),
+                                    "nonempty, all > 0")
+    phi_list: Optional[list] = _key(_list(float), _each(lambda p: p > 0),
+                                    "nonempty, all > 0 (inf allowed)")
+    v_list: Optional[list] = _key(
+        _list(int), _fits_tuple_budget,
+        f"nonempty, all in 1..{smoothing.MAX_SUM_ORDER}, with "
+        f"d**v <= {smoothing.TUPLE_BUDGET} for every d in d_list")
+    K: Optional[float] = _key(float)
+    kappa: Optional[float] = _key(float)
+    half_width: Optional[float] = _key(float, lambda v, c: v > 0, "> 0")
+    rho_list: Optional[list] = _key(
+        _list(float),
+        lambda v, c: bool(v) and all(-1 / (c.d - 1) < r < 1 for r in v),
+        "nonempty, all in (-1/(d-1), 1)")
+    constants_c: Optional[float] = _key(float, lambda v, c: v > 0, "> 0")
+    out_dir: Optional[str] = _key(str)
+    threads: Optional[int] = _key(int)
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigInvalid(f"unknown experiment {self.experiment!r}")
-        for key in ("replications", "n", "d", "inner_replications",
-                    "outer_replications", "ref_factor", "kappa_geom"):
-            value = getattr(self, key)
-            if value is not None and value < 1:
-                raise ConfigInvalid(f"{key} must be >= 1")
-        if self.level is not None and not 0.0 < self.level < 1.0:
-            raise ConfigInvalid("level must lie in (0, 1)")
-        if self.multiplier is not None and self.multiplier not in bootstrap.MULTIPLIER_KINDS:
-            raise ConfigInvalid(f"unknown multiplier {self.multiplier!r}")
-        if self.family is not None and self.family not in ("one_sided_max",
-                                                           "two_sided_max"):
-            raise ConfigInvalid(f"unknown family {self.family!r}")
-        if self.constants_c <= 0:
-            raise ConfigInvalid("constants_c must be > 0")
-        for key in ("n_list", "d_list"):
-            value = getattr(self, key)
-            if value is not None and (not value or any(v < 1 for v in value)):
-                raise ConfigInvalid(f"{key} must be a nonempty positive list")
-        for key in ("eps_list", "phi_list", "v_list", "rho_list"):
-            if getattr(self, key) == []:
-                raise ConfigInvalid(f"{key} must be nonempty")
-        self._check_experiment()
-
-    def _check_experiment(self):
-        """Reject values the experiment's own code cannot run, before any
-        output directory exists."""
-        exp = self.experiment
-        if exp in ("rate_vs_n", "zero_skew_rate") and self.d is not None \
-                and self.d < 2:
-            raise ConfigInvalid("d must be >= 2 (the normalization divides "
-                                "by log d)")
-        if exp in ("rate_vs_n", "poisson_check") and self.B is not None \
-                and not self.B >= 2.0:
-            raise ConfigInvalid("B must be >= 2 for the two-point family")
-        if exp == "bootstrap_coverage" and self.inner_replications is not None \
-                and self.inner_replications < bootstrap.MIN_QUANTILE_DRAWS:
-            raise ConfigInvalid("inner_replications must be >= "
-                                f"{bootstrap.MIN_QUANTILE_DRAWS}")
-        if exp in ("local_means", "smoothing_verify") and any(
-                d < 2 for d in self.d_list or ()):
-            raise ConfigInvalid("d_list entries must be >= 2")
-        if exp == "smoothing_verify":
-            self._check_smoothing()
-
-    def _check_smoothing(self):
-        """Reject grids the derivative sums cannot evaluate."""
-        if any(not phi > 0 for phi in self.phi_list or ()):
-            raise ConfigInvalid("phi_list entries must be > 0 (inf allowed)")
-        if any(not eps > 0 for eps in self.eps_list or ()):
-            raise ConfigInvalid("eps_list entries must be > 0")
-        if any(not 1 <= v <= smoothing.MAX_SUM_ORDER for v in self.v_list or ()):
-            raise ConfigInvalid(
-                f"v_list entries must lie in 1..{smoothing.MAX_SUM_ORDER}")
-        for d in self.d_list or ():
-            for v in self.v_list or ():
-                if d**v > smoothing.TUPLE_BUDGET:
-                    raise ConfigInvalid(f"d^v = {d}^{v} exceeds the tuple "
-                                        f"budget {smoothing.TUPLE_BUDGET}")
+        keys = DEFAULTS.get(self.experiment)
+        if keys is None:
+            raise ConfigInvalid(f"experiment must be one of "
+                                f"{', '.join(EXPERIMENTS)}, not "
+                                f"{self.experiment!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None:
+                value = keys.get(f.name)
+                object.__setattr__(self, f.name, value)
+            elif f.name not in keys and f.name not in RUN_KEYS:
+                raise ConfigInvalid(
+                    f"{self.experiment} does not read {f.name!r}; its keys "
+                    f"are {', '.join(list(keys) + list(RUN_KEYS))}")
+            ok = f.metadata["ok"]
+            if value is not None and ok is not None and not ok(value, self):
+                raise ConfigInvalid(f"{f.name} must be {f.metadata['need']}")
+        try:
+            self.data_spec()
+        except ValueError as exc:
+            raise ConfigInvalid(f"B = {self.B}: {exc}") from exc
 
     @staticmethod
     def from_mapping(mapping: dict) -> "ExperimentConfig":
-        if "experiment" not in mapping:
-            raise ConfigInvalid("config must set 'experiment'")
-        unknown = set(mapping) - set(SCHEMA)
+        unknown = set(mapping) - set(KEYS)
         if unknown:
             raise ConfigInvalid(f"unknown keys: {sorted(unknown)}")
-        merged = {**DEFAULTS[mapping["experiment"]], **mapping} \
-            if mapping["experiment"] in EXPERIMENTS \
-            else dict(mapping)
-        return ExperimentConfig(**merged)
+        return ExperimentConfig(**mapping)
+
+    def data_spec(self) -> Optional[DistributionSpec]:
+        """The bounded data law the experiment samples, built from B and d;
+        None for the experiments whose law has no B."""
+        if self.experiment in ("rate_vs_n", "poisson_check"):
+            return DistributionSpec.two_point(self.B, self.d)
+        if self.experiment == "bootstrap_coverage":
+            return DistributionSpec.uniform_bounded(self.B, self.d)
+        return None
 
     def canonical_text(self) -> str:
         lines = []
@@ -233,6 +196,35 @@ class ExperimentConfig:
 
     def policy(self) -> bounds.ConstantsPolicy:
         return bounds.ConstantsPolicy("config", {"C": self.constants_c})
+
+
+KEYS = {f.name: f for f in fields(ExperimentConfig)}
+
+
+def parse_config_text(text: str) -> dict:
+    """Parse the flat ``key = value`` config grammar into a typed mapping.
+
+    Blank lines and lines starting with '#' are ignored; values for list
+    keys are whitespace or comma separated; 'inf' is a valid float.
+    """
+    out = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigInvalid(f"line {lineno}: expected 'key = value'")
+        key, _, raw = stripped.partition("=")
+        key, raw = key.strip(), raw.strip()
+        if key not in KEYS:
+            raise ConfigInvalid(f"line {lineno}: unknown key {key!r}")
+        if key in out:
+            raise ConfigInvalid(f"line {lineno}: duplicate key {key!r}")
+        try:
+            out[key] = KEYS[key].metadata["parse"](raw)
+        except ValueError as exc:
+            raise ConfigInvalid(f"bad value for {key!r}: {raw!r}") from exc
+    return out
 
 
 def load_config(path) -> ExperimentConfig:
@@ -298,8 +290,7 @@ def _rate_result(cfg: ExperimentConfig, spec: DistributionSpec,
 
 
 def _run_rate_vs_n(cfg, pmap):
-    spec = DistributionSpec.two_point(cfg.B, cfg.d)
-    return _rate_result(cfg, spec, (-0.65, -0.35), pmap)
+    return _rate_result(cfg, cfg.data_spec(), (-0.65, -0.35), pmap)
 
 
 def _run_zero_skew_rate(cfg, pmap):
@@ -310,7 +301,7 @@ def _run_zero_skew_rate(cfg, pmap):
 
 def _coverage_chunk(args):
     cfg, start, stop = args
-    spec = DistributionSpec.uniform_bounded(cfg.B, cfg.d)
+    spec = cfg.data_spec()
     rows = []
     for r in range(start, stop):
         x = sample(spec, cfg.n, derive_seed(cfg.seed, 100, r))
@@ -318,7 +309,7 @@ def _coverage_chunk(args):
                                            cfg.multiplier,
                                            derive_seed(cfg.seed, 101, r))
         quantile = bootstrap.simultaneous_quantile(draws, cfg.level, "two_sided")
-        stat = float(np.max(np.abs(scaled_sum(x))))
+        stat = float(distance.max_statistic(scaled_sum(x), "two_sided")[0])
         rows.append({"rep": r, "covered": int(stat <= quantile),
                      "quantile": quantile, "max_stat": stat})
     return rows
@@ -470,8 +461,7 @@ def _run_gaussian_comparison(cfg, pmap):
 
 
 def _run_poisson_check(cfg, pmap):
-    spec = DistributionSpec.two_point(cfg.B, cfg.d)
-    rec = lowerbound.poisson_approx_check(spec, cfg.n, cfg.d,
+    rec = lowerbound.poisson_approx_check(cfg.data_spec(), cfg.n, cfg.d,
                                           cfg.replications,
                                           derive_seed(cfg.seed, 40))
     exact_tail = lowerbound.two_point_marginal_tail(cfg.B, cfg.n, rec.x_n)

@@ -85,8 +85,8 @@ def two_point_support(B: float) -> tuple[float, float, float]:
     The law puts mass p = 1/B^2 on a = sqrt((1-p)/p) and 1-p on
     b = -sqrt(p/(1-p)); it is centered with unit variance and |X| <= B.
     """
-    if B < 2:
-        raise ValueError("two_point requires B >= 2")
+    if not 2 <= B < np.inf:
+        raise ValueError("two_point requires a finite B >= 2")
     p = 1.0 / B**2
     a = np.sqrt((1.0 - p) / p)
     b = -np.sqrt(p / (1.0 - p))
@@ -111,9 +111,10 @@ class DistributionSpec:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.kind == "two_point":
-            two_point_support(self.B)  # validates B >= 2
-        if self.kind == "uniform_bounded" and (self.B is None or self.B <= 0):
-            raise ValueError("uniform_bounded requires B > 0")
+            two_point_support(self.B)  # validates a finite B >= 2
+        if self.kind == "uniform_bounded" and (self.B is None
+                                               or not 0 < self.B < np.inf):
+            raise ValueError("uniform_bounded requires a finite B > 0")
         if self.kind == "local_means" and self.dim < 2:
             raise ValueError("local_means requires d >= 2")
         if self.kind == "quasi_gaussian":
@@ -261,23 +262,6 @@ def _local_means_values(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
 def scaled_sum(x: DataMatrix) -> np.ndarray:
     """W = n^{-1/2} * column sums."""
     return x.values.sum(axis=0) / np.sqrt(x.n)
-
-
-def apply_quasi_gaussian(x: DataMatrix, sigma0: CovarianceModel, seed: int
-                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled sum with additive Gaussian noise: returns (W + G, G).
-
-    G ~ N(0, sigma0) is drawn once at the level of the scaled sum; this equals
-    in law the per-observation noise model since the noise contributions
-    aggregate to N(0, sigma0).
-    """
-    if not sigma0.unit_diag:
-        raise ValueError("sigma0 must have unit diagonal")
-    if sigma0.dim != x.d:
-        raise DimensionMismatch("sigma0 dimension differs from data dimension")
-    rng = substream(seed, 0)
-    g = sigma0.chol @ rng.standard_normal(sigma0.dim)
-    return scaled_sum(x) + g, g
 
 
 def _count_sums(counts: np.ndarray, n: int, hi: float, lo: float) -> np.ndarray:

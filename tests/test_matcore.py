@@ -41,6 +41,25 @@ class TestCholesky:
         np.testing.assert_allclose(low @ low.T, s.entries, atol=1e-10)
         assert np.allclose(np.triu(low, 1), 0.0)
 
+    def test_matches_outer_product_reference(self):
+        # the textbook outer-product loop, kept as the reference factor
+        def reference(m):
+            a = np.array(m, dtype=float)
+            for k in range(a.shape[0]):
+                a[k, k] = np.sqrt(a[k, k])
+                a[k + 1:, k] /= a[k, k]
+                a[k + 1:, k + 1:] -= np.outer(a[k + 1:, k], a[k + 1:, k])
+            return np.tril(a)
+
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((8, 8))
+        models = [CovarianceModel.equicorrelation(10, rho)
+                  for rho in (0.05, 0.1, 0.2)]
+        models.append(CovarianceModel(a @ a.T + 0.1 * np.eye(8)))
+        for s in models:
+            np.testing.assert_allclose(s.chol, reference(s.entries),
+                                       rtol=0, atol=1e-12)
+
 
 class TestMinEigenvalue:
     def test_identity(self):

@@ -1,13 +1,18 @@
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from hdclt.cli import main as cli_main
 from hdclt.errors import ConfigInvalid
-from hdclt.runner import (DEFAULTS, EXPERIMENTS, ExperimentConfig, emit_plot,
-                          load_config, parse_config_text, run)
+from hdclt.runner import (DEFAULTS, EXPERIMENTS, KEYS, RUN_KEYS,
+                          ExperimentConfig, emit_plot, load_config,
+                          parse_config_text, run)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestConfigParsing:
@@ -67,6 +72,49 @@ class TestExperimentConfig:
         b = ExperimentConfig.from_mapping({"experiment": "poisson_check",
                                            "out_dir": "elsewhere"})
         assert a.digest() == b.digest()
+
+
+    def test_empty_lists_rejected(self):
+        for name, keys in DEFAULTS.items():
+            for key in (k for k, v in keys.items() if isinstance(v, list)):
+                with pytest.raises(ConfigInvalid, match=key):
+                    ExperimentConfig.from_mapping({"experiment": name, key: []})
+
+    def test_unread_keys_stay_unset(self):
+        for name in EXPERIMENTS:
+            cfg = ExperimentConfig.from_mapping({"experiment": name})
+            set_keys = {k for k in KEYS if getattr(cfg, k) is not None}
+            assert set_keys == set(DEFAULTS[name]) | {"experiment", "seed"}
+
+
+def _readme_table(header):
+    lines = README.read_text(encoding="utf-8").splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+class TestReadmeKeyTable:
+    """The README's key tables must match the schema."""
+
+    def test_keys_and_defaults_per_experiment(self):
+        documented = {}
+        for name, cell in _readme_table("| experiment | keys and defaults |"):
+            documented[name.strip("`")] = {
+                key: KEYS[key].metadata["parse"](raw) if raw else None
+                for key, raw in re.findall(r"`(\w+)(?: = ([^`]*))?`", cell)}
+        assert documented.pop("every experiment") == {
+            key: KEYS[key].default for key in RUN_KEYS}
+        assert documented == DEFAULTS
+
+    def test_rule_per_key(self):
+        rules = {key.strip("`"): rule.replace("`", "")
+                 for key, _, rule in _readme_table("| key | value | rule |")}
+        assert rules == {key: f.metadata["need"] or ""
+                         for key, f in KEYS.items()}
 
 
 class TestRun:
@@ -173,16 +221,36 @@ class TestCli:
         "experiment = rate_vs_n\nB = 1.5", "experiment = poisson_check\nB = 1.5",
         "experiment = bootstrap_coverage\ninner_replications = 50",
         "experiment = local_means\nd_list = 1",
+        # configs whose experiment code used to fail after the output
+        # directory was made
+        "experiment = bootstrap_coverage\nB = 0",
+        "experiment = bootstrap_coverage\nB = nan",
+        "experiment = rate_vs_n\nB = inf",
+        "experiment = gaussian_comparison\nrho_list = 1.5",
+        "experiment = gaussian_comparison\nrho_list = 1",
+        "experiment = gaussian_comparison\nrho_list = -0.5",
+        "experiment = anticoncentration\neps_list = -1",
+        "experiment = rate_vs_n\nn_list = 500 250",
+        "experiment = rate_vs_n\nn_list = 500",
+        "experiment = zero_skew_rate\nn_list = 100",
+        "experiment = bootstrap_agreement\nn = 1",
+        "experiment = poisson_check\nseed = -1",
+        # keys the experiment does not read
+        "experiment = rate_vs_n\nq = 7",
+        "experiment = rate_vs_n\nmultiplier = gaussian",
     ])
-    def test_bad_smoothing_config_exit_2(self, tmp_path, override):
-        base = {"experiment": "smoothing_verify", "phi_list": "4",
-                "eps_list": "1"}
-        key = override.split("=")[0].strip()
+    def test_bad_smoothing_config_exit_2(self, tmp_path, capsys, override):
+        # the last line holds the offending key; a case that switches the
+        # experiment carries only that experiment's keys
+        key = override.splitlines()[-1].split("=")[0].strip()
+        base = {} if override.startswith("experiment") else {
+            "experiment": "smoothing_verify", "phi_list": "4", "eps_list": "1"}
         lines = [f"{k} = {v}" for k, v in base.items() if k != key]
         cfg = self._write(tmp_path, "\n".join(lines + [override]) + "\n")
         out = tmp_path / "out"
         assert cli_main(["run", cfg, "--out", str(out)]) == 2
         assert not out.exists()
+        assert re.search(rf"(^|\W){key}(\W|$)", capsys.readouterr().err)
 
     def test_thread_precedence(self, tmp_path, monkeypatch):
         import hdclt.cli as cli_module

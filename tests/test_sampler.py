@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from hdclt.distance import gaussian_max_cdf
+from hdclt.lowerbound import rademacher_gaussian_max_cdf
 from hdclt.matcore import CovarianceModel
-from hdclt.sampler import (DataMatrix, DistributionSpec, apply_quasi_gaussian,
-                           derive_seed, sample, sample_scaled_sums,
-                           scaled_sum, substream, two_point_support)
+from hdclt.sampler import (DataMatrix, DistributionSpec, derive_seed, sample,
+                           sample_scaled_sums, scaled_sum, substream,
+                           two_point_support)
 
 
 class TestSubstream:
@@ -80,13 +80,14 @@ class TestLocalMeans:
 
 class TestQuasiGaussian:
     def test_zero_base_gives_pure_gaussian_max(self):
-        zeros = DataMatrix(np.zeros((50, 3)))
-        sigma0 = CovarianceModel.identity(3)
-        draws = np.array([apply_quasi_gaussian(zeros, sigma0, derive_seed(9, r))[0]
-                          for r in range(4000)])
+        # Rademacher base plus unit Gaussian noise against the exact
+        # Binomial-mixture max CDF
+        spec = DistributionSpec.quasi_gaussian(DistributionSpec.rademacher(3),
+                                               CovarianceModel.identity(3))
+        draws = sample_scaled_sums(spec, 50, 4000, seed=9)
         x = 0.5
         p_hat = np.mean(draws.max(axis=1) <= x)
-        p_exact, _ = gaussian_max_cdf(sigma0, x)
+        p_exact = float(rademacher_gaussian_max_cdf(50, 3, x)[0])
         assert p_hat == pytest.approx(p_exact, abs=4 * math.sqrt(0.25 / 4000))
 
     def test_scaled_sum_covariance_adds(self):
