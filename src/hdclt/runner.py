@@ -67,6 +67,11 @@ def _key(parse, ok=None, need=None, default=None):
                  metadata={"parse": parse, "ok": ok, "need": need})
 
 
+def _at_least(lo):
+    """Rule and its wording for a number key with a lower bound."""
+    return (lambda v, cfg: v >= lo), f">= {lo}"
+
+
 def _list(parse):
     return lambda raw: [parse(tok) for tok in raw.replace(",", " ").split()]
 
@@ -94,10 +99,10 @@ class ExperimentConfig:
     """
 
     experiment: Optional[str] = _key(str)
-    seed: int = _key(int, lambda v, c: v >= 0, ">= 0", default=0)
-    replications: Optional[int] = _key(int, lambda v, c: v >= 1, ">= 1")
-    n: Optional[int] = _key(int, lambda v, c: v >= 2, ">= 2")
-    d: Optional[int] = _key(int, lambda v, c: v >= 2, ">= 2")
+    seed: int = _key(int, *_at_least(0), default=0)
+    replications: Optional[int] = _key(int, *_at_least(1))
+    n: Optional[int] = _key(int, *_at_least(2))
+    d: Optional[int] = _key(int, *_at_least(2))
     B: Optional[float] = _key(
         float, need="finite; >= 2 for the two-point law of rate_vs_n and "
                     "poisson_check, > 0 for the uniform law of "
@@ -108,7 +113,7 @@ class ExperimentConfig:
         "ascending, all >= 1, with at least two distinct values")
     d_list: Optional[list] = _key(_list(int), _each(lambda d: d >= 2),
                                   "nonempty, all >= 2")
-    kappa_geom: Optional[int] = _key(int, lambda v, c: v >= 1, ">= 1")
+    kappa_geom: Optional[int] = _key(int, *_at_least(1))
     level: Optional[float] = _key(float, lambda v, c: 0.0 < v < 1.0,
                                   "in (0, 1)")
     multiplier: Optional[str] = _key(
@@ -118,10 +123,9 @@ class ExperimentConfig:
         str, lambda v, c: v in ("one_sided_max", "two_sided_max"),
         "one_sided_max or two_sided_max")
     inner_replications: Optional[int] = _key(
-        int, lambda v, c: v >= bootstrap.MIN_QUANTILE_DRAWS,
-        f">= {bootstrap.MIN_QUANTILE_DRAWS}")
-    outer_replications: Optional[int] = _key(int, lambda v, c: v >= 1, ">= 1")
-    ref_factor: Optional[int] = _key(int, lambda v, c: v >= 1, ">= 1")
+        int, *_at_least(bootstrap.MIN_QUANTILE_DRAWS))
+    outer_replications: Optional[int] = _key(int, *_at_least(1))
+    ref_factor: Optional[int] = _key(int, *_at_least(1))
     eps_list: Optional[list] = _key(_list(float), _each(lambda e: e > 0),
                                     "nonempty, all > 0")
     phi_list: Optional[list] = _key(_list(float), _each(lambda p: p > 0),
