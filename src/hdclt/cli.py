@@ -7,7 +7,6 @@ passes, 1 when any fails or there are none, 2 on configuration errors.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -28,33 +27,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config", help="path to a key = value config file")
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="worker threads (fallback: HDCLT_THREADS, then "
-                            "the config 'threads' key, then 1)")
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="worker threads (default 1); outputs do not "
+                            "depend on it")
     p_run.add_argument("--check", action="store_true",
                        help="exit 1 unless every summary criterion passes")
-    p_run.add_argument("--out", default=None, help="output directory override")
+    p_run.add_argument("--out", default=None,
+                       help="output directory (default hdclt_runs/<experiment>)")
 
     p_val = sub.add_parser("validate", help="parse and validate a config file")
     p_val.add_argument("config", help="path to a key = value config file")
 
     sub.add_parser("list", help="list available experiment tags")
     return parser
-
-
-def _resolve_threads(flag, configured) -> int:
-    """Flag, then HDCLT_THREADS, then the config's ``threads``, then 1."""
-    if flag is not None:
-        return max(1, int(flag))
-    env = os.environ.get("HDCLT_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigInvalid(f"bad HDCLT_THREADS value {env!r}") from exc
-    if configured is not None:
-        return max(1, configured)
-    return 1
 
 
 def main(argv=None) -> int:
@@ -76,10 +61,9 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        threads = _resolve_threads(args.threads, config.threads)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
-        manifest = run(config, out_dir=args.out, threads=threads)
+        manifest = run(config, out_dir=args.out, threads=args.threads)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -90,8 +74,6 @@ def main(argv=None) -> int:
     checks = manifest.summary.get("checks", {})
     for name, passed in sorted(checks.items()):
         print(f"{'PASS' if passed else 'FAIL'} {manifest.experiment}.{name}")
-    if not checks:
-        print(f"FAIL {manifest.experiment}.no_checks")
     print(f"wrote {manifest.summary_path}")
     if args.check:
         return 0 if manifest.all_checks_pass else 1

@@ -108,7 +108,7 @@ class PoissonApproxRecord:
         return math.hypot(self.se_f, self.se_exp_lambda)
 
 
-def poisson_approx_check(spec: DistributionSpec, n: int, d: int, reps: int,
+def poisson_approx_check(spec: DistributionSpec, n: int, reps: int,
                          seed: int) -> PoissonApproxRecord:
     """Estimate F(x_n) and lambda_n for the max statistic of ``spec``.
 
@@ -116,8 +116,7 @@ def poisson_approx_check(spec: DistributionSpec, n: int, d: int, reps: int,
     tail from all reps*d coordinate values of the same draws (coordinates are
     i.i.d. for the supported families).
     """
-    if spec.dim != d:
-        spec = DistributionSpec(**{**spec.__dict__, "dim": d})
+    d = spec.dim
     x_n = threshold_xn(d)
     draws = sample_scaled_sums(spec, n, reps, seed)
     f_hat = float(np.mean(max_statistic(draws) <= x_n))
@@ -192,9 +191,9 @@ def _rate_point(spec: DistributionSpec, n: int, reps: int, seed: int,
     return RatePoint(n=int(n), distance=dist, se=se)
 
 
-def rate_curve(spec: DistributionSpec, d: int, n_list: Sequence[int],
-               reps: int, family="one_sided_max", seed: int = 0,
-               ref_factor: int = 10, pmap=map) -> RateCurve:
+def rate_curve(spec: DistributionSpec, n_list: Sequence[int], reps: int,
+               family="one_sided_max", seed: int = 0, ref_factor: int = 10,
+               pmap=map) -> RateCurve:
     """Distance-vs-n curve between the max statistic of W and its Gaussian
     reference, with a log-log OLS slope.
 
@@ -208,8 +207,6 @@ def rate_curve(spec: DistributionSpec, d: int, n_list: Sequence[int],
     """
     if list(n_list) != sorted(n_list):
         raise ValueError("n_list must be ascending")
-    if spec.dim != d:
-        spec = DistributionSpec(**{**spec.__dict__, "dim": d})
     ref = reference_max_stats(spec, reps * ref_factor, seed, family)
 
     tasks = [(spec, int(n), reps, derive_seed(seed, 1, i), family, ref)
@@ -219,4 +216,4 @@ def rate_curve(spec: DistributionSpec, d: int, n_list: Sequence[int],
     slope, slope_se, intercept = fit_power_law(
         [p.n for p in points], [max(p.distance, 1e-300) for p in points])
     return RateCurve(points=points, slope=slope, slope_se=slope_se,
-                     intercept=intercept, family=family, d=d)
+                     intercept=intercept, family=family, d=spec.dim)

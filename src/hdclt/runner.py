@@ -16,48 +16,18 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import bootstrap, bounds, distance, lowerbound, smoothing
 from ._version import __version__
-from .errors import ConfigInvalid, IoFailure
-from .matcore import CovarianceModel, sup_norm_diff
+from .errors import ConfigInvalid, IoFailure, NotPositiveDefinite
+from .matcore import PIVOT_TOL, CovarianceModel, sup_norm_diff
 from .sampler import (DistributionSpec, derive_seed, sample, scaled_sum,
                       sample_scaled_sums)
 
-RUN_KEYS = ("experiment", "seed", "out_dir", "threads")
-
-# each experiment's keys and their desk-scale defaults; besides RUN_KEYS, an
-# experiment accepts exactly these keys, and any of them can be overridden
-DEFAULTS = {
-    "rate_vs_n": {"B": 2.0, "d": 50, "n_list": [250, 500, 1000, 2000],
-                  "replications": 200_000, "ref_factor": 10,
-                  "family": "one_sided_max"},
-    "zero_skew_rate": {"d": 20, "n_list": [100, 200, 400],
-                       "replications": 1_000_000, "ref_factor": 2,
-                       "family": "one_sided_max"},
-    "bootstrap_coverage": {"n": 500, "d": 20, "B": 2.0, "level": 0.9,
-                           "multiplier": "gaussian",
-                           "inner_replications": 2000,
-                           "outer_replications": 2000},
-    "bootstrap_agreement": {"n": 200, "d": 10, "replications": 100_000},
-    "local_means": {"d_list": [10, 40], "kappa_geom": 1,
-                    "replications": 100_000, "ref_factor": 10,
-                    "constants_c": 1.0},
-    "smoothing_verify": {"d_list": [3], "v_list": [1, 2],
-                         "phi_list": [4.0, 8.0, 16.0, 32.0, math.inf],
-                         "eps_list": [1.0, 0.5, 0.25],
-                         "K": 4.0, "kappa": 4.0, "half_width": 1.5},
-    "gaussian_comparison": {"d": 10, "rho_list": [0.05, 0.1, 0.2],
-                            "replications": 200_000, "constants_c": 1.0},
-    "poisson_check": {"B": 2.0, "n": 1000, "d": 50, "replications": 200_000},
-    "anticoncentration": {"d": 20, "eps_list": [0.05, 0.1, 0.2],
-                          "replications": 200_000},
-}
-
-EXPERIMENTS = tuple(DEFAULTS)
+RUN_KEYS = ("experiment", "seed")
 
 
 def _key(parse, ok=None, need=None, default=None):
@@ -70,6 +40,9 @@ def _key(parse, ok=None, need=None, default=None):
 def _at_least(lo):
     """Rule and its wording for a number key with a lower bound."""
     return (lambda v, cfg: v >= lo), f">= {lo}"
+
+
+_FINITE = (lambda v, cfg: math.isfinite(v)), "finite"
 
 
 def _list(parse):
@@ -89,13 +62,24 @@ def _fits_tuple_budget(v_list, cfg) -> bool:
                     for d in cfg.d_list for v in v_list))
 
 
+def _has_cholesky_factors(rho_list, cfg) -> bool:
+    """Rule of rho_list: the equicorrelation matrix of dimension d of every
+    entry has the Cholesky factor its Gaussian draws use."""
+    try:
+        for rho in rho_list:
+            CovarianceModel.equicorrelation(cfg.d, rho).chol
+    except (ValueError, NotPositiveDefinite):
+        return False
+    return bool(rho_list)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated, fully-defaulted description of one experiment run.
 
     Each field is one config key with its parser and value rule.  An
-    experiment reads the keys of its ``DEFAULTS`` entry plus ``RUN_KEYS``;
-    the others must stay unset.
+    experiment reads the keys of its ``EXPERIMENTS[...].defaults`` plus
+    ``RUN_KEYS``; the others must stay unset.
     """
 
     experiment: Optional[str] = _key(str)
@@ -134,23 +118,21 @@ class ExperimentConfig:
         _list(int), _fits_tuple_budget,
         f"nonempty, all in 1..{smoothing.MAX_SUM_ORDER}, with "
         f"d**v <= {smoothing.TUPLE_BUDGET} for every d in d_list")
-    K: Optional[float] = _key(float)
-    kappa: Optional[float] = _key(float)
+    K: Optional[float] = _key(float, *_FINITE)
+    kappa: Optional[float] = _key(float, *_FINITE)
     half_width: Optional[float] = _key(float, lambda v, c: v > 0, "> 0")
     rho_list: Optional[list] = _key(
-        _list(float),
-        lambda v, c: bool(v) and all(-1 / (c.d - 1) < r < 1 for r in v),
-        "nonempty, all in (-1/(d-1), 1)")
+        _list(float), _has_cholesky_factors,
+        f"nonempty, all with an equicorrelation matrix of dimension d whose "
+        f"Cholesky pivots exceed {PIVOT_TOL:g}")
     constants_c: Optional[float] = _key(float, lambda v, c: v > 0, "> 0")
-    out_dir: Optional[str] = _key(str)
-    threads: Optional[int] = _key(int)
 
     def __post_init__(self):
-        keys = DEFAULTS.get(self.experiment)
-        if keys is None:
+        if self.experiment not in EXPERIMENTS:
             raise ConfigInvalid(f"experiment must be one of "
                                 f"{', '.join(EXPERIMENTS)}, not "
                                 f"{self.experiment!r}")
+        keys = EXPERIMENTS[self.experiment].defaults
         for f in fields(self):
             value = getattr(self, f.name)
             if value is None:
@@ -178,17 +160,14 @@ class ExperimentConfig:
     def data_spec(self) -> Optional[DistributionSpec]:
         """The bounded data law the experiment samples, built from B and d;
         None for the experiments whose law has no B."""
-        if self.experiment in ("rate_vs_n", "poisson_check"):
-            return DistributionSpec.two_point(self.B, self.d)
-        if self.experiment == "bootstrap_coverage":
-            return DistributionSpec.uniform_bounded(self.B, self.d)
-        return None
+        law = EXPERIMENTS[self.experiment].law
+        return None if law is None else law(self.B, self.d)
 
     def canonical_text(self) -> str:
         lines = []
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is None or f.name in ("out_dir", "threads"):
+            if value is None:
                 continue
             if isinstance(value, list):
                 value = " ".join(repr(v) for v in value)
@@ -256,19 +235,11 @@ def _pmap(threads: int):
     return mapper
 
 
-# -- experiment bodies --------------------------------------------------------
-
-@dataclass
-class ExperimentResult:
-    columns: tuple
-    rows: list
-    summary: dict
-    plot: Optional[tuple] = None  # (series, kind)
-
+# -- experiments --------------------------------------------------------------
 
 def _rate_result(cfg: ExperimentConfig, spec: DistributionSpec,
-                 slope_band: tuple, pmap) -> ExperimentResult:
-    curve = lowerbound.rate_curve(spec, cfg.d, cfg.n_list, cfg.replications,
+                 slope_band: tuple, pmap) -> tuple:
+    curve = lowerbound.rate_curve(spec, cfg.n_list, cfg.replications,
                                   cfg.family, cfg.seed, cfg.ref_factor, pmap)
     b = cfg.B if cfg.B is not None else math.nan
     rows = [{"experiment": cfg.experiment, "n": p.n, "d": cfg.d, "B": b,
@@ -277,24 +248,22 @@ def _rate_result(cfg: ExperimentConfig, spec: DistributionSpec,
     scale = b if cfg.B is not None else 1.0
     norm = [p.distance * math.sqrt(p.n) / (scale * math.log(cfg.d) ** 1.5)
             for p in curve.points]
-    checks = {"slope_in_band": slope_band[0] <= curve.slope <= slope_band[1]}
     summary = {
         "slope": curve.slope, "slope_se": curve.slope_se,
         "intercept": curve.intercept, "normalized": norm,
         "metadata": {"envelope_over_sqrt_logd":
                      (b**4 / math.sqrt(math.log(cfg.d))) if cfg.B else None},
-        "checks": checks,
+        "checks": {"slope_in_band":
+                   slope_band[0] <= curve.slope <= slope_band[1]},
     }
-    if cfg.experiment == "rate_vs_n":
-        checks["normalized_band_le_3"] = max(norm) / min(norm) <= 3.0
-    series = [(p.n, p.distance, p.se) for p in curve.points]
-    return ExperimentResult(
-        columns=("experiment", "n", "d", "B", "family", "distance", "se", "seed"),
-        rows=rows, summary=summary, plot=(series, "loglog"))
+    return rows, summary
 
 
 def _run_rate_vs_n(cfg, pmap):
-    return _rate_result(cfg, cfg.data_spec(), (-0.65, -0.35), pmap)
+    rows, summary = _rate_result(cfg, cfg.data_spec(), (-0.65, -0.35), pmap)
+    norm = summary["normalized"]
+    summary["checks"]["normalized_band_le_3"] = max(norm) / min(norm) <= 3.0
+    return rows, summary
 
 
 def _run_zero_skew_rate(cfg, pmap):
@@ -331,8 +300,7 @@ def _run_bootstrap_coverage(cfg, pmap):
     lo, hi = cfg.level - 0.02, cfg.level + 0.02
     summary = {"coverage": coverage, "se": se, "level": cfg.level,
                "checks": {"coverage_in_band": lo <= coverage <= hi}}
-    return ExperimentResult(columns=("rep", "covered", "quantile", "max_stat"),
-                            rows=rows, summary=summary)
+    return rows, summary
 
 
 def _run_bootstrap_agreement(cfg, pmap):
@@ -351,8 +319,7 @@ def _run_bootstrap_agreement(cfg, pmap):
              "ks": ks, "critical": crit}]
     summary = {"ks": ks, "critical": crit,
                "checks": {"ks_below_critical": ks <= crit}}
-    return ExperimentResult(columns=("n", "d", "replications", "ks", "critical"),
-                            rows=rows, summary=summary)
+    return rows, summary
 
 
 def _local_means_row(args):
@@ -392,12 +359,7 @@ def _run_local_means(cfg, pmap):
         "distance_below_10x_combined": all(
             row["distance"] <= 10.0 * row["combined_bound"] for row in rows),
     }
-    summary = {"rows": rows, "checks": checks}
-    series = [(row["d"], row["distance"], 0.0) for row in rows]
-    return ExperimentResult(
-        columns=("d", "n", "distance", "delta0", "comparison_bound",
-                 "combined_bound", "prior_bound", "coupling_bound"),
-        rows=rows, summary=summary, plot=(series, "linear"))
+    return rows, {"rows": rows, "checks": checks}
 
 
 def _smoothing_cell(args):
@@ -416,24 +378,18 @@ def _run_smoothing_verify(cfg, pmap):
     rows = [row for part in pmap(_smoothing_cell, cells) for row in part]
     checks = {}
     for v in cfg.v_list:
-        c61 = [row["attained_C61"] for row in rows
-               if row["v"] == v and row["eps"] == 1.0
-               and math.isfinite(row["phi"])]
-        if c61:
-            checks[f"c61_stable_v{v}"] = _ratio_check(c61)
-        c62 = [row["attained_C62"] for row in rows
-               if row["v"] == v and math.isinf(row["phi"])]
-        if c62:
-            checks[f"c62_stable_v{v}"] = _ratio_check(c62)
+        checks[f"c61_stable_v{v}"] = _ratio_check(
+            [row["attained_C61"] for row in rows if row["v"] == v
+             and row["eps"] == 1.0 and math.isfinite(row["phi"])])
+        checks[f"c62_stable_v{v}"] = _ratio_check(
+            [row["attained_C62"] for row in rows
+             if row["v"] == v and math.isinf(row["phi"])])
     decay_rows = [row for row in rows if row["v"] == 1]
-    if decay_rows:
-        checks["decay_v1"] = all(
-            row["decay_ratio"] >= math.exp(
-                (cfg.kappa - cfg.K / math.sqrt(math.log(row["d"]))) ** 2 / 8.0)
-            for row in decay_rows)
-    summary = {"checks": checks}
-    return ExperimentResult(columns=smoothing.VERIFY_COLUMNS, rows=rows,
-                            summary=summary)
+    checks["decay_v1"] = bool(decay_rows) and all(
+        row["decay_ratio"] >= math.exp(
+            (cfg.kappa - cfg.K / math.sqrt(math.log(row["d"]))) ** 2 / 8.0)
+        for row in decay_rows)
+    return rows, {"checks": checks}
 
 
 def _gaussian_comparison_row(args):
@@ -457,15 +413,11 @@ def _run_gaussian_comparison(cfg, pmap):
     rows = list(pmap(_gaussian_comparison_row, tasks))
     checks = {"measured_below_bound": all(row["measured"] <= row["bound"]
                                          for row in rows)}
-    summary = {"rows": rows, "checks": checks}
-    series = [(row["rho"], row["measured"], 0.0) for row in rows]
-    return ExperimentResult(columns=("rho", "D", "measured", "bound"),
-                            rows=rows, summary=summary,
-                            plot=(series, "linear"))
+    return rows, {"rows": rows, "checks": checks}
 
 
 def _run_poisson_check(cfg, pmap):
-    rec = lowerbound.poisson_approx_check(cfg.data_spec(), cfg.n, cfg.d,
+    rec = lowerbound.poisson_approx_check(cfg.data_spec(), cfg.n,
                                           cfg.replications,
                                           derive_seed(cfg.seed, 40))
     exact_tail = lowerbound.two_point_marginal_tail(cfg.B, cfg.n, rec.x_n)
@@ -479,11 +431,7 @@ def _run_poisson_check(cfg, pmap):
             rec.residual <= rec.residual_bound + 4.0 * rec.propagated_se,
         "lambda_le_10": rec.lambda_hat <= 10.0,
     }
-    summary = {"record": rows[0], "checks": checks}
-    return ExperimentResult(
-        columns=("n", "d", "B", "x_n", "f_hat", "lambda_hat", "exact_tail",
-                 "residual", "residual_bound", "propagated_se"),
-        rows=rows, summary=summary)
+    return rows, {"record": rows[0], "checks": checks}
 
 
 def _anticoncentration_row(args):
@@ -502,26 +450,76 @@ def _run_anticoncentration(cfg, pmap):
                                     for row in rows)}
     doubling = [(a, b) for a, b in zip(rows, rows[1:])
                 if abs(b["eps"] - 2 * a["eps"]) < 1e-12]
-    if doubling:
-        checks["linear_in_eps"] = all(
-            1.5 <= b["probe"] / a["probe"] <= 2.5 for a, b in doubling)
-    summary = {"rows": rows, "checks": checks}
-    series = [(row["eps"], row["probe"], 0.0) for row in rows]
-    return ExperimentResult(columns=("d", "eps", "probe", "nazarov_shape"),
-                            rows=rows, summary=summary,
-                            plot=(series, "linear"))
+    checks["linear_in_eps"] = bool(doubling) and all(
+        1.5 <= b["probe"] / a["probe"] <= 2.5 for a, b in doubling)
+    return rows, {"rows": rows, "checks": checks}
 
 
-_EXPERIMENT_FUNCS = {
-    "rate_vs_n": _run_rate_vs_n,
-    "zero_skew_rate": _run_zero_skew_rate,
-    "bootstrap_coverage": _run_bootstrap_coverage,
-    "bootstrap_agreement": _run_bootstrap_agreement,
-    "local_means": _run_local_means,
-    "smoothing_verify": _run_smoothing_verify,
-    "gaussian_comparison": _run_gaussian_comparison,
-    "poisson_check": _run_poisson_check,
-    "anticoncentration": _run_anticoncentration,
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment: its keys with their desk-scale defaults (besides
+    RUN_KEYS it accepts exactly these, and any of them can be overridden),
+    its body ``body(config, pmap) -> (rows, summary)``, the CSV columns of
+    its rows, its bounded data law ``law(B, d)`` (None when it has no B),
+    and the ``(x, y, se, kind)`` row columns it plots (se None: no bars)."""
+
+    defaults: dict
+    body: Callable
+    columns: tuple
+    law: Optional[Callable] = None
+    plot: Optional[tuple] = None
+
+
+_RATE_COLUMNS = ("experiment", "n", "d", "B", "family", "distance", "se",
+                 "seed")
+
+EXPERIMENTS = {
+    "rate_vs_n": Experiment(
+        {"B": 2.0, "d": 50, "n_list": [250, 500, 1000, 2000],
+         "replications": 200_000, "ref_factor": 10, "family": "one_sided_max"},
+        _run_rate_vs_n, _RATE_COLUMNS, law=DistributionSpec.two_point,
+        plot=("n", "distance", "se", "loglog")),
+    "zero_skew_rate": Experiment(
+        {"d": 20, "n_list": [100, 200, 400], "replications": 1_000_000,
+         "ref_factor": 2, "family": "one_sided_max"},
+        _run_zero_skew_rate, _RATE_COLUMNS,
+        plot=("n", "distance", "se", "loglog")),
+    "bootstrap_coverage": Experiment(
+        {"n": 500, "d": 20, "B": 2.0, "level": 0.9, "multiplier": "gaussian",
+         "inner_replications": 2000, "outer_replications": 2000},
+        _run_bootstrap_coverage, ("rep", "covered", "quantile", "max_stat"),
+        law=DistributionSpec.uniform_bounded),
+    "bootstrap_agreement": Experiment(
+        {"n": 200, "d": 10, "replications": 100_000},
+        _run_bootstrap_agreement, ("n", "d", "replications", "ks", "critical")),
+    "local_means": Experiment(
+        {"d_list": [10, 40], "kappa_geom": 1, "replications": 100_000,
+         "ref_factor": 10, "constants_c": 1.0},
+        _run_local_means,
+        ("d", "n", "distance", "delta0", "comparison_bound", "combined_bound",
+         "prior_bound", "coupling_bound"),
+        plot=("d", "distance", None, "linear")),
+    "smoothing_verify": Experiment(
+        {"d_list": [3], "v_list": [1, 2],
+         "phi_list": [4.0, 8.0, 16.0, 32.0, math.inf],
+         "eps_list": [1.0, 0.5, 0.25], "K": 4.0, "kappa": 4.0,
+         "half_width": 1.5},
+        _run_smoothing_verify, smoothing.VERIFY_COLUMNS),
+    "gaussian_comparison": Experiment(
+        {"d": 10, "rho_list": [0.05, 0.1, 0.2], "replications": 200_000,
+         "constants_c": 1.0},
+        _run_gaussian_comparison, ("rho", "D", "measured", "bound"),
+        plot=("rho", "measured", None, "linear")),
+    "poisson_check": Experiment(
+        {"B": 2.0, "n": 1000, "d": 50, "replications": 200_000},
+        _run_poisson_check,
+        ("n", "d", "B", "x_n", "f_hat", "lambda_hat", "exact_tail",
+         "residual", "residual_bound", "propagated_se"),
+        law=DistributionSpec.two_point),
+    "anticoncentration": Experiment(
+        {"d": 20, "eps_list": [0.05, 0.1, 0.2], "replications": 200_000},
+        _run_anticoncentration, ("d", "eps", "probe", "nazarov_shape"),
+        plot=("eps", "probe", None, "linear")),
 }
 
 
@@ -588,23 +586,23 @@ class RunManifest:
 
 def run(config: ExperimentConfig, out_dir=None, threads: int = 1) -> RunManifest:
     """Execute one experiment and persist CSV, summary JSON, SVG, manifest."""
-    out_dir = out_dir or config.out_dir or os.path.join("hdclt_runs",
-                                                        config.experiment)
+    out_dir = out_dir or os.path.join("hdclt_runs", config.experiment)
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot create {out_dir}: {exc}") from exc
 
+    exp = EXPERIMENTS[config.experiment]
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    result = _EXPERIMENT_FUNCS[config.experiment](config, _pmap(threads))
+    rows, summary = exp.body(config, _pmap(threads))
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     csv_path = os.path.join(out_dir, f"{config.experiment}.csv")
-    _write_csv(csv_path, result.columns, result.rows)
+    _write_csv(csv_path, exp.columns, rows)
 
     summary_path = os.path.join(out_dir, "summary.json")
     summary = {"experiment": config.experiment, "seed": config.seed,
-               **_json_safe(result.summary)}
+               **_json_safe(summary)}
     try:
         with open(summary_path, "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
@@ -613,8 +611,9 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1) -> RunManifest
         raise IoFailure(f"cannot write {summary_path}: {exc}") from exc
 
     plot_paths = []
-    if result.plot is not None:
-        series, kind = result.plot
+    if exp.plot is not None:
+        x, y, se, kind = exp.plot
+        series = [(row[x], row[y], row[se] if se else 0.0) for row in rows]
         plot_path = os.path.join(out_dir, f"{config.experiment}.svg")
         emit_plot(series, kind, plot_path)
         plot_paths.append(plot_path)

@@ -58,12 +58,12 @@ class TestMarginalTail:
 class TestPoissonApprox:
     def test_pure_gaussian_hits_inverse_e(self):
         spec = DistributionSpec.gaussian(CovarianceModel.identity(50))
-        rec = poisson_approx_check(spec, n=10, d=50, reps=50_000, seed=5)
+        rec = poisson_approx_check(spec, n=10, reps=50_000, seed=5)
         assert rec.f_hat == pytest.approx(math.exp(-1.0), abs=3 * rec.se_f)
 
     def test_residual_fields_consistent(self):
         spec = DistributionSpec.two_point(2.0, 20)
-        rec = poisson_approx_check(spec, n=200, d=20, reps=50_000, seed=7)
+        rec = poisson_approx_check(spec, n=200, reps=50_000, seed=7)
         assert rec.residual == pytest.approx(
             abs(rec.f_hat - math.exp(-rec.lambda_hat)))
         assert rec.residual_bound == pytest.approx(
@@ -88,7 +88,7 @@ class TestPowerLawFit:
 class TestRateCurve:
     def test_null_gaussian_has_no_trend(self):
         spec = DistributionSpec.gaussian(CovarianceModel.identity(10))
-        curve = rate_curve(spec, 10, [100, 200, 400, 800], reps=20_000,
+        curve = rate_curve(spec, [100, 200, 400, 800], reps=20_000,
                            seed=9, ref_factor=2)
         # distances are pure noise, so no statistically resolved slope
         assert abs(curve.slope) <= max(2.0 * curve.slope_se, 0.5)
@@ -98,7 +98,7 @@ class TestRateCurve:
     def test_ascending_n_required(self):
         spec = DistributionSpec.rademacher(3)
         with pytest.raises(ValueError):
-            rate_curve(spec, 3, [200, 100], reps=1000)
+            rate_curve(spec, [200, 100], reps=1000)
 
 
 class TestZeroSkewExactOracle:

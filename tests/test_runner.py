@@ -8,7 +8,7 @@ import pytest
 
 from hdclt.cli import main as cli_main
 from hdclt.errors import ConfigInvalid
-from hdclt.runner import (DEFAULTS, EXPERIMENTS, KEYS, RUN_KEYS,
+from hdclt.runner import (EXPERIMENTS, KEYS, RUN_KEYS,
                           ExperimentConfig, emit_plot, load_config,
                           parse_config_text, run)
 
@@ -52,7 +52,7 @@ class TestExperimentConfig:
     def test_defaults_fill_in(self):
         cfg = ExperimentConfig.from_mapping({"experiment": "rate_vs_n"})
         assert cfg.B == 2.0
-        assert cfg.n_list == DEFAULTS["rate_vs_n"]["n_list"]
+        assert cfg.n_list == EXPERIMENTS["rate_vs_n"].defaults["n_list"]
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigInvalid):
@@ -67,16 +67,10 @@ class TestExperimentConfig:
             ExperimentConfig.from_mapping({"experiment": "bootstrap_coverage",
                                            "level": 1.5})
 
-    def test_digest_stable_under_out_dir(self):
-        a = ExperimentConfig.from_mapping({"experiment": "poisson_check"})
-        b = ExperimentConfig.from_mapping({"experiment": "poisson_check",
-                                           "out_dir": "elsewhere"})
-        assert a.digest() == b.digest()
-
-
     def test_empty_lists_rejected(self):
-        for name, keys in DEFAULTS.items():
-            for key in (k for k, v in keys.items() if isinstance(v, list)):
+        for name, exp in EXPERIMENTS.items():
+            for key in (k for k, v in exp.defaults.items()
+                        if isinstance(v, list)):
                 with pytest.raises(ConfigInvalid, match=key):
                     ExperimentConfig.from_mapping({"experiment": name, key: []})
 
@@ -84,7 +78,18 @@ class TestExperimentConfig:
         for name in EXPERIMENTS:
             cfg = ExperimentConfig.from_mapping({"experiment": name})
             set_keys = {k for k in KEYS if getattr(cfg, k) is not None}
-            assert set_keys == set(DEFAULTS[name]) | {"experiment", "seed"}
+            assert set_keys == set(EXPERIMENTS[name].defaults) | set(RUN_KEYS)
+
+
+class TestRegistry:
+    def test_records_name_config_keys_and_csv_columns(self):
+        # a default key that names no field would leave the real key unset
+        for name, exp in EXPERIMENTS.items():
+            assert set(exp.defaults) <= set(KEYS) - set(RUN_KEYS), name
+            if exp.plot is not None:
+                x, y, se, kind = exp.plot
+                assert {x, y, se} - {None} <= set(exp.columns), name
+                assert kind in ("loglog", "linear"), name
 
 
 def _readme_table(header):
@@ -108,7 +113,8 @@ class TestReadmeKeyTable:
                 for key, raw in re.findall(r"`(\w+)(?: = ([^`]*))?`", cell)}
         assert documented.pop("every experiment") == {
             key: KEYS[key].default for key in RUN_KEYS}
-        assert documented == DEFAULTS
+        assert documented == {name: exp.defaults
+                              for name, exp in EXPERIMENTS.items()}
 
     def test_rule_per_key(self):
         rules = {key.strip("`"): rule.replace("`", "")
@@ -204,14 +210,32 @@ class TestCli:
                                           "lambda_le_10"}
 
     def test_run_without_checks_fails(self, tmp_path, capsys):
-        # v = 2 at finite phi and eps != 1 yields none of the smoothing checks
+        # v = 2 at finite phi and eps != 1 has no rows behind any check
         cfg = self._write(tmp_path, "experiment = smoothing_verify\n"
                                     "v_list = 2\nphi_list = 8\neps_list = 0.5\n")
         code = cli_main(["run", cfg, "--check", "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "FAIL smoothing_verify.no_checks" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        names = ("c61_stable_v2", "c62_stable_v2", "decay_v1")
+        for name in names:
+            assert f"FAIL smoothing_verify.{name}" in out
         summary = json.load(open(str(tmp_path / "out" / "summary.json")))
-        assert summary["checks"] == {}
+        assert summary["checks"] == dict.fromkeys(names, False)
+
+    @pytest.mark.parametrize("experiment, grid, empty_checks", [
+        ("smoothing_verify", "phi_list = 8\neps_list = 0.5",
+         ["c61_stable_v1", "c61_stable_v2", "c62_stable_v1", "c62_stable_v2"]),
+        ("anticoncentration", "eps_list = 0.05 0.3\nreplications = 20000",
+         ["linear_in_eps"]),
+    ])
+    def test_check_without_rows_fails(self, tmp_path, capsys, experiment,
+                                      grid, empty_checks):
+        cfg = self._write(tmp_path, f"experiment = {experiment}\n{grid}\n")
+        code = cli_main(["run", cfg, "--check", "--out", str(tmp_path / "out")])
+        assert code == 1
+        out = capsys.readouterr().out
+        for name in empty_checks:
+            assert f"FAIL {experiment}.{name}" in out
 
     @pytest.mark.parametrize("override", [
         "d_list = 1", "v_list = 5", "v_list = 0", "phi_list = -1",
@@ -229,6 +253,8 @@ class TestCli:
         "experiment = gaussian_comparison\nrho_list = 1.5",
         "experiment = gaussian_comparison\nrho_list = 1",
         "experiment = gaussian_comparison\nrho_list = -0.5",
+        "experiment = gaussian_comparison\nrho_list = -0.1111111111111",
+        "K = nan", "kappa = nan",
         "experiment = anticoncentration\neps_list = -1",
         "experiment = rate_vs_n\nn_list = 500 250",
         "experiment = rate_vs_n\nn_list = 500",
@@ -238,6 +264,8 @@ class TestCli:
         # keys the experiment does not read
         "experiment = rate_vs_n\nq = 7",
         "experiment = rate_vs_n\nmultiplier = gaussian",
+        # run settings are command-line flags only
+        "threads = 2", "out_dir = x",
     ])
     def test_bad_smoothing_config_exit_2(self, tmp_path, capsys, override):
         # the last line holds the offending key; a case that switches the
@@ -251,26 +279,6 @@ class TestCli:
         assert cli_main(["run", cfg, "--out", str(out)]) == 2
         assert not out.exists()
         assert re.search(rf"(^|\W){key}(\W|$)", capsys.readouterr().err)
-
-    def test_thread_precedence(self, tmp_path, monkeypatch):
-        import hdclt.cli as cli_module
-        seen = []
-        real_run = cli_module.run
-
-        def spy(config, out_dir=None, threads=1):
-            seen.append(threads)
-            return real_run(config, out_dir=out_dir, threads=threads)
-
-        monkeypatch.setattr(cli_module, "run", spy)
-        cfg = self._write(tmp_path, "experiment = poisson_check\n"
-                                    "replications = 500\nthreads = 3\n")
-        out = str(tmp_path / "out")
-        monkeypatch.setenv("HDCLT_THREADS", "2")
-        assert cli_main(["run", cfg, "--out", out]) == 0
-        assert cli_main(["run", cfg, "--out", out, "--threads", "1"]) == 0
-        monkeypatch.delenv("HDCLT_THREADS")
-        assert cli_main(["run", cfg, "--out", out]) == 0
-        assert seen == [2, 1, 3]
 
     def test_load_config_round_trip(self, tmp_path):
         cfg_path = self._write(tmp_path,
