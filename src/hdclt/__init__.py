@@ -7,7 +7,10 @@ Modules:
 * :mod:`hdclt.sampler`: seeded distribution families and scaled-sum draws.
 * :mod:`hdclt.bounds`: published bound shapes and their input quantities.
 * :mod:`hdclt.bootstrap`: multiplier and empirical bootstrap engines.
-* :mod:`hdclt.distance`: Kolmogorov distances over rectangle sub-families.
+* :mod:`hdclt.distance`: Kolmogorov distances over rectangle sub-families
+  and the one max-statistic sampler.
+* :mod:`hdclt.maxlaw`: exact CDFs and inverse-CDF samplers of max statistics
+  whose coordinates factor.
 * :mod:`hdclt.smoothing`: smoothed rectangle indicators and exact derivatives.
 * :mod:`hdclt.lowerbound`: Poisson approximation and rate-curve experiments.
 * :mod:`hdclt.runner`: config-driven experiments, CSV/JSON/SVG artifacts.
@@ -23,12 +26,15 @@ from .bounds import (BoundInputs, BoundReport, ConstantsPolicy,
                      bound_bootstrap_empirical, bound_bootstrap_multiplier,
                      bound_smooth, bound_smooth_zeroskew, bounds_local_means,
                      check_conditions)
-from .distance import (MaxStatSample, anticoncentration_probe,
-                       gaussian_max_cdf, ks_distance, ks_two_sample_critical,
+from .distance import (MaxStatSample, anticoncentration_probe, ks_distance,
+                       ks_two_sample_critical, max_stat_sample,
                        rect_family_distance)
 from .errors import HdcltError
 from .lowerbound import (PoissonApproxRecord, poisson_approx_check,
-                         rate_curve, threshold_xn, two_point_marginal_tail)
+                         rate_curve, threshold_xn)
+from .maxlaw import (EquicorrelatedGaussianMax, IsotropicGaussianMax,
+                     RademacherGaussianMax, TwoPointMax, law_of, sup_distance,
+                     two_point_marginal_tail)
 from .matcore import CovarianceModel, RectangleSpec, enlarge
 from .runner import ExperimentConfig, RunManifest, emit_plot, run
 from .sampler import (DataMatrix, DistributionSpec, sample,
@@ -49,10 +55,13 @@ __all__ = [
     "MultiplierKind", "multiplier_draws", "empirical_draws",
     "empirical_cov_centered", "simultaneous_quantile",
     "MaxStatSample", "ks_distance", "ks_two_sample_critical",
-    "rect_family_distance", "gaussian_max_cdf", "anticoncentration_probe",
+    "rect_family_distance", "max_stat_sample", "anticoncentration_probe",
     "SmoothingParams", "m_indicator", "rho_eval", "rho_partial",
     "derivative_sum", "h_nu", "verify_lemmas",
     "PoissonApproxRecord", "poisson_approx_check", "threshold_xn",
-    "two_point_marginal_tail", "rate_curve",
+    "rate_curve",
+    "IsotropicGaussianMax", "EquicorrelatedGaussianMax", "TwoPointMax",
+    "RademacherGaussianMax", "law_of", "sup_distance",
+    "two_point_marginal_tail",
     "ExperimentConfig", "RunManifest", "run", "emit_plot",
 ]

@@ -13,11 +13,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
+from . import maxlaw
 from .errors import BadDiagonal, DimensionMismatch
 from .matcore import CovarianceModel
-from .sampler import blocks, substream
+from .sampler import (DistributionSpec, blocks, derive_seed,
+                      sample_scaled_sums, substream)
+
+# a scaled-sum draw holds at most three reps x d arrays at once: the two of
+# the count transform, plus the quasi-Gaussian noise
+_DRAW_ARRAYS = 3
 
 
 def max_statistic(draws: np.ndarray, side: str = "one_sided") -> np.ndarray:
@@ -56,28 +61,27 @@ class MaxStatSample:
                                side="right") / self.size
 
 
-def gaussian_max_cdf(sigma: CovarianceModel, x: float, reps: int = 0,
-                     seed: int = 0) -> tuple[float, float]:
-    """P(max_j Z_j <= x) for Z ~ N(0, sigma); returns (estimate, std error).
+def max_stat_sample(spec: DistributionSpec, n: int, reps: int, seed: int,
+                    side: str = "one_sided") -> MaxStatSample:
+    """``reps`` draws of the max statistic of W = n^{-1/2} sum_i X_i.
 
-    Diagonal sigma uses the exact product of univariate normal CDFs (zero
-    standard error); general sigma falls back to Monte Carlo with ``reps``
-    draws through the Cholesky factor.
+    Where :func:`maxlaw.law_of` gives ``spec`` a law with a sampler, each
+    draw inverts its CDF at ``law.variates`` uniforms.  Otherwise W is drawn
+    by :func:`sample_scaled_sums` in :func:`blocks`, and only each block's
+    row maxima are kept, so memory stays near ``BLOCK_FLOATS`` whatever
+    ``d`` is.
     """
-    if sigma.is_diagonal:
-        sd = np.sqrt(sigma.diagonal)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(sd > 0, x / np.where(sd > 0, sd, 1.0),
-                         np.where(x >= 0, np.inf, -np.inf))
-        return float(np.prod(ndtr(z))), 0.0
-    if reps < 1:
-        raise ValueError("Monte Carlo path requires reps >= 1")
-    chol = sigma.chol  # raises NotPositiveDefinite for singular sigma
-    rng = substream(seed, 20)
-    draws = rng.standard_normal((reps, sigma.dim)) @ chol.T
-    hits = np.all(draws <= x, axis=1)
-    p = float(hits.mean())
-    return p, math.sqrt(p * (1.0 - p) / reps)
+    law = maxlaw.law_of(spec, n, side)
+    if hasattr(law, "sample"):
+        u = substream(seed, 23).random((law.variates, reps))
+        return MaxStatSample(law.sample(*u), side=side)
+    out = np.empty(reps)
+    for idx, rows in blocks(reps, _DRAW_ARRAYS * spec.dim):
+        # one expression, so no block's draws outlive its maxima
+        out[rows] = max_statistic(
+            sample_scaled_sums(spec, n, rows.stop - rows.start,
+                               derive_seed(seed, 24, idx)), side)
+    return MaxStatSample(out, side=side)
 
 
 def ks_distance(a: MaxStatSample, b: MaxStatSample) -> float:
@@ -178,14 +182,8 @@ def anticoncentration_probe(sigma: CovarianceModel, eps: float, reps: int,
         raise BadDiagonal("anticoncentration probe requires all variances >= 1")
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    scale = np.sqrt(sigma.diagonal) if sigma.is_diagonal else None
-    chol = None if sigma.is_diagonal else sigma.chol
-    stat = np.empty(reps)
-    for idx, rows in blocks(reps, sigma.dim):
-        rng = substream(seed, 22, idx)
-        z = rng.standard_normal((rows.stop - rows.start, sigma.dim))
-        stat[rows] = max_statistic(z * scale if chol is None else z @ chol.T)
-    stat.sort(kind="mergesort")
+    stat = max_stat_sample(DistributionSpec.gaussian(sigma), 1, reps,
+                           seed).values
     z = np.linspace(np.quantile(stat, 0.0005), np.quantile(stat, 0.9995), grid)
     upper = np.searchsorted(stat, z + eps, side="right")
     lower = np.searchsorted(stat, z, side="right")

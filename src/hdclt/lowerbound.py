@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
-from scipy.stats import binom
+from scipy.special import ndtri
 
-from .distance import MaxStatSample, ks_distance_with_se, max_statistic
-from .sampler import (DistributionSpec, blocks, derive_seed,
-                      sample_scaled_sums, two_point_support)
+from .distance import (MaxStatSample, ks_distance_with_se, max_stat_sample,
+                       max_statistic)
+from .sampler import DistributionSpec, derive_seed, sample_scaled_sums
 
 GAUSS_TARGET = math.exp(-1.0)
 
@@ -33,38 +32,6 @@ def threshold_xn(d: float) -> float:
 def skewness_gamma(spec: DistributionSpec, n: int) -> float:
     """E[W_1^3] = E[X^3] / sqrt(n) for i.i.d. coordinates."""
     return spec.third_moment() / math.sqrt(n)
-
-
-def two_point_marginal_tail(B: float, n: int, x: float) -> float:
-    """Exact P(W_1 > x) for the two-point family by binomial enumeration.
-
-    W_1 = (K a + (n - K) b)/sqrt(n) with K ~ Binomial(n, p) is a monotone
-    transform of the count K, so the tail is an exact binomial sum.
-    """
-    a, b, p = two_point_support(B)
-    k = np.arange(n + 1)
-    w = (k * a + (n - k) * b) / math.sqrt(n)
-    return float(binom.pmf(k[w > x], n, p).sum())
-
-
-def rademacher_gaussian_max_cdf(n: int, d: int, x) -> np.ndarray:
-    """Exact max-statistic CDF for the Rademacher scaled sum plus unit
-    Gaussian noise, P(max_j (S_j/sqrt(n) + G_j) <= x) with i.i.d. coordinates.
-
-    The coordinate law is a Binomial(n, 1/2) mixture of unit normals, so the
-    max CDF is the d-th power of an exact finite sum.  This enumeration
-    serves as a noise-free oracle for the smooth zero-skewness rate, whose
-    distance scale (about 5e-4 at n=100, d=20) sits below the Monte Carlo
-    resolution of affordable replication counts.
-    """
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be >= 1")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    k = np.arange(n + 1)
-    centers = (2.0 * k - n) / math.sqrt(n)
-    pk = binom.pmf(k, n, 0.5)
-    f1 = (pk[None, :] * ndtr(x[:, None] - centers[None, :])).sum(axis=1)
-    return f1**d
 
 
 @dataclass(frozen=True)
@@ -165,17 +132,12 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]
 
 def reference_max_stats(spec: DistributionSpec, reps: int, seed: int,
                         family: str = "one_sided_max") -> MaxStatSample:
-    """Max statistics of N(0, covariance of spec), drawn in :func:`blocks`
-    so reference replication counts far above the W side stay affordable."""
-    ref_spec = DistributionSpec.gaussian(spec.population_covariance())
-    side = _side(family)
-    out = np.empty(reps)
-    for idx, rows in blocks(reps, spec.dim):
-        # one expression, so no block's draws outlive its maxima
-        out[rows] = max_statistic(
-            sample_scaled_sums(ref_spec, 1, rows.stop - rows.start,
-                               derive_seed(seed, 999, idx)), side)
-    return MaxStatSample(out, side=side)
+    """Max statistics of N(0, covariance of spec), drawn by
+    :func:`max_stat_sample`, so reference replication counts far above the W
+    side stay affordable."""
+    return max_stat_sample(
+        DistributionSpec.gaussian(spec.population_covariance()), 1, reps,
+        derive_seed(seed, 999), _side(family))
 
 
 def _side(family: str) -> str:
@@ -186,8 +148,8 @@ def _side(family: str) -> str:
 
 def _rate_point(spec: DistributionSpec, n: int, reps: int, seed: int,
                 family, ref: MaxStatSample) -> RatePoint:
-    draws = sample_scaled_sums(spec, int(n), reps, seed)
-    dist, se = ks_distance_with_se(MaxStatSample.from_draws(draws, _side(family)), ref)
+    w = max_stat_sample(spec, int(n), reps, seed, _side(family))
+    dist, se = ks_distance_with_se(w, ref)
     return RatePoint(n=int(n), distance=dist, se=se)
 
 

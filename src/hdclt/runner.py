@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import bootstrap, bounds, distance, lowerbound, smoothing
+from . import bootstrap, bounds, distance, lowerbound, maxlaw, smoothing
 from ._version import __version__
 from .errors import ConfigInvalid, IoFailure, NotPositiveDefinite
 from .matcore import PIVOT_TOL, CovarianceModel, sup_norm_diff
@@ -248,9 +248,22 @@ def _rate_result(cfg: ExperimentConfig, spec: DistributionSpec,
     scale = b if cfg.B is not None else 1.0
     norm = [p.distance * math.sqrt(p.n) / (scale * math.log(cfg.d) ** 1.5)
             for p in curve.points]
+    # exact distances beside the Monte Carlo ones, and the 1% two-sample KS
+    # critical value, below which a Monte Carlo distance cannot resolve them
+    side = cfg.family.removesuffix("_max")
+    ref = maxlaw.law_of(
+        DistributionSpec.gaussian(spec.population_covariance()), 1, side)
+    exact = [maxlaw.sup_distance(maxlaw.law_of(spec, p.n, side), ref)
+             for p in curve.points]
+    floor = distance.ks_two_sample_critical(
+        cfg.replications, cfg.replications * cfg.ref_factor)
     summary = {
         "slope": curve.slope, "slope_se": curve.slope_se,
         "intercept": curve.intercept, "normalized": norm,
+        "exact_distance": exact,
+        "exact_slope": lowerbound.fit_power_law(cfg.n_list, exact)[0],
+        "noise_floor": floor,
+        "distance_below_noise_floor": [e < floor for e in exact],
         "metadata": {"envelope_over_sqrt_logd":
                      (b**4 / math.sqrt(math.log(cfg.d))) if cfg.B else None},
         "checks": {"slope_in_band":
@@ -397,13 +410,11 @@ def _gaussian_comparison_row(args):
     identity = CovarianceModel.identity(cfg.d)
     other = CovarianceModel.equicorrelation(cfg.d, rho)
     gap = sup_norm_diff(identity, other)
-    draws_a = sample_scaled_sums(DistributionSpec.gaussian(identity), 1,
-                                 cfg.replications, derive_seed(cfg.seed, 60, i))
-    draws_b = sample_scaled_sums(DistributionSpec.gaussian(other), 1,
-                                 cfg.replications, derive_seed(cfg.seed, 61, i))
-    measured = distance.ks_distance(
-        distance.MaxStatSample.from_draws(draws_a, "one_sided"),
-        distance.MaxStatSample.from_draws(draws_b, "one_sided"))
+    a, b = (distance.max_stat_sample(DistributionSpec.gaussian(sigma), 1,
+                                     cfg.replications,
+                                     derive_seed(cfg.seed, key, i))
+            for sigma, key in ((identity, 60), (other, 61)))
+    measured = distance.ks_distance(a, b)
     bound = bounds.bound_gaussian_comparison(gap, 1.0, cfg.d, cfg.policy())
     return {"rho": rho, "D": gap, "measured": measured, "bound": bound.value}
 
@@ -420,7 +431,7 @@ def _run_poisson_check(cfg, pmap):
     rec = lowerbound.poisson_approx_check(cfg.data_spec(), cfg.n,
                                           cfg.replications,
                                           derive_seed(cfg.seed, 40))
-    exact_tail = lowerbound.two_point_marginal_tail(cfg.B, cfg.n, rec.x_n)
+    exact_tail = maxlaw.two_point_marginal_tail(cfg.B, cfg.n, rec.x_n)
     rows = [{"n": cfg.n, "d": cfg.d, "B": cfg.B, "x_n": rec.x_n,
              "f_hat": rec.f_hat, "lambda_hat": rec.lambda_hat,
              "exact_tail": exact_tail, "residual": rec.residual,

@@ -1,43 +1,75 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 from hdclt.distance import (MaxStatSample, anticoncentration_probe,
-                            gaussian_max_cdf, ks_distance,
-                            ks_distance_with_se, ks_two_sample_critical,
+                            ks_distance, ks_distance_with_se,
+                            ks_two_sample_critical, max_stat_sample,
                             rect_family_distance)
 from hdclt.errors import BadDiagonal, DimensionMismatch
 from hdclt.lowerbound import threshold_xn
 from hdclt.matcore import CovarianceModel
-from hdclt.sampler import substream
+from hdclt.maxlaw import law_of
+from hdclt.sampler import BLOCK_FLOATS, DistributionSpec, substream
+
+
+def _gaussian_max_cdf(sigma, x):
+    return float(law_of(DistributionSpec.gaussian(sigma), 1).cdf(x))
 
 
 class TestGaussianMaxCdf:
     def test_one_dim_median(self):
-        p, se = gaussian_max_cdf(CovarianceModel.identity(1), 0.0)
-        assert p == 0.5 and se == 0.0
+        assert _gaussian_max_cdf(CovarianceModel.identity(1), 0.0) == 0.5
 
     def test_identity_at_e_threshold(self):
         for d in (5, 50, 200):
-            p, se = gaussian_max_cdf(CovarianceModel.identity(d),
-                                     threshold_xn(d))
-            assert se == 0.0
+            p = _gaussian_max_cdf(CovarianceModel.identity(d), threshold_xn(d))
             assert p == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_near_perfect_correlation_collapses(self):
         sigma = CovarianceModel.equicorrelation(5, 0.999)
         x = 1.0
-        p, se = gaussian_max_cdf(sigma, x, reps=200_000, seed=3)
+        p = _gaussian_max_cdf(sigma, x)
         # the max dominates any single coordinate, so p <= Phi(x); the
         # residual idiosyncratic noise (sd ~ 0.03) keeps p within ~0.01
-        assert p <= float(ndtr(x)) + 3 * se
+        assert p <= float(ndtr(x))
         assert p >= float(ndtr(x)) - 0.02
 
-    def test_monte_carlo_needs_reps(self):
-        with pytest.raises(ValueError):
-            gaussian_max_cdf(CovarianceModel.equicorrelation(3, 0.5), 0.0)
+
+class TestMaxStatHelper:
+    # allocations outside the block slab: index arrays, row maxima, and
+    # the interpreter's own bookkeeping while tracing
+    SLACK_BYTES = 4_000_000
+
+    def test_fallback_peak_memory_independent_of_d(self):
+        # the quasi-Gaussian law has no sampler, so W is drawn in blocks
+        for d in (10, 50):
+            spec = DistributionSpec.quasi_gaussian(
+                DistributionSpec.rademacher(d), CovarianceModel.identity(d))
+            tracemalloc.start()
+            try:
+                out = max_stat_sample(spec, 100, 100_000, seed=3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (BLOCK_FLOATS * 8 + out.values.nbytes
+                            + self.SLACK_BYTES)
+            np.testing.assert_array_equal(
+                out.values, max_stat_sample(spec, 100, 100_000, seed=3).values)
+
+    def test_sides_and_paths(self):
+        # exact inversion (identity), block fallback (negative correlation)
+        for sigma in (CovarianceModel.identity(4),
+                      CovarianceModel.equicorrelation(4, -0.2)):
+            spec = DistributionSpec.gaussian(sigma)
+            for side in ("one_sided", "two_sided"):
+                s = max_stat_sample(spec, 1, 1000, seed=4, side=side)
+                assert s.size == 1000 and s.side == side
+                assert np.all(np.isfinite(s.values))
+                assert side == "one_sided" or np.all(s.values >= 0)
 
 
 class TestKsDistance:

@@ -5,10 +5,9 @@ import pytest
 from scipy.special import ndtr
 
 from hdclt.lowerbound import (fit_power_law, poisson_approx_check,
-                              rademacher_gaussian_max_cdf, rate_curve,
-                              skewness_gamma, threshold_xn,
-                              two_point_marginal_tail)
+                              rate_curve, skewness_gamma, threshold_xn)
 from hdclt.matcore import CovarianceModel
+from hdclt.maxlaw import RademacherGaussianMax, two_point_marginal_tail
 from hdclt.sampler import DistributionSpec, sample_scaled_sums
 
 
@@ -105,7 +104,7 @@ class TestZeroSkewExactOracle:
     def test_reference_limit(self):
         # huge n: the coordinate law is essentially N(0, 2)
         x = np.array([1.0, 2.0, 3.0])
-        val = rademacher_gaussian_max_cdf(100_000, 20, x)
+        val = RademacherGaussianMax(100_000, 20).cdf(x)
         ref = ndtr(x / math.sqrt(2.0)) ** 20
         np.testing.assert_allclose(val, ref, atol=1e-4)
 
@@ -116,7 +115,7 @@ class TestZeroSkewExactOracle:
         xs = np.linspace(-1.0, 5.0, 4001)
         dists = []
         for n in (100, 200, 400):
-            exact = rademacher_gaussian_max_cdf(n, 20, xs)
+            exact = RademacherGaussianMax(n, 20).cdf(xs)
             ref = ndtr(xs / math.sqrt(2.0)) ** 20
             dists.append(float(np.max(np.abs(exact - ref))))
         slope, _, _ = fit_power_law([100.0, 200.0, 400.0], dists)

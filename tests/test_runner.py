@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from hdclt.cli import main as cli_main
+from hdclt.distance import ks_two_sample_critical
 from hdclt.errors import ConfigInvalid
+from hdclt.lowerbound import fit_power_law
 from hdclt.runner import (EXPERIMENTS, KEYS, RUN_KEYS,
                           ExperimentConfig, emit_plot, load_config,
                           parse_config_text, run)
@@ -137,6 +139,26 @@ class TestRun:
         assert svg.tag.endswith("svg")
         records = json.load(open(str(tmp_path / "manifest.json")))
         assert records[-1]["config_hash"] == cfg.digest()
+
+    # at 2000 + 4000 draws the noise floor is 0.0446: above the exact
+    # rate_vs_n distance at n = 2000 (0.0370) and every zero-skew one
+    @pytest.mark.parametrize("experiment, below", [
+        ("rate_vs_n", [False, False, False, True]),
+        ("zero_skew_rate", [True, True, True])])
+    def test_rate_summary_reports_exact_values(self, tmp_path, experiment,
+                                               below):
+        cfg = ExperimentConfig.from_mapping(
+            {"experiment": experiment, "replications": 2000,
+             "ref_factor": 2, "seed": 5})
+        summary = run(cfg, out_dir=str(tmp_path)).summary
+        exact = summary["exact_distance"]
+        floor = ks_two_sample_critical(2000, 4000)
+        assert len(exact) == len(cfg.n_list) and all(e > 0 for e in exact)
+        assert summary["exact_slope"] == fit_power_law(cfg.n_list, exact)[0]
+        assert summary["noise_floor"] == floor
+        assert summary["distance_below_noise_floor"] == below
+        # observables only: the checks are unchanged
+        assert "exact_slope" not in summary["checks"]
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         cfg = ExperimentConfig.from_mapping(

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from hdclt.lowerbound import rademacher_gaussian_max_cdf
 from hdclt.matcore import CovarianceModel
+from hdclt.maxlaw import RademacherGaussianMax
 from hdclt.sampler import (DataMatrix, DistributionSpec, derive_seed, sample,
                            sample_scaled_sums, scaled_sum, substream,
                            two_point_support)
@@ -87,7 +87,7 @@ class TestQuasiGaussian:
         draws = sample_scaled_sums(spec, 50, 4000, seed=9)
         x = 0.5
         p_hat = np.mean(draws.max(axis=1) <= x)
-        p_exact = float(rademacher_gaussian_max_cdf(50, 3, x)[0])
+        p_exact = float(RademacherGaussianMax(50, 3).cdf(x))
         assert p_hat == pytest.approx(p_exact, abs=4 * math.sqrt(0.25 / 4000))
 
     def test_scaled_sum_covariance_adds(self):
