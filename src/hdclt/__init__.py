@@ -32,9 +32,9 @@ from .distance import (MaxStatSample, anticoncentration_probe, ks_distance,
 from .errors import HdcltError
 from .lowerbound import (PoissonApproxRecord, poisson_approx_check,
                          rate_curve, threshold_xn)
-from .maxlaw import (EquicorrelatedGaussianMax, IsotropicGaussianMax,
-                     RademacherGaussianMax, TwoPointMax, law_of, sup_distance,
-                     two_point_marginal_tail)
+from .maxlaw import (DiagonalGaussianMax, EquicorrelatedGaussianMax,
+                     IsotropicGaussianMax, RademacherGaussianMax, TwoPointMax,
+                     law_of, sup_distance, two_point_marginal_tail)
 from .matcore import CovarianceModel, RectangleSpec, enlarge
 from .runner import ExperimentConfig, RunManifest, emit_plot, run
 from .sampler import (DataMatrix, DistributionSpec, sample,
@@ -61,7 +61,7 @@ __all__ = [
     "PoissonApproxRecord", "poisson_approx_check", "threshold_xn",
     "rate_curve",
     "IsotropicGaussianMax", "EquicorrelatedGaussianMax", "TwoPointMax",
-    "RademacherGaussianMax", "law_of", "sup_distance",
+    "RademacherGaussianMax", "DiagonalGaussianMax", "law_of", "sup_distance",
     "two_point_marginal_tail",
     "ExperimentConfig", "RunManifest", "run", "emit_plot",
 ]

@@ -137,10 +137,11 @@ def reference_max_stats(spec: DistributionSpec, reps: int, seed: int,
     side stay affordable."""
     return max_stat_sample(
         DistributionSpec.gaussian(spec.population_covariance()), 1, reps,
-        derive_seed(seed, 999), _side(family))
+        derive_seed(seed, 999), side_of(family))
 
 
-def _side(family: str) -> str:
+def side_of(family: str) -> str:
+    """The max_stat side of a rate-curve family name."""
     if family not in ("one_sided_max", "two_sided_max"):
         raise ValueError(f"rate_curve supports max families, not {family!r}")
     return family.removesuffix("_max")
@@ -148,7 +149,7 @@ def _side(family: str) -> str:
 
 def _rate_point(spec: DistributionSpec, n: int, reps: int, seed: int,
                 family, ref: MaxStatSample) -> RatePoint:
-    w = max_stat_sample(spec, int(n), reps, seed, _side(family))
+    w = max_stat_sample(spec, int(n), reps, seed, side_of(family))
     dist, se = ks_distance_with_se(w, ref)
     return RatePoint(n=int(n), distance=dist, se=se)
 

@@ -24,7 +24,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import log_ndtr, ndtr, ndtri
 from scipy.stats import binom
 
-from .sampler import DistributionSpec, _count_sums, two_point_support
+from .sampler import DistributionSpec, _count_sums, blocks, two_point_support
 
 SIDES = ("one_sided", "two_sided")
 QUADRATURE_NODES = 64
@@ -107,7 +107,7 @@ class EquicorrelatedGaussianMax:
     max of the Y_j: two variates per draw, and no Cholesky factor.
 
     The CDF integrates P(M <= (x/sigma - sqrt(rho) g)/sqrt(1 - rho)) against
-    the density of G by ``nodes``-point Gauss-Legendre quadrature over the
+    the density of G by ``QUADRATURE_NODES``-point Gauss-Legendre quadrature over the
     window of g where that probability lies strictly between 2^-53 and
     1 - 2^-53 (within |g| <= 9); below the window it is 1, so the part of
     the integral there is Phi(window start).  Unlike Gauss-Hermite over all
@@ -119,7 +119,6 @@ class EquicorrelatedGaussianMax:
     d: int
     rho: float
     sigma: float = 1.0
-    nodes: int = QUADRATURE_NODES
     variates: ClassVar[int] = 2
 
     def __post_init__(self):
@@ -132,7 +131,7 @@ class EquicorrelatedGaussianMax:
         m_lo, m_hi = IsotropicGaussianMax(self.d).sample([0.0, 1.0 - _U_MIN])
         lo = np.clip((a - q * m_hi) / r, -_G_MAX, _G_MAX)
         hi = np.clip((a - q * m_lo) / r, -_G_MAX, _G_MAX)
-        t, w = _legendre(self.nodes)
+        t, w = _legendre(QUADRATURE_NODES)
         half = 0.5 * (hi - lo)
         g = lo + half * (t + 1.0)
         f = np.exp(self.d * log_ndtr((a - r * g) / q) - 0.5 * g * g)
@@ -234,36 +233,73 @@ class RademacherGaussianMax:
         _check_side(self.side)
 
     def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)[..., None]
+        x = np.asarray(x, dtype=float)
+        flat = x.reshape(-1)
+        out = np.empty(flat.size)
         k = np.arange(self.n + 1)
         centers = (2.0 * k - self.n) / math.sqrt(self.n)
         pk = binom.pmf(k, self.n, 0.5)
-        inside = ndtr(x - centers)
-        if self.side == "two_sided":
-            inside = np.where(x > 0, inside - ndtr(-x - centers), 0.0)
-        return (inside * pk).sum(axis=-1) ** self.d
+        # x is taken in blocks, so the (points, n + 1) arrays of terms stay
+        # within BLOCK_FLOATS however large n is
+        for _, rows in blocks(flat.size, 3 * (self.n + 1)):
+            xs = flat[rows, None]
+            inside = ndtr(xs - centers)
+            if self.side == "two_sided":
+                inside = np.where(xs > 0, inside - ndtr(-xs - centers), 0.0)
+            inside *= pk
+            out[rows] = inside.sum(axis=-1)
+        return (out ** self.d).reshape(x.shape)
+
+
+@dataclass(frozen=True)
+class DiagonalGaussianMax:
+    """max_j Z_j or max_j |Z_j| of Z ~ N(0, diag(sigma_j^2)) with unequal
+    sigma_j (CDF only): the product of the d marginal CDFs.  A coordinate
+    with sigma_j = 0 is 0, whose CDF steps from 0 to 1 at x = 0."""
+
+    sigma: tuple
+    side: str = "one_sided"
+
+    def __post_init__(self):
+        if not self.sigma or min(self.sigma) < 0:
+            raise ValueError("need d >= 1 and every sigma_j >= 0")
+        _check_side(self.side)
+
+    def cdf(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)[..., None]
+        sd = np.asarray(self.sigma)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z = np.where(sd > 0, x / np.where(sd > 0, sd, 1.0),
+                         np.where(x >= 0, np.inf, -np.inf))
+        if self.side == "one_sided":
+            return np.exp(log_ndtr(z).sum(axis=-1))
+        inside = np.where(x >= 0, ndtr(z) - ndtr(-z), 0.0)
+        return np.prod(inside, axis=-1)
 
 
 def _gaussian_law(cov, side: str):
-    """Isotropic or nonnegatively equicorrelated law of N(0, cov), if any."""
+    """The law of N(0, cov)'s max statistic when cov is diagonal or
+    nonnegatively equicorrelated (one-sided), if any."""
     diag = cov.diagonal
     off = cov.entries[~np.eye(cov.dim, dtype=bool)]
-    if not diag[0] > 0 or np.any(diag != diag[0]) or np.any(off != off[:1]):
-        return None
-    sigma = math.sqrt(diag[0])
-    rho = float(off[0]) / diag[0] if off.size else 0.0
-    if rho == 0.0:
-        return IsotropicGaussianMax(cov.dim, sigma, side)
-    if 0.0 < rho < 1.0 and side == "one_sided":
-        return EquicorrelatedGaussianMax(cov.dim, rho, sigma)
+    constant = bool(diag[0] > 0 and np.all(diag == diag[0]))
+    if not np.any(off):
+        if constant:
+            return IsotropicGaussianMax(cov.dim, math.sqrt(diag[0]), side)
+        return DiagonalGaussianMax(tuple(np.sqrt(diag).tolist()), side)
+    rho = float(off[0]) / diag[0] if constant else math.nan
+    if np.all(off == off[0]) and 0.0 < rho < 1.0 and side == "one_sided":
+        return EquicorrelatedGaussianMax(cov.dim, rho, math.sqrt(diag[0]))
     return None
 
 
 def law_of(spec: DistributionSpec, n: int, side: str = "one_sided"):
     """The exact law of the max statistic of W = n^{-1/2} sum_i X_i for
     ``spec``, or None when its coordinates do not factor into a law here
-    (dependent two-valued coordinates, negative correlation, the uniform
-    family, the two-sided equicorrelated max)."""
+    (dependent two-valued coordinates, negative or unequal correlation, the
+    uniform family, the two-sided equicorrelated max).  The laws of the
+    Rademacher-plus-noise and unequal-variance diagonal Gaussian families
+    have a CDF but no sampler."""
     _check_side(side)
     if spec.kind == "two_point":
         return TwoPointMax(spec.B, n, spec.dim, side)

@@ -250,7 +250,7 @@ def _rate_result(cfg: ExperimentConfig, spec: DistributionSpec,
             for p in curve.points]
     # exact distances beside the Monte Carlo ones, and the 1% two-sample KS
     # critical value, below which a Monte Carlo distance cannot resolve them
-    side = cfg.family.removesuffix("_max")
+    side = lowerbound.side_of(cfg.family)
     ref = maxlaw.law_of(
         DistributionSpec.gaussian(spec.population_covariance()), 1, side)
     exact = [maxlaw.sup_distance(maxlaw.law_of(spec, p.n, side), ref)

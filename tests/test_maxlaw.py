@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +11,12 @@ from scipy.stats import binom
 from hdclt.distance import MaxStatSample, ks_distance, ks_two_sample_critical
 from hdclt.lowerbound import fit_power_law
 from hdclt.matcore import CovarianceModel
-from hdclt.maxlaw import (EquicorrelatedGaussianMax, IsotropicGaussianMax,
-                          RademacherGaussianMax, TwoPointMax, law_of,
-                          sup_distance)
-from hdclt.sampler import (DistributionSpec, sample_scaled_sums, substream,
-                           two_point_support)
+from hdclt import maxlaw
+from hdclt.maxlaw import (DiagonalGaussianMax, EquicorrelatedGaussianMax,
+                          IsotropicGaussianMax, RademacherGaussianMax,
+                          TwoPointMax, law_of, sup_distance)
+from hdclt.sampler import (BLOCK_FLOATS, DistributionSpec, sample_scaled_sums,
+                           substream, two_point_support)
 
 GATES = Path(__file__).resolve().parents[1] / "perfbench" / "gates.py"
 SIDES = ("one_sided", "two_sided")
@@ -87,12 +89,40 @@ class TestCdf:
             np.testing.assert_allclose(law.cdf(xs), want, rtol=1e-10,
                                        atol=1e-300)
 
-    def test_quadrature_64_and_96_nodes_agree(self):
+    def test_rademacher_gaussian_memory_bounded_in_n(self):
+        # the (points, n + 1) terms are taken in blocks of x; unblocked,
+        # 256 points at n = 1e5 would hold 200 MB a temporary
+        law = RademacherGaussianMax(10**5, 20)
+        xs = np.linspace(-1.0, 6.0, 256)
+        tracemalloc.start()
+        try:
+            got = law.cdf(xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= BLOCK_FLOATS * 8 + 4_000_000
+        assert np.all(np.diff(got) >= 0) and 0.0 < got[0] < got[-1] < 1.0
+
+    def test_diagonal_against_ndtr_product(self):
+        sd = np.array([1.0, 2.0, 0.0, 0.5])
+        xs = np.linspace(-3.0, 6.0, 91)
+        one = DiagonalGaussianMax(tuple(sd)).cdf(xs)
+        two = DiagonalGaussianMax(tuple(sd), "two_sided").cdf(xs)
+        live = sd[sd > 0]
+        step = (xs >= 0).astype(float)  # the law of the sd = 0 coordinate
+        want_one = step * np.prod(ndtr(xs[:, None] / live), axis=1)
+        want_two = step * np.prod(ndtr(xs[:, None] / live)
+                                  - ndtr(-xs[:, None] / live), axis=1)
+        np.testing.assert_allclose(one, want_one, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(two, want_two, rtol=1e-9, atol=1e-15)
+
+    def test_quadrature_64_and_96_nodes_agree(self, monkeypatch):
         xs = np.linspace(-3.0, 8.0, 111)
-        for d, rho in ((10, 0.05), (10, 0.2), (50, 0.5), (3, 0.95),
-                       (1000, 0.999)):
-            a = EquicorrelatedGaussianMax(d, rho).cdf(xs)
-            b = EquicorrelatedGaussianMax(d, rho, nodes=96).cdf(xs)
+        cases = ((10, 0.05), (10, 0.2), (50, 0.5), (3, 0.95), (1000, 0.999))
+        at64 = [EquicorrelatedGaussianMax(d, rho).cdf(xs) for d, rho in cases]
+        monkeypatch.setattr(maxlaw, "QUADRATURE_NODES", 96)
+        for (d, rho), a in zip(cases, at64):
+            b = EquicorrelatedGaussianMax(d, rho).cdf(xs)
             assert np.max(np.abs(a - b)) <= 1e-12
 
 
@@ -161,6 +191,11 @@ class TestLawOf:
         quasi = DistributionSpec.quasi_gaussian(DistributionSpec.rademacher(4),
                                                 CovarianceModel.identity(4))
         assert law_of(quasi, 7) == RademacherGaussianMax(7, 4)
+        diagonal = DistributionSpec.gaussian(
+            CovarianceModel(np.diag([1.0, 4.0])))
+        assert law_of(diagonal, 1, "two_sided") == DiagonalGaussianMax(
+            (1.0, 2.0), "two_sided")
+        assert not hasattr(law_of(diagonal, 1), "sample")
 
     def test_no_law_where_coordinates_do_not_factor(self):
         equi = DistributionSpec.gaussian(
