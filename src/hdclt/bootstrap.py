@@ -53,15 +53,21 @@ def multiplier_draws(x: DataMatrix, reps: int, kind: MultiplierKind | str,
 
     Each draw is ``n^{-1/2} sum_i xi_i (X_i - Xbar)`` with fresh multipliers;
     the Gaussian kind is conditionally exactly N(0, centered empirical cov).
+    That law is drawn as ``z @ R`` from ``min(n, d)`` standard normals ``z``,
+    where ``R`` is the thin-QR factor of the centred data, since
+    ``R^T R = xc^T xc``.
     """
     if x.n < 1:
         raise ValueError("multiplier bootstrap requires n >= 1")
     if isinstance(kind, str):
         kind = MultiplierKind(kind)
     xc = (x.values - x.values.mean(axis=0)) / math.sqrt(x.n)
+    if kind.tag == "gaussian":
+        xc = np.linalg.qr(xc, mode="r")
+    k = xc.shape[0]
     out = np.empty((reps, x.d))
-    for idx, rows in blocks(reps, x.n):
-        xi = kind.draw(substream(seed, 10, idx), (rows.stop - rows.start, x.n))
+    for idx, rows in blocks(reps, k):
+        xi = kind.draw(substream(seed, 10, idx), (rows.stop - rows.start, k))
         out[rows] = xi @ xc
     return out
 

@@ -91,10 +91,25 @@ def ks_distance(a: MaxStatSample, b: MaxStatSample) -> float:
 
 def ks_distance_with_se(a: MaxStatSample, b: MaxStatSample) -> tuple[float, float]:
     """Two-sample Kolmogorov distance plus the binomial standard error of
-    the CDF difference at the pooled point where the sup is attained."""
+    the CDF difference at the pooled point where the sup is attained.
+
+    Both samples are sorted, so one stable merge of them gives, by a running
+    count of the points from ``a``, both empirical CDFs at every pooled
+    point; each is read at the last point of its run of ties.
+    """
     pooled = np.concatenate([a.values, b.values])
-    pooled.sort(kind="mergesort")
-    fa, fb = a.cdf(pooled), b.cdf(pooled)
+    order = np.argsort(pooled, kind="stable")
+    pooled = pooled[order]
+    last = np.flatnonzero(np.append(pooled[1:] != pooled[:-1], True))
+    # each array is dropped once read, so at most four pooled-size arrays
+    # are alive at once
+    del pooled
+    count_a = np.cumsum(order < a.size, out=order)[last]
+    del order
+    count_b = last + 1 - count_a
+    del last
+    fa, fb = count_a / a.size, count_b / b.size
+    del count_a, count_b
     gaps = np.abs(fa - fb)
     k = int(np.argmax(gaps))
     se = math.sqrt(fa[k] * (1 - fa[k]) / a.size + fb[k] * (1 - fb[k]) / b.size)

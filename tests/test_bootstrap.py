@@ -10,6 +10,7 @@ from hdclt.bootstrap import (MAMMEN_HIGH, MAMMEN_LOW, MAMMEN_P_LOW,
                              delta0_prime, empirical_cov_centered,
                              empirical_draws, multiplier_draws,
                              simultaneous_quantile)
+from hdclt.distance import MaxStatSample, ks_distance, ks_two_sample_critical
 from hdclt.matcore import CovarianceModel
 from hdclt.sampler import (BLOCK_FLOATS, DataMatrix, DistributionSpec, sample,
                            sample_scaled_sums, substream)
@@ -50,6 +51,50 @@ class TestMultiplierDraws:
         assert np.max(np.abs(emp - target)) < 0.02
 
 
+def _centred(x):
+    return (x.values - x.values.mean(axis=0)) / math.sqrt(x.n)
+
+
+def _explicit_gaussian_draws(x, reps, seed, chunk=5_000):
+    # oracle: the explicit-multiplier formula, reps x n normals times the
+    # centred data
+    xc = _centred(x)
+    rng = substream(seed, 0)
+    return np.concatenate([rng.standard_normal((min(chunk, reps - s), x.n)) @ xc
+                           for s in range(0, reps, chunk)])
+
+
+class TestThinQrGaussianDraws:
+    SHAPES = [(500, 20), (8, 20)]
+
+    @pytest.mark.parametrize("n, d", SHAPES)
+    def test_factor_reproduces_gram_matrix(self, n, d):
+        x = sample(DistributionSpec.uniform_bounded(1.0, d), n, seed=20)
+        xc = _centred(x)
+        r = np.linalg.qr(xc, mode="r")
+        assert r.shape == (min(n, d), d)
+        np.testing.assert_allclose(r.T @ r, xc.T @ xc, rtol=0, atol=1e-12)
+        # the draws are normals from the seed's first block times that factor
+        z = substream(21, 10, 0).standard_normal((300, min(n, d)))
+        np.testing.assert_array_equal(multiplier_draws(x, 300, "gaussian", 21),
+                                      z @ r)
+
+    @pytest.mark.parametrize("n, d", SHAPES)
+    def test_max_statistic_matches_explicit_multipliers(self, n, d):
+        reps = 100_000
+        x = sample(DistributionSpec.uniform_bounded(1.0, d), n, seed=22)
+        ks = ks_distance(
+            MaxStatSample.from_draws(multiplier_draws(x, reps, "gaussian", 23)),
+            MaxStatSample.from_draws(_explicit_gaussian_draws(x, reps, 24)))
+        assert ks <= ks_two_sample_critical(reps, reps, alpha=0.001)
+
+    def test_single_row_gives_zero(self):
+        x = DataMatrix(np.array([[3.0, -1.0, 0.5]]))
+        draws = multiplier_draws(x, 20, "gaussian", seed=25)
+        assert draws.shape == (20, 3)
+        np.testing.assert_array_equal(draws, 0.0)
+
+
 class TestEmpiricalDraws:
     def test_constant_rows_give_zero(self):
         x = DataMatrix(np.tile([0.5, 1.5, -1.0], (6, 1)))
@@ -85,7 +130,8 @@ class TestBlockBudget:
             spec = DistributionSpec.uniform_bounded(1.0, d)
             for fn in (lambda: empirical_draws(x, 1000, seed=6),
                        lambda: sample_scaled_sums(spec, 10, 20_000, seed=7),
-                       lambda: multiplier_draws(x, 1000, "mammen", seed=6)):
+                       lambda: multiplier_draws(x, 1000, "mammen", seed=6),
+                       lambda: multiplier_draws(x, 1000, "gaussian", seed=6)):
                 peak, out = self._peak(fn)
                 assert peak <= BLOCK_FLOATS * 8 + out.nbytes + self.SLACK_BYTES
                 np.testing.assert_array_equal(out, fn())

@@ -98,6 +98,29 @@ class TestKsDistance:
         assert dist == 0.5 == ks_distance(a, b)
         assert se == pytest.approx(math.sqrt(6.0) / 8.0, rel=1e-15)
 
+    @staticmethod
+    def _searchsorted_ks(a, b):
+        # oracle: both empirical CDFs at every pooled point by binary search
+        pooled = np.sort(np.concatenate([a.values, b.values]), kind="mergesort")
+        fa, fb = a.cdf(pooled), b.cdf(pooled)
+        gaps = np.abs(fa - fb)
+        k = int(np.argmax(gaps))
+        se = math.sqrt(fa[k] * (1 - fa[k]) / a.size + fb[k] * (1 - fb[k]) / b.size)
+        return float(gaps[k]), se
+
+    @pytest.mark.parametrize("case", ["tied", "untied", "unequal"])
+    def test_merge_matches_searchsorted(self, case):
+        rng = substream(31, 0)
+        size_b = 30_000 if case == "unequal" else 20_000
+        va = rng.standard_normal(20_000)
+        vb = rng.standard_normal(size_b) + 0.02
+        if case == "tied":
+            # coarse rounding gives long tie runs within and across samples
+            va, vb = np.round(va, 1), np.round(vb, 1)
+        a, b = MaxStatSample(va), MaxStatSample(vb)
+        assert ks_distance_with_se(a, b) == self._searchsorted_ks(a, b)
+        assert ks_distance_with_se(b, a) == self._searchsorted_ks(b, a)
+
     def test_critical_value_formula(self):
         r = 100_000
         assert ks_two_sample_critical(r, r, alpha=0.01) == pytest.approx(

@@ -168,6 +168,18 @@ class TestRun:
         assert (open(m1.csv_paths[0], "rb").read()
                 == open(m2.csv_paths[0], "rb").read())
 
+    def test_bootstrap_coverage_same_at_one_and_two_threads(self, tmp_path):
+        # 100 outer replications are two fixed 50-replication tasks, so two
+        # threads run them concurrently
+        cfg = ExperimentConfig.from_mapping(
+            {"experiment": "bootstrap_coverage", "multiplier": "gaussian",
+             "outer_replications": 100, "inner_replications": 200, "seed": 3})
+        csvs = [open(run(cfg, out_dir=str(tmp_path / f"t{t}"),
+                         threads=t).csv_paths[0], "rb").read()
+                for t in (1, 2)]
+        assert csvs[0] == csvs[1]
+        assert len(csvs[0].splitlines()) == 101  # header + one row per rep
+
     def test_manifest_appends(self, tmp_path):
         cfg = ExperimentConfig.from_mapping(
             {"experiment": "poisson_check", "replications": 500, "seed": 1})
