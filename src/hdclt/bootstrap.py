@@ -44,7 +44,12 @@ class MultiplierKind:
             return rng.standard_normal(size)
         if self.tag == "rademacher":
             return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
-        return np.where(rng.random(size) < MAMMEN_P_LOW, MAMMEN_LOW, MAMMEN_HIGH)
+        # overwrite the uniforms in place: 1 * (LOW - HIGH) + HIGH == LOW and
+        # 0 * (LOW - HIGH) + HIGH == HIGH hold exactly in float64
+        out = rng.random(size)
+        np.multiply(out < MAMMEN_P_LOW, MAMMEN_LOW - MAMMEN_HIGH, out=out)
+        out += MAMMEN_HIGH
+        return out
 
 
 def multiplier_draws(x: DataMatrix, reps: int, kind: MultiplierKind | str,

@@ -62,6 +62,12 @@ def _fits_tuple_budget(v_list, cfg) -> bool:
                     for d in cfg.d_list for v in v_list))
 
 
+def _enough_rows(n, cfg) -> bool:
+    """Rule of n: two rows at least; bootstrap_agreement factors the centred
+    empirical covariance, whose rank is at most n - 1, so it needs n > d."""
+    return n >= 2 and (cfg.experiment != "bootstrap_agreement" or n > cfg.d)
+
+
 def _has_cholesky_factors(rho_list, cfg) -> bool:
     """Rule of rho_list: the equicorrelation matrix of dimension d of every
     entry has the Cholesky factor its Gaussian draws use."""
@@ -85,7 +91,8 @@ class ExperimentConfig:
     experiment: Optional[str] = _key(str)
     seed: int = _key(int, *_at_least(0), default=0)
     replications: Optional[int] = _key(int, *_at_least(1))
-    n: Optional[int] = _key(int, *_at_least(2))
+    n: Optional[int] = _key(int, _enough_rows,
+                            ">= 2; > d for bootstrap_agreement")
     d: Optional[int] = _key(int, *_at_least(2))
     B: Optional[float] = _key(
         float, need="finite; >= 2 for the two-point law of rate_vs_n and "
@@ -134,14 +141,16 @@ class ExperimentConfig:
                                 f"{self.experiment!r}")
         keys = EXPERIMENTS[self.experiment].defaults
         for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                value = keys.get(f.name)
-                object.__setattr__(self, f.name, value)
+            if getattr(self, f.name) is None:
+                object.__setattr__(self, f.name, keys.get(f.name))
             elif f.name not in keys and f.name not in RUN_KEYS:
                 raise ConfigInvalid(
                     f"{self.experiment} does not read {f.name!r}; its keys "
                     f"are {', '.join(list(keys) + list(RUN_KEYS))}")
+        # every key is filled in before any rule runs, so a rule may read
+        # the keys declared after its own
+        for f in fields(self):
+            value = getattr(self, f.name)
             ok = f.metadata["ok"]
             if value is not None and ok is not None and not ok(value, self):
                 raise ConfigInvalid(f"{f.name} must be {f.metadata['need']}")

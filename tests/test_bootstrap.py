@@ -30,6 +30,30 @@ class TestMammenLaw:
         with pytest.raises(ValueError):
             MultiplierKind("cauchy")
 
+    def test_in_place_fill_identities(self):
+        # the in-place Mammen fill is bit-identical to a select only while
+        # both of these hold exactly
+        step = MAMMEN_LOW - MAMMEN_HIGH
+        assert MAMMEN_HIGH + step == MAMMEN_LOW
+        assert 0.0 * step + MAMMEN_HIGH == MAMMEN_HIGH
+
+
+class TestTwoPointDraws:
+    # oracles: a select on the same uniforms, and the +-1 map of the same bits
+    ORACLES = {
+        "mammen": lambda rng, size: np.where(rng.random(size) < MAMMEN_P_LOW,
+                                             MAMMEN_LOW, MAMMEN_HIGH),
+        "rademacher": lambda rng, size: rng.integers(0, 2, size) * 2.0 - 1.0,
+    }
+
+    @pytest.mark.parametrize("tag", sorted(ORACLES))
+    @pytest.mark.parametrize("size", [(1, 500), (7, 3), (2000, 500)])
+    def test_draw_equals_oracle(self, tag, size):
+        got = MultiplierKind(tag).draw(np.random.default_rng(5), size)
+        want = self.ORACLES[tag](np.random.default_rng(5), size)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+
 
 class TestMultiplierDraws:
     def test_constant_rows_give_zero(self):

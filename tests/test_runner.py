@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hdclt.bootstrap import MULTIPLIER_KINDS
 from hdclt.cli import main as cli_main
 from hdclt.distance import ks_two_sample_critical
 from hdclt.errors import ConfigInvalid
@@ -168,11 +169,13 @@ class TestRun:
         assert (open(m1.csv_paths[0], "rb").read()
                 == open(m2.csv_paths[0], "rb").read())
 
-    def test_bootstrap_coverage_same_at_one_and_two_threads(self, tmp_path):
+    @pytest.mark.parametrize("multiplier", MULTIPLIER_KINDS)
+    def test_bootstrap_coverage_same_at_one_and_two_threads(self, tmp_path,
+                                                            multiplier):
         # 100 outer replications are two fixed 50-replication tasks, so two
         # threads run them concurrently
         cfg = ExperimentConfig.from_mapping(
-            {"experiment": "bootstrap_coverage", "multiplier": "gaussian",
+            {"experiment": "bootstrap_coverage", "multiplier": multiplier,
              "outer_replications": 100, "inner_replications": 200, "seed": 3})
         csvs = [open(run(cfg, out_dir=str(tmp_path / f"t{t}"),
                          threads=t).csv_paths[0], "rb").read()
@@ -294,6 +297,8 @@ class TestCli:
         "experiment = rate_vs_n\nn_list = 500",
         "experiment = zero_skew_rate\nn_list = 100",
         "experiment = bootstrap_agreement\nn = 1",
+        # rank n - 1 < d: the empirical covariance has no Cholesky factor
+        "experiment = bootstrap_agreement\nn = 10",
         "experiment = poisson_check\nseed = -1",
         # keys the experiment does not read
         "experiment = rate_vs_n\nq = 7",
