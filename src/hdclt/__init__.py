@@ -5,8 +5,9 @@ Modules:
 
 * :mod:`hdclt.matcore`: covariance models, Cholesky, rectangles.
 * :mod:`hdclt.sampler`: seeded distribution families and scaled-sum draws.
-* :mod:`hdclt.bounds`: published bound shapes and their input quantities.
-* :mod:`hdclt.bootstrap`: multiplier and empirical bootstrap engines.
+* :mod:`hdclt.bounds`: the bound shapes the experiments report, as plain
+  floats at unit constants (shapes, not certified bounds).
+* :mod:`hdclt.bootstrap`: multiplier bootstrap draws and quantiles.
 * :mod:`hdclt.distance`: Kolmogorov distances over rectangle sub-families
   and the one max-statistic sampler.
 * :mod:`hdclt.maxlaw`: exact CDFs and inverse-CDF samplers of max statistics
@@ -18,14 +19,9 @@ Modules:
 
 from ._version import __version__
 from .bootstrap import (MultiplierKind, empirical_cov_centered,
-                        empirical_draws, multiplier_draws,
-                        simultaneous_quantile)
-from .bounds import (BoundInputs, BoundReport, ConstantsPolicy,
-                     bound_corollary_simple, bound_gauss_bounded,
-                     bound_gauss_unbounded, bound_gaussian_comparison,
-                     bound_bootstrap_empirical, bound_bootstrap_multiplier,
-                     bound_smooth, bound_smooth_zeroskew, bounds_local_means,
-                     check_conditions)
+                        multiplier_draws, simultaneous_quantile)
+from .bounds import (bound_bounded, bound_gaussian_comparison,
+                     bounds_local_means, delta0, xlog_factor)
 from .distance import (MaxStatSample, anticoncentration_probe, ks_distance,
                        ks_two_sample_critical, max_stat_sample,
                        rect_family_distance)
@@ -35,7 +31,7 @@ from .lowerbound import (PoissonApproxRecord, poisson_approx_check,
 from .maxlaw import (DiagonalGaussianMax, EquicorrelatedGaussianMax,
                      IsotropicGaussianMax, RademacherGaussianMax, TwoPointMax,
                      law_of, sup_distance, two_point_marginal_tail)
-from .matcore import CovarianceModel, RectangleSpec, enlarge
+from .matcore import CovarianceModel, RectangleSpec
 from .runner import ExperimentConfig, RunManifest, emit_plot, run
 from .sampler import (DataMatrix, DistributionSpec, sample,
                       sample_scaled_sums, scaled_sum, substream)
@@ -44,16 +40,13 @@ from .smoothing import (SmoothingParams, derivative_sum, h_nu, m_indicator,
 
 __all__ = [
     "__version__", "HdcltError",
-    "CovarianceModel", "RectangleSpec", "enlarge",
+    "CovarianceModel", "RectangleSpec",
     "DataMatrix", "DistributionSpec", "sample", "sample_scaled_sums",
     "scaled_sum", "substream",
-    "BoundInputs", "BoundReport", "ConstantsPolicy",
-    "bound_gauss_bounded", "bound_gauss_unbounded", "bound_corollary_simple",
-    "bound_gaussian_comparison", "bound_bootstrap_multiplier",
-    "bound_bootstrap_empirical", "bound_smooth", "bound_smooth_zeroskew",
-    "bounds_local_means", "check_conditions",
-    "MultiplierKind", "multiplier_draws", "empirical_draws",
-    "empirical_cov_centered", "simultaneous_quantile",
+    "xlog_factor", "delta0", "bound_bounded", "bound_gaussian_comparison",
+    "bounds_local_means",
+    "MultiplierKind", "multiplier_draws", "empirical_cov_centered",
+    "simultaneous_quantile",
     "MaxStatSample", "ks_distance", "ks_two_sample_critical",
     "rect_family_distance", "max_stat_sample", "anticoncentration_probe",
     "SmoothingParams", "m_indicator", "rho_eval", "rho_partial",

@@ -14,19 +14,7 @@ class DimensionMismatch(HdcltError):
 
 
 class DegenerateRectangle(HdcltError):
-    """A negative enlargement crossed lower past upper."""
-
-
-class DegenerateSigma(HdcltError):
-    """A formula dividing by sigma_* received sigma_* <= 0."""
-
-
-class BadMomentOrder(HdcltError):
-    """Moment order q outside the supported range (q >= 4)."""
-
-
-class ZeroVariance(HdcltError):
-    """A coordinate variance needed for standardization is zero."""
+    """A rectangle has lower_j > upper_j for some coordinate."""
 
 
 class BadDiagonal(HdcltError):
@@ -39,6 +27,10 @@ class NonDiagonalSigma(HdcltError):
 
 class OrderTooHigh(HdcltError):
     """Requested mixed-derivative order exceeds the supported cap."""
+
+
+class QuadratureNotConverged(HdcltError):
+    """A quadrature row still moved between the last two orders at the cap."""
 
 
 class BudgetExceeded(HdcltError):

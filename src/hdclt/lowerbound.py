@@ -29,11 +29,6 @@ def threshold_xn(d: float) -> float:
     return float(ndtri(math.exp(-1.0 / d)))
 
 
-def skewness_gamma(spec: DistributionSpec, n: int) -> float:
-    """E[W_1^3] = E[X^3] / sqrt(n) for i.i.d. coordinates."""
-    return spec.third_moment() / math.sqrt(n)
-
-
 @dataclass(frozen=True)
 class PoissonApproxRecord:
     """Monte Carlo record of the Poisson approximation at the e^{-1} threshold."""

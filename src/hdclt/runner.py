@@ -132,7 +132,6 @@ class ExperimentConfig:
         _list(float), _has_cholesky_factors,
         f"nonempty, all with an equicorrelation matrix of dimension d whose "
         f"Cholesky pivots exceed {PIVOT_TOL:g}")
-    constants_c: Optional[float] = _key(float, lambda v, c: v > 0, "> 0")
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
@@ -185,9 +184,6 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()
-
-    def policy(self) -> bounds.ConstantsPolicy:
-        return bounds.ConstantsPolicy("config", {"C": self.constants_c})
 
 
 KEYS = {f.name: f for f in fields(ExperimentConfig)}
@@ -285,6 +281,12 @@ def _run_rate_vs_n(cfg, pmap):
     rows, summary = _rate_result(cfg, cfg.data_spec(), (-0.65, -0.35), pmap)
     norm = summary["normalized"]
     summary["checks"]["normalized_band_le_3"] = max(norm) / min(norm) <= 3.0
+    # the headline bounded-case shape at C = 1, beside the distances it
+    # bounds; observables, not checks
+    bound = [bounds.bound_bounded(row["n"], cfg.d, cfg.B) for row in rows]
+    summary["bound"] = bound
+    summary["distance_over_bound"] = [row["distance"] / b
+                                      for row, b in zip(rows, bound)]
     return rows, summary
 
 
@@ -359,14 +361,12 @@ def _local_means_row(args):
     identity = CovarianceModel.identity(d)
     sigma_w = CovarianceModel.local_means(d)
     gap = sup_norm_diff(identity, sigma_w)
-    d0 = bounds.delta0(identity, sigma_w, 1.0, d)
-    comparison = bounds.bound_gaussian_comparison(gap, 1.0, d, cfg.policy())
-    combined, prior, coupling = bounds.bounds_local_means(n, d, cfg.kappa_geom,
-                                                          cfg.policy())
-    return {"d": d, "n": n, "distance": dist, "delta0": d0,
-            "comparison_bound": comparison.value,
-            "combined_bound": combined.value, "prior_bound": prior.value,
-            "coupling_bound": coupling.value}
+    combined, prior, coupling = bounds.bounds_local_means(n, d, cfg.kappa_geom)
+    return {"d": d, "n": n, "distance": dist,
+            "delta0": bounds.delta0(identity, sigma_w, d),
+            "comparison_bound": bounds.bound_gaussian_comparison(gap, d),
+            "combined_bound": combined, "prior_bound": prior,
+            "coupling_bound": coupling}
 
 
 def _run_local_means(cfg, pmap):
@@ -424,8 +424,8 @@ def _gaussian_comparison_row(args):
                                      derive_seed(cfg.seed, key, i))
             for sigma, key in ((identity, 60), (other, 61)))
     measured = distance.ks_distance(a, b)
-    bound = bounds.bound_gaussian_comparison(gap, 1.0, cfg.d, cfg.policy())
-    return {"rho": rho, "D": gap, "measured": measured, "bound": bound.value}
+    return {"rho": rho, "D": gap, "measured": measured,
+            "bound": bounds.bound_gaussian_comparison(gap, cfg.d)}
 
 
 def _run_gaussian_comparison(cfg, pmap):
@@ -514,7 +514,7 @@ EXPERIMENTS = {
         _run_bootstrap_agreement, ("n", "d", "replications", "ks", "critical")),
     "local_means": Experiment(
         {"d_list": [10, 40], "kappa_geom": 1, "replications": 100_000,
-         "ref_factor": 10, "constants_c": 1.0},
+         "ref_factor": 10},
         _run_local_means,
         ("d", "n", "distance", "delta0", "comparison_bound", "combined_bound",
          "prior_bound", "coupling_bound"),
@@ -526,8 +526,7 @@ EXPERIMENTS = {
          "half_width": 1.5},
         _run_smoothing_verify, smoothing.VERIFY_COLUMNS),
     "gaussian_comparison": Experiment(
-        {"d": 10, "rho_list": [0.05, 0.1, 0.2], "replications": 200_000,
-         "constants_c": 1.0},
+        {"d": 10, "rho_list": [0.05, 0.1, 0.2], "replications": 200_000},
         _run_gaussian_comparison, ("rho", "D", "measured", "bound"),
         plot=("rho", "measured", None, "linear")),
     "poisson_check": Experiment(

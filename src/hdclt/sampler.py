@@ -14,7 +14,7 @@ rate experiments affordable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -95,7 +95,7 @@ def two_point_support(B: float) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """Tagged distribution family with population-moment accessors."""
+    """Tagged distribution family with its population covariance."""
 
     kind: str
     dim: int
@@ -149,7 +149,7 @@ class DistributionSpec:
             raise DimensionMismatch("base and sigma0 dimensions differ")
         return DistributionSpec(kind="quasi_gaussian", dim=base.dim, base=base, sigma0=sigma0)
 
-    # -- population moments --------------------------------------------------
+    # -- population covariance -----------------------------------------------
 
     def population_covariance(self) -> CovarianceModel:
         """Per-observation covariance, which equals the covariance of W."""
@@ -165,59 +165,6 @@ class DistributionSpec:
             return CovarianceModel(self.base.population_covariance().entries
                                    + self.sigma0.entries)
         raise AssertionError(self.kind)
-
-    def coordinate_variance(self) -> float:
-        """Common per-coordinate variance (all families are exchangeable)."""
-        return float(self.population_covariance().diagonal[0])
-
-    def fourth_moment(self) -> float:
-        """E X_{ij}^4 for a single coordinate."""
-        if self.kind == "two_point":
-            a, b, p = two_point_support(self.B)
-            return float(p * a**4 + (1 - p) * b**4)
-        if self.kind == "rademacher":
-            return 1.0
-        if self.kind == "uniform_bounded":
-            return float(self.B**4 / 5.0)
-        if self.kind == "gaussian":
-            return float(3.0 * self.cov.diagonal[0] ** 2)
-        if self.kind == "local_means":
-            p = 1.0 / self.dim
-            a = np.sqrt((1 - p) / p)
-            b = -np.sqrt(p / (1 - p))
-            return float(p * a**4 + (1 - p) * b**4)
-        if self.kind == "quasi_gaussian":
-            # E (X+g)^4 = EX^4 + 6 EX^2 Eg^2 + Eg^4 (odd cross terms vanish)
-            s2 = float(self.sigma0.diagonal[0])
-            return float(self.base.fourth_moment()
-                         + 6.0 * self.base.coordinate_variance() * s2 + 3.0 * s2**2)
-        raise AssertionError(self.kind)
-
-    def third_moment(self) -> float:
-        """E X_{ij}^3 for a single coordinate."""
-        if self.kind == "two_point":
-            a, b, p = two_point_support(self.B)
-            return float(p * a**3 + (1 - p) * b**3)
-        if self.kind == "local_means":
-            p = 1.0 / self.dim
-            return float((1 - 2 * p) / np.sqrt(p * (1 - p)))
-        if self.kind == "quasi_gaussian":
-            return self.base.third_moment()
-        return 0.0
-
-    def envelope(self) -> float:
-        """Almost-sure bound on |X_{ij}|; inf for unbounded families."""
-        if self.kind == "two_point":
-            a, b, _ = two_point_support(self.B)
-            return float(max(a, -b))
-        if self.kind == "rademacher":
-            return 1.0
-        if self.kind == "uniform_bounded":
-            return float(self.B)
-        if self.kind == "local_means":
-            p = 1.0 / self.dim
-            return float(np.sqrt((1 - p) / p))
-        return np.inf
 
 
 def sample(spec: DistributionSpec, n: int, seed: int) -> DataMatrix:

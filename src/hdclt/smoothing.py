@@ -39,7 +39,8 @@ import numpy as np
 from numpy.polynomial import hermite_e, polynomial as npoly
 from scipy.special import ndtr
 
-from .errors import BudgetExceeded, NonDiagonalSigma, OrderTooHigh
+from .errors import (BudgetExceeded, NonDiagonalSigma, OrderTooHigh,
+                     QuadratureNotConverged)
 from .matcore import CovarianceModel, RectangleSpec
 
 MAX_DERIVATIVE_ORDER = 6
@@ -182,7 +183,8 @@ def _quadrature(f, upper: float, order: int, tol: float = 1e-10,
 
     ``f`` maps the node vector s to a C-contiguous (rows, len(s)) array.
     Each row keeps its value from the first order at which it agrees with
-    the previous order, or its ``max_order`` value.
+    the previous order; a row that still disagrees at ``max_order`` raises
+    :class:`QuadratureNotConverged`.
     """
     prev = result = pending = None
     while True:
@@ -196,8 +198,12 @@ def _quadrature(f, upper: float, order: int, tol: float = 1e-10,
             result[pending] = vals[pending]
             pending &= ~(np.abs(vals - prev)
                          <= tol * np.maximum(1.0, np.abs(vals)))
-        if not pending.any() or order >= max_order:
+        if not pending.any():
             return result
+        if order >= max_order:
+            raise QuadratureNotConverged(
+                f"{int(pending.sum())} of {pending.size} quadrature rows did "
+                f"not converge to {tol:g} by {order} nodes")
         prev = vals
         order *= 2
 

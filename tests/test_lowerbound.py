@@ -5,10 +5,11 @@ import pytest
 from scipy.special import ndtr
 
 from hdclt.lowerbound import (fit_power_law, poisson_approx_check,
-                              rate_curve, skewness_gamma, threshold_xn)
+                              rate_curve, threshold_xn)
 from hdclt.matcore import CovarianceModel
 from hdclt.maxlaw import RademacherGaussianMax, two_point_marginal_tail
-from hdclt.sampler import DistributionSpec, sample_scaled_sums
+from hdclt.sampler import (DistributionSpec, sample_scaled_sums,
+                           two_point_support)
 
 
 class TestThreshold:
@@ -32,8 +33,9 @@ class TestThreshold:
 
 class TestSkewness:
     def test_two_point_closed_form(self):
-        gamma = skewness_gamma(DistributionSpec.two_point(2.0, 1), n=100)
-        p = 0.25
+        # E W_1^3 = E X^3 / sqrt(n) for the two-point law of the construction
+        a, b, p = two_point_support(2.0)
+        gamma = (p * a**3 + (1 - p) * b**3) / math.sqrt(100)
         expected = (1 - 2 * p) / math.sqrt(100 * p * (1 - p))
         assert gamma == pytest.approx(expected, rel=1e-12)
         assert gamma == pytest.approx(0.11547, abs=1e-5)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -158,8 +159,22 @@ class TestRun:
         assert summary["exact_slope"] == fit_power_law(cfg.n_list, exact)[0]
         assert summary["noise_floor"] == floor
         assert summary["distance_below_noise_floor"] == below
+        # the headline bounded-case shape B log^{3/2} d log n / sqrt(n) at
+        # C = 1 beside each distance; zero_skew_rate has no B, so no bound
+        if experiment == "rate_vs_n":
+            with open(tmp_path / "rate_vs_n.csv", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+            for n, b, ratio, row in zip(cfg.n_list, summary["bound"],
+                                        summary["distance_over_bound"], rows):
+                assert b == cfg.B * math.log(cfg.d) ** 1.5 * math.log(n) \
+                    / math.sqrt(n)
+                assert ratio == float(row["distance"]) / b
+        else:
+            assert "bound" not in summary
+            assert "distance_over_bound" not in summary
         # observables only: the checks are unchanged
-        assert "exact_slope" not in summary["checks"]
+        for key in ("exact_slope", "bound", "distance_over_bound"):
+            assert key not in summary["checks"]
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         cfg = ExperimentConfig.from_mapping(
@@ -282,6 +297,8 @@ class TestCli:
         "experiment = rate_vs_n\nB = 1.5", "experiment = poisson_check\nB = 1.5",
         "experiment = bootstrap_coverage\ninner_replications = 50",
         "experiment = local_means\nd_list = 1",
+        # bounds are shapes at C = 1; there is no constants key
+        "experiment = local_means\nconstants_c = 1.0",
         # configs whose experiment code used to fail after the output
         # directory was made
         "experiment = bootstrap_coverage\nB = 0",

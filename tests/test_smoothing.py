@@ -8,8 +8,9 @@ import pytest
 from scipy.stats import norm
 
 from hdclt import smoothing
-from hdclt.errors import BudgetExceeded, NonDiagonalSigma, OrderTooHigh
-from hdclt.matcore import CovarianceModel, RectangleSpec, enlarge
+from hdclt.errors import (BudgetExceeded, NonDiagonalSigma, OrderTooHigh,
+                          QuadratureNotConverged)
+from hdclt.matcore import CovarianceModel, RectangleSpec
 from hdclt.runner import ExperimentConfig, run
 from hdclt.smoothing import (SmoothingParams, derivative_sum, g_phi,
                              gaussian_pdf, h_derivative_coefficient_check,
@@ -71,7 +72,7 @@ class TestSmoothedIndicator:
         rect = RectangleSpec([-1.0, 0.0], [1.0, 2.0])
         params = SmoothingParams(rect=rect, phi=phi, eps=1.0,
                                  sigma=CovarianceModel.identity(2))
-        outer = enlarge(rect, 1.0 / phi)
+        outer = RectangleSpec(rect.lower - 1.0 / phi, rect.upper + 1.0 / phi)
         rng = np.random.default_rng(11)
         w = rng.uniform(-3, 4, size=(1000, 2))
         m_vals = np.array([m_indicator(p, params) for p in w])
@@ -209,14 +210,26 @@ class TestBatchedQuadrature:
         assert derivative_sum(v, w, params) == expected
 
     def test_rows_converge_independently(self):
-        # exp converges within a few doublings; sqrt's endpoint singularity
-        # needs many more, and must not change the exp row's value
+        # exp converges within a few doublings; the endpoint singularity of
+        # s**1.5 needs more (it settles at 128 nodes), and must not change
+        # the exp row's value
+        def slow(s):
+            return s**1.5
+
         both = smoothing._quadrature(
-            lambda s: np.vstack([np.exp(s), np.sqrt(s)]), 1.0, 32)
+            lambda s: np.vstack([np.exp(s), slow(s)]), 1.0, 32)
         alone = [smoothing._quadrature(lambda s: f(s)[None], 1.0, 32)[0]
-                 for f in (np.exp, np.sqrt)]
+                 for f in (np.exp, slow)]
         assert both.tolist() == alone
         assert both[0] == pytest.approx(math.e - 1.0, rel=1e-14)
+        assert both[1] == pytest.approx(0.4, rel=1e-10)
+
+    def test_unconverged_row_raises(self):
+        # sqrt still moves by 5e-9 between 256 and 512 nodes, far above the
+        # 1e-10 tolerance; converged rows beside it do not hide that
+        with pytest.raises(QuadratureNotConverged, match="1 of 2"):
+            smoothing._quadrature(
+                lambda s: np.vstack([np.exp(s), np.sqrt(s)]), 1.0, 32)
 
     def test_nodes_computed_once_per_order(self, monkeypatch):
         smoothing._gauss_legendre.cache_clear()
