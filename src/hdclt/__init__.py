@@ -7,7 +7,8 @@ Modules:
 * :mod:`hdclt.sampler`: seeded distribution families and scaled-sum draws.
 * :mod:`hdclt.bounds`: the bound shapes the experiments report, as plain
   floats at unit constants (shapes, not certified bounds).
-* :mod:`hdclt.bootstrap`: multiplier bootstrap draws and quantiles.
+* :mod:`hdclt.bootstrap`: multiplier and empirical bootstrap draws and
+  quantiles.
 * :mod:`hdclt.distance`: Kolmogorov distances over rectangle sub-families
   and the one max-statistic sampler.
 * :mod:`hdclt.maxlaw`: exact CDFs and inverse-CDF samplers of max statistics
@@ -19,7 +20,8 @@ Modules:
 
 from ._version import __version__
 from .bootstrap import (MultiplierKind, empirical_cov_centered,
-                        multiplier_draws, simultaneous_quantile)
+                        empirical_draws, multiplier_draws,
+                        simultaneous_quantile)
 from .bounds import (bound_bounded, bound_gaussian_comparison,
                      bounds_local_means, delta0, xlog_factor)
 from .distance import (MaxStatSample, anticoncentration_probe, ks_distance,
@@ -31,7 +33,7 @@ from .lowerbound import (PoissonApproxRecord, poisson_approx_check,
 from .maxlaw import (DiagonalGaussianMax, EquicorrelatedGaussianMax,
                      IsotropicGaussianMax, RademacherGaussianMax, TwoPointMax,
                      law_of, sup_distance, two_point_marginal_tail)
-from .matcore import CovarianceModel, RectangleSpec
+from .matcore import CovarianceModel, RectangleSpec, enlarge
 from .runner import ExperimentConfig, RunManifest, emit_plot, run
 from .sampler import (DataMatrix, DistributionSpec, sample,
                       sample_scaled_sums, scaled_sum, substream)
@@ -40,13 +42,13 @@ from .smoothing import (SmoothingParams, derivative_sum, h_nu, m_indicator,
 
 __all__ = [
     "__version__", "HdcltError",
-    "CovarianceModel", "RectangleSpec",
+    "CovarianceModel", "RectangleSpec", "enlarge",
     "DataMatrix", "DistributionSpec", "sample", "sample_scaled_sums",
     "scaled_sum", "substream",
     "xlog_factor", "delta0", "bound_bounded", "bound_gaussian_comparison",
     "bounds_local_means",
-    "MultiplierKind", "multiplier_draws", "empirical_cov_centered",
-    "simultaneous_quantile",
+    "MultiplierKind", "multiplier_draws", "empirical_draws",
+    "empirical_cov_centered", "simultaneous_quantile",
     "MaxStatSample", "ks_distance", "ks_two_sample_critical",
     "rect_family_distance", "max_stat_sample", "anticoncentration_probe",
     "SmoothingParams", "m_indicator", "rho_eval", "rho_partial",

@@ -1,9 +1,10 @@
-"""Multiplier bootstrap draws and the simultaneous bootstrap quantile.
+"""Multiplier and empirical bootstrap draws plus the simultaneous quantile.
 
 Draws are conditional on a fixed data matrix X; for fixed (X, kind, seed, R)
 the output is bit-identical regardless of how replications are scheduled.
 The empirical covariance uses the 1/n divisor throughout, matching the
-conditional covariance of the multiplier draws.
+conditional covariance of the multiplier draws and the empirical
+bootstrap's data inputs.
 """
 
 from __future__ import annotations
@@ -76,12 +77,51 @@ def multiplier_draws(x: DataMatrix, reps: int, kind: MultiplierKind | str,
     return out
 
 
+def empirical_draws(x: DataMatrix, reps: int, seed: int) -> np.ndarray:
+    """reps x d draws of the empirical-bootstrap statistic.
+
+    Each draw resamples n rows with replacement and recenters by the sample
+    mean: ``n^{-1/2} sum_i (X*_i - Xbar)``.
+    """
+    if x.n < 1:
+        raise ValueError("empirical bootstrap requires n >= 1")
+    xbar = x.values.mean(axis=0)
+    out = np.empty((reps, x.d))
+    # the resampled rows x.values[picks] are the n*d-float slab per draw
+    for idx, rows in blocks(reps, x.n * x.d):
+        rng = substream(seed, 11, idx)
+        picks = rng.integers(0, x.n, size=(rows.stop - rows.start, x.n))
+        out[rows] = (x.values[picks].sum(axis=1) - x.n * xbar) / math.sqrt(x.n)
+    return out
+
+
 def empirical_cov_centered(x: DataMatrix) -> CovarianceModel:
     """Centered empirical covariance with the 1/n divisor."""
     if x.n < 2:
         raise ValueError("requires n >= 2")
     xc = x.values - x.values.mean(axis=0)
     return CovarianceModel(xc.T @ xc / x.n)
+
+
+def bootstrap_bound_inputs(x: DataMatrix,
+                           psi: float) -> tuple[float, float, float]:
+    """Data-driven empirical-bootstrap inputs (Delta_1', M*, M*(psi)).
+
+    At unit variance sigma_* = 1:
+    Delta_1' = (log d)^2/n^2 max_j sum_i (X_ij - Xbar_j)^4,
+    M*       = max_ij |X_ij - Xbar_j|,
+    M*(psi)  = n^{-1} sum_i ||X_i - Xbar||_inf^4 1{||X_i - Xbar||_inf > psi}.
+    """
+    if x.n < 2:
+        raise ValueError("requires n >= 2")
+    if psi <= 0:
+        raise ValueError("psi must be > 0")
+    xc = x.values - x.values.mean(axis=0)
+    delta1p = math.log(x.d) ** 2 / x.n**2 * float(np.max((xc**4).sum(axis=0)))
+    row_max = np.max(np.abs(xc), axis=1)
+    m_star = float(row_max.max(initial=0.0))
+    m_psi_star = float(np.mean(row_max**4 * (row_max > psi)))
+    return delta1p, m_star, m_psi_star
 
 
 def simultaneous_quantile(draws: np.ndarray, level: float,

@@ -175,3 +175,17 @@ class RectangleSpec:
     @staticmethod
     def one_sided(d: int, x: float) -> "RectangleSpec":
         return RectangleSpec(np.full(d, -np.inf), np.full(d, float(x)))
+
+
+def enlarge(a: RectangleSpec, t: float) -> RectangleSpec:
+    """Rectangle ``A^t`` with endpoints moved out by t (in by -t).
+
+    Infinite endpoints stay infinite.  A negative t crossing lower past upper
+    raises :class:`DegenerateRectangle`.
+    """
+    lower = a.lower - t
+    upper = a.upper + t
+    # -inf - t and inf + t stay infinite for finite t
+    if np.any(lower > upper):
+        raise DegenerateRectangle(f"enlargement by t={t} produced an empty rectangle")
+    return RectangleSpec(lower, upper)

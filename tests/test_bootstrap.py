@@ -6,7 +6,8 @@ import pytest
 from scipy.special import ndtri
 
 from hdclt.bootstrap import (MAMMEN_HIGH, MAMMEN_LOW, MAMMEN_P_LOW,
-                             MultiplierKind, empirical_cov_centered,
+                             MultiplierKind, bootstrap_bound_inputs,
+                             empirical_cov_centered, empirical_draws,
                              multiplier_draws, simultaneous_quantile)
 from hdclt.bounds import delta0
 from hdclt.distance import MaxStatSample, ks_distance, ks_two_sample_critical
@@ -118,6 +119,21 @@ class TestThinQrGaussianDraws:
         np.testing.assert_array_equal(draws, 0.0)
 
 
+class TestEmpiricalDraws:
+    def test_constant_rows_give_zero(self):
+        x = DataMatrix(np.tile([0.5, 1.5, -1.0], (6, 1)))
+        draws = empirical_draws(x, 40, seed=7)
+        np.testing.assert_allclose(draws, 0.0, atol=1e-12)
+
+    def test_conditional_mean_and_covariance(self):
+        x = sample(DistributionSpec.gaussian(CovarianceModel.identity(3)),
+                   150, seed=8)
+        draws = empirical_draws(x, 100_000, seed=9)
+        target = empirical_cov_centered(x).entries
+        assert np.max(np.abs(draws.mean(axis=0))) < 0.02
+        assert np.max(np.abs(np.cov(draws.T, bias=True) - target)) < 0.03
+
+
 class TestBlockBudget:
     # allocations outside the block slab: index arrays, partial sums, and
     # the interpreter's own bookkeeping while tracing
@@ -136,7 +152,8 @@ class TestBlockBudget:
             x = sample(DistributionSpec.gaussian(CovarianceModel.identity(d)),
                        100, seed=5)
             spec = DistributionSpec.uniform_bounded(1.0, d)
-            for fn in (lambda: sample_scaled_sums(spec, 10, 20_000, seed=7),
+            for fn in (lambda: empirical_draws(x, 1000, seed=6),
+                       lambda: sample_scaled_sums(spec, 10, 20_000, seed=7),
                        lambda: multiplier_draws(x, 1000, "mammen", seed=6),
                        lambda: multiplier_draws(x, 1000, "gaussian", seed=6)):
                 peak, out = self._peak(fn)
@@ -168,6 +185,27 @@ class TestEmpiricalCov:
             d_big = delta0(sigma, big, 3)
             wins += d_big < d_small
         assert wins >= 95
+
+
+class TestBoundInputs:
+    def test_bounded_data_truncates_to_zero(self):
+        B = 2.0
+        x = sample(DistributionSpec.uniform_bounded(B, 4), 100, seed=11)
+        _, m_star, m_psi = bootstrap_bound_inputs(x, psi=2 * B + 0.1)
+        assert m_star <= 2 * B
+        assert m_psi == 0.0
+
+    def test_all_zero_data(self):
+        x = DataMatrix(np.zeros((5, 2)))
+        assert bootstrap_bound_inputs(x, psi=1.0) == (0.0, 0.0, 0.0)
+
+    def test_hand_computed_pair(self):
+        x = DataMatrix(np.array([[2.0], [-2.0]]))
+        delta1p, m_star, m_psi = bootstrap_bound_inputs(x, psi=1.0)
+        assert m_star == 2.0
+        assert m_psi == pytest.approx(16.0)
+        # centered fourth-moment sum is 2 * 2^4 = 32, log(1)^2 = 0 kills it
+        assert delta1p == 0.0
 
 
 class TestSimultaneousQuantile:

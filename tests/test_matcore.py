@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hdclt.errors import (DegenerateRectangle, DimensionMismatch,
                           NotPositiveDefinite)
 from hdclt.matcore import (CovarianceModel, RectangleSpec, _cholesky_lower,
-                           sup_norm_diff)
+                           enlarge, sup_norm_diff)
 
 
 class TestCholesky:
@@ -117,6 +117,23 @@ class TestSupNormDiff:
 
 
 class TestRectangles:
+    def test_enlarge_by_zero_is_identity(self):
+        r = RectangleSpec([0.0, 0.0], [1.0, 1.0])
+        assert enlarge(r, 0.0) == r
+
+    def test_enlarge_moves_both_endpoints(self):
+        r = enlarge(RectangleSpec([0.0], [1.0]), 0.5)
+        assert r == RectangleSpec([-0.5], [1.5])
+
+    def test_shrink_past_crossing_raises(self):
+        with pytest.raises(DegenerateRectangle):
+            enlarge(RectangleSpec([0.0], [1.0]), -0.6)
+
+    def test_infinite_endpoints_stay_infinite(self):
+        r = enlarge(RectangleSpec.one_sided(2, 1.0), 3.0)
+        assert np.all(np.isinf(r.lower))
+        np.testing.assert_array_equal(r.upper, [4.0, 4.0])
+
     def test_contains_half_open(self):
         r = RectangleSpec([0.0], [1.0])
         member = r.contains(np.array([[0.0], [0.5], [1.0], [1.5]]))
@@ -127,3 +144,12 @@ class TestRectangles:
             RectangleSpec([1.0], [0.0])
         with pytest.raises(ValueError):
             RectangleSpec([np.nan], [1.0])
+
+    @given(st.floats(0.0, 5.0), st.floats(0.0, 5.0))
+    @settings(max_examples=50, deadline=None)
+    def test_enlarge_composes_additively(self, s, t):
+        r = RectangleSpec([-1.0, 0.0], [1.0, 2.0])
+        lhs = enlarge(enlarge(r, s), t)
+        rhs = enlarge(r, s + t)
+        np.testing.assert_allclose(lhs.lower, rhs.lower, atol=1e-12)
+        np.testing.assert_allclose(lhs.upper, rhs.upper, atol=1e-12)

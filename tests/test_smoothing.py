@@ -10,7 +10,7 @@ from scipy.stats import norm
 from hdclt import smoothing
 from hdclt.errors import (BudgetExceeded, NonDiagonalSigma, OrderTooHigh,
                           QuadratureNotConverged)
-from hdclt.matcore import CovarianceModel, RectangleSpec
+from hdclt.matcore import CovarianceModel, RectangleSpec, enlarge
 from hdclt.runner import ExperimentConfig, run
 from hdclt.smoothing import (SmoothingParams, derivative_sum, g_phi,
                              gaussian_pdf, h_derivative_coefficient_check,
@@ -72,7 +72,7 @@ class TestSmoothedIndicator:
         rect = RectangleSpec([-1.0, 0.0], [1.0, 2.0])
         params = SmoothingParams(rect=rect, phi=phi, eps=1.0,
                                  sigma=CovarianceModel.identity(2))
-        outer = RectangleSpec(rect.lower - 1.0 / phi, rect.upper + 1.0 / phi)
+        outer = enlarge(rect, 1.0 / phi)
         rng = np.random.default_rng(11)
         w = rng.uniform(-3, 4, size=(1000, 2))
         m_vals = np.array([m_indicator(p, params) for p in w])
