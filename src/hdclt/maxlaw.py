@@ -21,8 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import log_ndtr, ndtr, ndtri
-from scipy.stats import binom
+from scipy.special import bdtr, gammaln, log_ndtr, ndtr, ndtri, xlog1py, xlogy
 
 from .sampler import DistributionSpec, _count_sums, blocks, two_point_support
 
@@ -56,6 +55,13 @@ def _upper_tail(u, d: int) -> np.ndarray:
     np.expm1(t, out=t)
     np.negative(t, out=t)
     return t
+
+
+def _binom_pmf(k, n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) probabilities of the counts k, from the log-gamma form
+    of the binomial coefficient."""
+    return np.exp(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+                  + xlogy(k, p) + xlog1py(n - k, -p))
 
 
 @dataclass(frozen=True)
@@ -178,11 +184,11 @@ class TwoPointMax:
         w = _count_sums(k, self.n, a, b)  # as the scaled-sum draw computes it
         if self.side == "one_sided":
             atoms = w  # ascending in k, since a > b
-            table = np.exp(self.d * binom.logcdf(k, self.n, p))
+            table = bdtr(k, self.n, p) ** self.d
         else:
             order = np.argsort(np.abs(w), kind="stable")
             atoms = np.abs(w)[order]
-            table = np.cumsum(binom.pmf(k[order], self.n, p)) ** self.d
+            table = np.cumsum(_binom_pmf(k[order], self.n, p)) ** self.d
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "table", table)
 
@@ -208,7 +214,7 @@ def two_point_marginal_tail(B: float, n: int, x: float) -> float:
     a, b, p = two_point_support(B)
     k = np.arange(n + 1)
     w = (k * a + (n - k) * b) / math.sqrt(n)
-    return float(binom.pmf(k[w > x], n, p).sum())
+    return float(_binom_pmf(k[w > x], n, p).sum())
 
 
 @dataclass(frozen=True)
@@ -238,7 +244,7 @@ class RademacherGaussianMax:
         out = np.empty(flat.size)
         k = np.arange(self.n + 1)
         centers = (2.0 * k - self.n) / math.sqrt(self.n)
-        pk = binom.pmf(k, self.n, 0.5)
+        pk = _binom_pmf(k, self.n, 0.5)
         # x is taken in blocks, so the (points, n + 1) arrays of terms stay
         # within BLOCK_FLOATS however large n is
         for _, rows in blocks(flat.size, 3 * (self.n + 1)):

@@ -270,7 +270,7 @@ def _rate_result(cfg: ExperimentConfig, spec: DistributionSpec,
         "noise_floor": floor,
         "distance_below_noise_floor": [e < floor for e in exact],
         "metadata": {"envelope_over_sqrt_logd":
-                     (b**4 / math.sqrt(math.log(cfg.d))) if cfg.B else None},
+                     (b / math.sqrt(math.log(cfg.d))) if cfg.B else None},
         "checks": {"slope_in_band":
                    slope_band[0] <= curve.slope <= slope_band[1]},
     }

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,16 +13,18 @@ from scipy.special import ndtr
 from scipy.stats import binom
 
 from hdclt.distance import MaxStatSample, ks_distance, ks_two_sample_critical
-from hdclt.lowerbound import fit_power_law
+from hdclt.lowerbound import fit_power_law, threshold_xn
 from hdclt.matcore import CovarianceModel
 from hdclt import maxlaw
 from hdclt.maxlaw import (DiagonalGaussianMax, EquicorrelatedGaussianMax,
                           IsotropicGaussianMax, RademacherGaussianMax,
-                          TwoPointMax, law_of, sup_distance)
+                          TwoPointMax, law_of, sup_distance,
+                          two_point_marginal_tail)
 from hdclt.sampler import (BLOCK_FLOATS, DistributionSpec, sample_scaled_sums,
                            substream, two_point_support)
 
-GATES = Path(__file__).resolve().parents[1] / "perfbench" / "gates.py"
+ROOT = Path(__file__).resolve().parents[1]
+GATES = ROOT / "perfbench" / "gates.py"
 SIDES = ("one_sided", "two_sided")
 # the extremes of Generator.random: 0 and the largest double below 1
 U_EXTREMES = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
@@ -124,6 +130,53 @@ class TestCdf:
         for (d, rho), a in zip(cases, at64):
             b = EquicorrelatedGaussianMax(d, rho).cdf(xs)
             assert np.max(np.abs(a - b)) <= 1e-12
+
+
+class TestBinomialLaw:
+    """The binomial laws behind the two-point and zero-skew max statistics,
+    against scipy.stats.binom at the sizes the default experiments use."""
+
+    @pytest.mark.parametrize("n", [250, 500, 1000, 2000])
+    def test_two_point_tables(self, n):
+        a, b, p = two_point_support(2.0)
+        k = np.arange(n + 1)
+        w = (k * a + (n - k) * b) / math.sqrt(n)
+        order = np.argsort(np.abs(w), kind="stable")
+        want = {"one_sided": binom.cdf(k, n, p) ** 50,
+                "two_sided": np.cumsum(binom.pmf(k[order], n, p)) ** 50}
+        for side in SIDES:
+            np.testing.assert_allclose(TwoPointMax(2.0, n, 50, side).table,
+                                       want[side], rtol=1e-9, atol=0)
+
+    def test_poisson_check_marginal_tail(self):
+        a, b, p = two_point_support(2.0)
+        n, x = 1000, threshold_xn(50)
+        k = np.arange(n + 1)
+        above = (k * a + (n - k) * b) / math.sqrt(n) > x
+        want = binom.pmf(k[above], n, p).sum()
+        assert two_point_marginal_tail(2.0, n, x) == \
+            pytest.approx(want, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_rademacher_gaussian(self, n):
+        xs = np.linspace(-2.0, 6.0, 41)
+        centers = (2.0 * np.arange(n + 1) - n) / math.sqrt(n)
+        pk = binom.pmf(np.arange(n + 1), n, 0.5)
+        want = (ndtr(xs[:, None] - centers) @ pk) ** 20
+        np.testing.assert_allclose(RademacherGaussianMax(n, 20).cdf(xs), want,
+                                   rtol=1e-9, atol=0)
+
+    def test_large_n_table_builds_without_warnings(self):
+        # far in the lower tail the one-sided table underflows to 0; it
+        # must carry those zeros without a log-of-zero warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tables = {side: TwoPointMax(2.0, 5000, 50, side).table
+                      for side in SIDES}
+        assert tables["one_sided"][0] == 0.0
+        for table in tables.values():
+            assert table[-1] == pytest.approx(1.0)
+            assert np.all(np.diff(table) >= 0)
 
 
 class TestSample:
@@ -243,3 +296,12 @@ class TestExactDistances:
 def test_benchmark_gates_keep_their_own_oracle():
     # the benchmark's exact oracle must stay independent of the code it checks
     assert "maxlaw" not in GATES.read_text(encoding="utf-8")
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs most of the package's import time; tests and the
+    # benchmark gates import it as independent oracles, the package must not
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import hdclt.cli, sys; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                   check=True)

@@ -169,9 +169,13 @@ class TestRun:
                 assert b == cfg.B * math.log(cfg.d) ** 1.5 * math.log(n) \
                     / math.sqrt(n)
                 assert ratio == float(row["distance"]) / b
+            # the envelope B over sqrt(log d): 2 / sqrt(log 50) = 1.011
+            assert summary["metadata"]["envelope_over_sqrt_logd"] == \
+                cfg.B / math.sqrt(math.log(cfg.d))
         else:
             assert "bound" not in summary
             assert "distance_over_bound" not in summary
+            assert summary["metadata"]["envelope_over_sqrt_logd"] is None
         # observables only: the checks are unchanged
         for key in ("exact_slope", "bound", "distance_over_bound"):
             assert key not in summary["checks"]
