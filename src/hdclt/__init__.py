@@ -14,22 +14,22 @@ Modules:
 * :mod:`hdclt.maxlaw`: exact CDFs and inverse-CDF samplers of max statistics
   whose coordinates factor.
 * :mod:`hdclt.smoothing`: smoothed rectangle indicators and exact derivatives.
-* :mod:`hdclt.lowerbound`: Poisson approximation and rate-curve experiments.
-* :mod:`hdclt.runner`: config-driven experiments, CSV/JSON/SVG artifacts.
+* :mod:`hdclt.lowerbound`: the Poisson approximation check, the Gaussian
+  reference max statistics and the power-law fit of the rate experiments.
+* :mod:`hdclt.runner`: config-driven experiments (the rate curves are
+  assembled here), CSV/JSON/SVG artifacts.
 """
 
 from ._version import __version__
-from .bootstrap import (MultiplierKind, empirical_cov_centered,
-                        empirical_draws, multiplier_draws,
-                        simultaneous_quantile)
+from .bootstrap import (empirical_cov_centered, empirical_draws,
+                        multiplier_draws, simultaneous_quantile)
 from .bounds import (bound_bounded, bound_gaussian_comparison,
                      bounds_local_means, delta0, xlog_factor)
 from .distance import (MaxStatSample, anticoncentration_probe, ks_distance,
                        ks_two_sample_critical, max_stat_sample,
                        rect_family_distance)
 from .errors import HdcltError
-from .lowerbound import (PoissonApproxRecord, poisson_approx_check,
-                         rate_curve, threshold_xn)
+from .lowerbound import poisson_approx_check, threshold_xn
 from .maxlaw import (DiagonalGaussianMax, EquicorrelatedGaussianMax,
                      IsotropicGaussianMax, RademacherGaussianMax, TwoPointMax,
                      law_of, sup_distance, two_point_marginal_tail)
@@ -47,14 +47,13 @@ __all__ = [
     "scaled_sum", "substream",
     "xlog_factor", "delta0", "bound_bounded", "bound_gaussian_comparison",
     "bounds_local_means",
-    "MultiplierKind", "multiplier_draws", "empirical_draws",
+    "multiplier_draws", "empirical_draws",
     "empirical_cov_centered", "simultaneous_quantile",
     "MaxStatSample", "ks_distance", "ks_two_sample_critical",
     "rect_family_distance", "max_stat_sample", "anticoncentration_probe",
     "SmoothingParams", "m_indicator", "rho_eval", "rho_partial",
     "derivative_sum", "h_nu", "verify_lemmas",
-    "PoissonApproxRecord", "poisson_approx_check", "threshold_xn",
-    "rate_curve",
+    "poisson_approx_check", "threshold_xn",
     "IsotropicGaussianMax", "EquicorrelatedGaussianMax", "TwoPointMax",
     "RademacherGaussianMax", "DiagonalGaussianMax", "law_of", "sup_distance",
     "two_point_marginal_tail",

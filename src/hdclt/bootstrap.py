@@ -10,7 +10,6 @@ bootstrap's data inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,28 +30,21 @@ MULTIPLIER_KINDS = ("gaussian", "rademacher", "mammen")
 MIN_QUANTILE_DRAWS = 100
 
 
-@dataclass(frozen=True)
-class MultiplierKind:
-    tag: str
-
-    def __post_init__(self):
-        if self.tag not in MULTIPLIER_KINDS:
-            raise ValueError(f"unknown multiplier kind {self.tag!r}")
-
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        if self.tag == "gaussian":
-            return rng.standard_normal(size)
-        if self.tag == "rademacher":
-            return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
-        # overwrite the uniforms in place: 1 * (LOW - HIGH) + HIGH == LOW and
-        # 0 * (LOW - HIGH) + HIGH == HIGH hold exactly in float64
-        out = rng.random(size)
-        np.multiply(out < MAMMEN_P_LOW, MAMMEN_LOW - MAMMEN_HIGH, out=out)
-        out += MAMMEN_HIGH
-        return out
+def _draw_multipliers(kind: str, rng: np.random.Generator,
+                      size) -> np.ndarray:
+    if kind == "gaussian":
+        return rng.standard_normal(size)
+    if kind == "rademacher":
+        return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
+    # overwrite the uniforms in place: 1 * (LOW - HIGH) + HIGH == LOW and
+    # 0 * (LOW - HIGH) + HIGH == HIGH hold exactly in float64
+    out = rng.random(size)
+    np.multiply(out < MAMMEN_P_LOW, MAMMEN_LOW - MAMMEN_HIGH, out=out)
+    out += MAMMEN_HIGH
+    return out
 
 
-def multiplier_draws(x: DataMatrix, reps: int, kind: MultiplierKind | str,
+def multiplier_draws(x: DataMatrix, reps: int, kind: str,
                      seed: int) -> np.ndarray:
     """reps x d draws of the multiplier-bootstrap statistic.
 
@@ -60,19 +52,21 @@ def multiplier_draws(x: DataMatrix, reps: int, kind: MultiplierKind | str,
     the Gaussian kind is conditionally exactly N(0, centered empirical cov).
     That law is drawn as ``z @ R`` from ``min(n, d)`` standard normals ``z``,
     where ``R`` is the thin-QR factor of the centred data, since
-    ``R^T R = xc^T xc``.
+    ``R^T R = xc^T xc``.  ``kind`` is one of :data:`MULTIPLIER_KINDS`.
     """
+    if kind not in MULTIPLIER_KINDS:
+        raise ValueError(f"unknown multiplier kind {kind!r}")
     if x.n < 1:
         raise ValueError("multiplier bootstrap requires n >= 1")
-    if isinstance(kind, str):
-        kind = MultiplierKind(kind)
     xc = (x.values - x.values.mean(axis=0)) / math.sqrt(x.n)
-    if kind.tag == "gaussian":
+    if kind == "gaussian":
         xc = np.linalg.qr(xc, mode="r")
     k = xc.shape[0]
     out = np.empty((reps, x.d))
-    for idx, rows in blocks(reps, k):
-        xi = kind.draw(substream(seed, 10, idx), (rows.stop - rows.start, k))
+    # a block holds its rows x k multipliers and their rows x d product
+    for idx, rows in blocks(reps, max(k, x.d)):
+        xi = _draw_multipliers(kind, substream(seed, 10, idx),
+                               (rows.stop - rows.start, k))
         out[rows] = xi @ xc
     return out
 
@@ -134,8 +128,6 @@ def simultaneous_quantile(draws: np.ndarray, level: float,
         raise ValueError(f"need at least {MIN_QUANTILE_DRAWS} replications")
     if not 0.0 < level <= 1.0:
         raise ValueError("level must lie in (0, 1]")
-    if side not in ("one_sided", "two_sided"):
-        raise ValueError(f"unknown side {side!r}")
     stats = max_statistic(draws, side)
     if level == 1.0:
         return float(stats.max())

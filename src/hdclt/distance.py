@@ -28,6 +28,8 @@ _DRAW_ARRAYS = 3
 def max_statistic(draws: np.ndarray, side: str = "one_sided") -> np.ndarray:
     """Per-row max statistic, unsorted: max_j draw_j ("one_sided") or
     max_j |draw_j| ("two_sided")."""
+    if side not in maxlaw.SIDES:
+        raise ValueError(f"unknown side {side!r}")
     draws = np.atleast_2d(draws)
     return np.max(np.abs(draws), axis=1) if side == "two_sided" else np.max(draws, axis=1)
 
@@ -43,7 +45,7 @@ class MaxStatSample:
         v = np.sort(np.asarray(self.values, dtype=float).ravel())
         if v.size < 1:
             raise ValueError("MaxStatSample needs at least one draw")
-        if self.side not in ("one_sided", "two_sided"):
+        if self.side not in maxlaw.SIDES:
             raise ValueError(f"unknown side {self.side!r}")
         object.__setattr__(self, "values", v)
 

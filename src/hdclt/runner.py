@@ -244,27 +244,47 @@ def _pmap(threads: int):
 
 def _rate_result(cfg: ExperimentConfig, spec: DistributionSpec,
                  slope_band: tuple, pmap) -> tuple:
-    curve = lowerbound.rate_curve(spec, cfg.n_list, cfg.replications,
-                                  cfg.family, cfg.seed, cfg.ref_factor, pmap)
+    """Distance-vs-n curve between the max statistic of W and its Gaussian
+    reference, with a log-log OLS slope.
+
+    Each n draws ``replications`` fresh data sets (the distance is over the
+    sampling law of W, not conditional on a dataset), seeded by its index in
+    ``n_list`` only, so the curve does not depend on scheduling.  The
+    Gaussian reference has ``ref_factor`` times more draws, so its noise is
+    second order, and is shared across n, since the covariance of W does not
+    depend on n for i.i.d. rows.
+    """
+    side = lowerbound.side_of(cfg.family)
+    ref = lowerbound.reference_max_stats(
+        spec, cfg.replications * cfg.ref_factor, cfg.seed, cfg.family)
+
+    def point(item):
+        i, n = item
+        w = distance.max_stat_sample(spec, n, cfg.replications,
+                                     derive_seed(cfg.seed, 1, i), side)
+        return distance.ks_distance_with_se(w, ref)
+
+    points = list(pmap(point, enumerate(cfg.n_list)))
+    slope, slope_se, intercept = lowerbound.fit_power_law(
+        cfg.n_list, [max(dist, 1e-300) for dist, _ in points])
     b = cfg.B if cfg.B is not None else math.nan
-    rows = [{"experiment": cfg.experiment, "n": p.n, "d": cfg.d, "B": b,
-             "family": cfg.family, "distance": p.distance, "se": p.se,
-             "seed": cfg.seed} for p in curve.points]
+    rows = [{"experiment": cfg.experiment, "n": n, "d": cfg.d, "B": b,
+             "family": cfg.family, "distance": dist, "se": se,
+             "seed": cfg.seed} for n, (dist, se) in zip(cfg.n_list, points)]
     scale = b if cfg.B is not None else 1.0
-    norm = [p.distance * math.sqrt(p.n) / (scale * math.log(cfg.d) ** 1.5)
-            for p in curve.points]
+    norm = [row["distance"] * math.sqrt(row["n"])
+            / (scale * math.log(cfg.d) ** 1.5) for row in rows]
     # exact distances beside the Monte Carlo ones, and the 1% two-sample KS
     # critical value, below which a Monte Carlo distance cannot resolve them
-    side = lowerbound.side_of(cfg.family)
-    ref = maxlaw.law_of(
+    ref_law = maxlaw.law_of(
         DistributionSpec.gaussian(spec.population_covariance()), 1, side)
-    exact = [maxlaw.sup_distance(maxlaw.law_of(spec, p.n, side), ref)
-             for p in curve.points]
+    exact = [maxlaw.sup_distance(maxlaw.law_of(spec, n, side), ref_law)
+             for n in cfg.n_list]
     floor = distance.ks_two_sample_critical(
         cfg.replications, cfg.replications * cfg.ref_factor)
     summary = {
-        "slope": curve.slope, "slope_se": curve.slope_se,
-        "intercept": curve.intercept, "normalized": norm,
+        "slope": slope, "slope_se": slope_se,
+        "intercept": intercept, "normalized": norm,
         "exact_distance": exact,
         "exact_slope": lowerbound.fit_power_law(cfg.n_list, exact)[0],
         "noise_floor": floor,
@@ -272,7 +292,7 @@ def _rate_result(cfg: ExperimentConfig, spec: DistributionSpec,
         "metadata": {"envelope_over_sqrt_logd":
                      (b / math.sqrt(math.log(cfg.d))) if cfg.B else None},
         "checks": {"slope_in_band":
-                   slope_band[0] <= curve.slope <= slope_band[1]},
+                   slope_band[0] <= slope <= slope_band[1]},
     }
     return rows, summary
 
@@ -440,18 +460,16 @@ def _run_poisson_check(cfg, pmap):
     rec = lowerbound.poisson_approx_check(cfg.data_spec(), cfg.n,
                                           cfg.replications,
                                           derive_seed(cfg.seed, 40))
-    exact_tail = maxlaw.two_point_marginal_tail(cfg.B, cfg.n, rec.x_n)
-    rows = [{"n": cfg.n, "d": cfg.d, "B": cfg.B, "x_n": rec.x_n,
-             "f_hat": rec.f_hat, "lambda_hat": rec.lambda_hat,
-             "exact_tail": exact_tail, "residual": rec.residual,
-             "residual_bound": rec.residual_bound,
-             "propagated_se": rec.propagated_se}]
+    row = {"n": cfg.n, "d": cfg.d, "B": cfg.B,
+           "exact_tail": maxlaw.two_point_marginal_tail(cfg.B, cfg.n,
+                                                        rec["x_n"]),
+           **rec}
     checks = {
         "residual_within_bound":
-            rec.residual <= rec.residual_bound + 4.0 * rec.propagated_se,
-        "lambda_le_10": rec.lambda_hat <= 10.0,
+            rec["residual"] <= rec["residual_bound"] + 4.0 * rec["propagated_se"],
+        "lambda_le_10": rec["lambda_hat"] <= 10.0,
     }
-    return rows, {"record": rows[0], "checks": checks}
+    return [row], {"record": row, "checks": checks}
 
 
 def _anticoncentration_row(args):

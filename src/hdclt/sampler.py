@@ -101,7 +101,6 @@ class DistributionSpec:
     dim: int
     B: Optional[float] = None
     cov: Optional[CovarianceModel] = None
-    kappa: Optional[int] = None
     base: Optional["DistributionSpec"] = None
     sigma0: Optional[CovarianceModel] = None
 
@@ -140,8 +139,8 @@ class DistributionSpec:
         return DistributionSpec(kind="uniform_bounded", dim=d, B=float(B))
 
     @staticmethod
-    def local_means(d: int, kappa: int = 1) -> "DistributionSpec":
-        return DistributionSpec(kind="local_means", dim=d, kappa=int(kappa))
+    def local_means(d: int) -> "DistributionSpec":
+        return DistributionSpec(kind="local_means", dim=d)
 
     @staticmethod
     def quasi_gaussian(base: "DistributionSpec", sigma0: CovarianceModel) -> "DistributionSpec":

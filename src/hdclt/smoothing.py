@@ -46,6 +46,8 @@ from .matcore import CovarianceModel, RectangleSpec
 MAX_DERIVATIVE_ORDER = 6
 MAX_SUM_ORDER = 4
 TUPLE_BUDGET = 10_000
+# Gauss-Legendre order every quadrature starts from before it doubles
+QUAD_ORDER = 32
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -258,33 +260,31 @@ def _integrand(points: np.ndarray, profiles: Sequence[dict],
     return f
 
 
-def _integrate(points, profiles: Sequence[dict], params: SmoothingParams,
-               quad_order: int) -> np.ndarray:
+def _integrate(points, profiles: Sequence[dict],
+               params: SmoothingParams) -> np.ndarray:
     """(len(profiles), len(points)) smoothed-function partials.
 
     phi times the row-wise quadrature over s in [0, 1/phi]; at phi = inf,
     the integrand at s = 0 (plain Gaussian convolution of the indicator).
     """
     _require_diagonal(params)
-    if quad_order < 8:
-        raise ValueError("quad_order must be >= 8")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     f = _integrand(points, profiles, params)
     if math.isinf(params.phi):
         vals = f(np.zeros(1))[:, 0]
     else:
-        vals = params.phi * _quadrature(f, 1.0 / params.phi, quad_order)
+        vals = params.phi * _quadrature(f, 1.0 / params.phi, QUAD_ORDER)
     return vals.reshape(len(profiles), len(points))
 
 
-def rho_eval(w, params: SmoothingParams, quad_order: int = 32) -> float:
+def rho_eval(w, params: SmoothingParams) -> float:
     """Gaussian-convolved smoothed indicator at w (diagonal covariance).
 
     phi * integral over [0, 1/phi] of the product of per-coordinate CDF
     differences of the s-enlarged rectangle; at phi = inf, the integrand at
     s = 0 (plain Gaussian convolution of the indicator).
     """
-    return float(_integrate(w, [{}], params, quad_order)[0, 0])
+    return float(_integrate(w, [{}], params)[0, 0])
 
 
 def rho_eval_mc(w, params: SmoothingParams, reps: int, seed: int = 0) -> tuple[float, float]:
@@ -305,8 +305,8 @@ def rho_eval_mc(w, params: SmoothingParams, reps: int, seed: int = 0) -> tuple[f
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps))
 
 
-def rho_partial(w, multi_index: Sequence[int], params: SmoothingParams,
-                quad_order: int = 32) -> float:
+def rho_partial(w, multi_index: Sequence[int],
+                params: SmoothingParams) -> float:
     """Exact mixed partial of the smoothed function at w.
 
     ``multi_index`` lists coordinate indices with repetition, e.g. (0, 0, 2)
@@ -319,11 +319,10 @@ def rho_partial(w, multi_index: Sequence[int], params: SmoothingParams,
         raise OrderTooHigh(f"total order {len(multi_index)} exceeds cap "
                            f"{MAX_DERIVATIVE_ORDER}")
     orders = _orders_from_index(multi_index, params.d)
-    return float(_integrate(w, [orders], params, quad_order)[0, 0])
+    return float(_integrate(w, [orders], params)[0, 0])
 
 
-def derivative_sum(v: int, w, params: SmoothingParams,
-                   quad_order: int = 32) -> float:
+def derivative_sum(v: int, w, params: SmoothingParams) -> float:
     """S_v(w): sum over all d^v index tuples of the y-grid sup of |partial|.
 
     The sup over the perturbation ball is approximated from below by the
@@ -339,7 +338,7 @@ def derivative_sum(v: int, w, params: SmoothingParams,
     points = np.asarray(w, dtype=float) + params.perturbations()
     profiles = [_orders_from_index(combo, d) for combo in
                 itertools.combinations_with_replacement(range(d), v)]
-    partials = _integrate(points, profiles, params, quad_order)
+    partials = _integrate(points, profiles, params)
     total = 0.0
     for orders, row in zip(profiles, partials):
         mult = math.factorial(v)
@@ -373,7 +372,7 @@ def _boundary_w_grid(rect: RectangleSpec) -> np.ndarray:
 def verify_lemmas(d_list: Sequence[int], v_list: Sequence[int],
                   phi_list: Sequence[float], eps_list: Sequence[float],
                   K: float, kappa: float = 4.0,
-                  half_width: float = 1.5, quad_order: int = 32) -> list[dict]:
+                  half_width: float = 1.5) -> list[dict]:
     """Attained-constant table across (d, v, phi, eps) cells.
 
     Per cell, with S_v the boundary-grid max of :func:`derivative_sum`:
@@ -396,7 +395,7 @@ def verify_lemmas(d_list: Sequence[int], v_list: Sequence[int],
                 for eps in eps_list:
                     params = SmoothingParams(rect=rect, phi=phi, eps=eps,
                                              sigma=sigma, K=K)
-                    s_boundary = max(derivative_sum(v, w, params, quad_order)
+                    s_boundary = max(derivative_sum(v, w, params)
                                      for w in w_grid)
                     ld = math.log(d)
                     c61 = (math.nan if math.isinf(phi) else
@@ -405,7 +404,7 @@ def verify_lemmas(d_list: Sequence[int], v_list: Sequence[int],
                     c62 = s_boundary * (eps * params.sigma_star) ** v / ld ** (v / 2.0)
                     margin = 2.0 * eps * kappa + (0.0 if math.isinf(phi) else 1.0 / phi)
                     w_far = np.asarray(rect.upper) + margin + 1e-9
-                    s_far = derivative_sum(v, w_far, params, quad_order)
+                    s_far = derivative_sum(v, w_far, params)
                     decay = s_boundary / s_far if s_far > 0 else math.inf
                     rows.append({"d": d, "v": v, "phi": phi, "eps": eps, "K": K,
                                  "attained_C61": c61, "attained_C62": c62,

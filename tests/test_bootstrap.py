@@ -6,7 +6,7 @@ import pytest
 from scipy.special import ndtri
 
 from hdclt.bootstrap import (MAMMEN_HIGH, MAMMEN_LOW, MAMMEN_P_LOW,
-                             MultiplierKind, bootstrap_bound_inputs,
+                             _draw_multipliers, bootstrap_bound_inputs,
                              empirical_cov_centered, empirical_draws,
                              multiplier_draws, simultaneous_quantile)
 from hdclt.bounds import delta0
@@ -27,8 +27,9 @@ class TestMammenLaw:
         assert m3 == pytest.approx(1.0, rel=1e-14)
 
     def test_unknown_kind_rejected(self):
+        x = DataMatrix(np.eye(3))
         with pytest.raises(ValueError):
-            MultiplierKind("cauchy")
+            multiplier_draws(x, 10, "cauchy", seed=0)
 
     def test_in_place_fill_identities(self):
         # the in-place Mammen fill is bit-identical to a select only while
@@ -49,7 +50,7 @@ class TestTwoPointDraws:
     @pytest.mark.parametrize("tag", sorted(ORACLES))
     @pytest.mark.parametrize("size", [(1, 500), (7, 3), (2000, 500)])
     def test_draw_equals_oracle(self, tag, size):
-        got = MultiplierKind(tag).draw(np.random.default_rng(5), size)
+        got = _draw_multipliers(tag, np.random.default_rng(5), size)
         want = self.ORACLES[tag](np.random.default_rng(5), size)
         assert got.dtype == np.float64
         assert np.array_equal(got, want)
@@ -147,6 +148,11 @@ class TestBlockBudget:
         finally:
             tracemalloc.stop()
 
+    def _check(self, fn):
+        peak, out = self._peak(fn)
+        assert peak <= BLOCK_FLOATS * 8 + out.nbytes + self.SLACK_BYTES
+        np.testing.assert_array_equal(out, fn())
+
     def test_peak_memory_independent_of_d(self):
         for d in (10, 50):
             x = sample(DistributionSpec.gaussian(CovarianceModel.identity(d)),
@@ -156,9 +162,12 @@ class TestBlockBudget:
                        lambda: sample_scaled_sums(spec, 10, 20_000, seed=7),
                        lambda: multiplier_draws(x, 1000, "mammen", seed=6),
                        lambda: multiplier_draws(x, 1000, "gaussian", seed=6)):
-                peak, out = self._peak(fn)
-                assert peak <= BLOCK_FLOATS * 8 + out.nbytes + self.SLACK_BYTES
-                np.testing.assert_array_equal(out, fn())
+                self._check(fn)
+        # n < d: each block's rows x d product is wider than its multipliers
+        x = sample(DistributionSpec.gaussian(CovarianceModel.identity(2000)),
+                   10, seed=5)
+        for kind in ("mammen", "gaussian"):
+            self._check(lambda: multiplier_draws(x, 2000, kind, seed=6))
 
 
 class TestEmpiricalCov:

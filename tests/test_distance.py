@@ -8,7 +8,7 @@ from scipy.special import ndtr
 from hdclt.distance import (MaxStatSample, anticoncentration_probe,
                             ks_distance, ks_distance_with_se,
                             ks_two_sample_critical, max_stat_sample,
-                            rect_family_distance)
+                            max_statistic, rect_family_distance)
 from hdclt.errors import BadDiagonal, DimensionMismatch
 from hdclt.lowerbound import threshold_xn
 from hdclt.matcore import CovarianceModel
@@ -197,3 +197,8 @@ class TestMaxStatSample:
     def test_bad_side(self):
         with pytest.raises(ValueError):
             MaxStatSample(np.array([1.0]), side="sideways")
+
+    def test_statistic_rejects_unknown_side(self):
+        # a misspelt two-sided tag must not fall back to max_j draw_j
+        with pytest.raises(ValueError):
+            max_statistic(np.array([[-5.0, 1.0]]), "two-sided")
