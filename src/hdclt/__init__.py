@@ -12,7 +12,7 @@ Modules:
 * :mod:`hdclt.distance`: Kolmogorov distances over rectangle sub-families
   and the one max-statistic sampler.
 * :mod:`hdclt.maxlaw`: exact CDFs and inverse-CDF samplers of max statistics
-  whose coordinates factor.
+  whose coordinates factor, and of the one-sided local-means max.
 * :mod:`hdclt.smoothing`: smoothed rectangle indicators and exact derivatives.
 * :mod:`hdclt.lowerbound`: the Poisson approximation check, the Gaussian
   reference max statistics and the power-law fit of the rate experiments.
@@ -31,8 +31,9 @@ from .distance import (MaxStatSample, anticoncentration_probe, ks_distance,
 from .errors import HdcltError
 from .lowerbound import poisson_approx_check, threshold_xn
 from .maxlaw import (DiagonalGaussianMax, EquicorrelatedGaussianMax,
-                     IsotropicGaussianMax, RademacherGaussianMax, TwoPointMax,
-                     law_of, sup_distance, two_point_marginal_tail)
+                     IsotropicGaussianMax, LocalMeansMax,
+                     RademacherGaussianMax, TwoPointMax, law_of, sup_distance,
+                     two_point_marginal_tail)
 from .matcore import CovarianceModel, RectangleSpec, enlarge
 from .runner import ExperimentConfig, RunManifest, emit_plot, run
 from .sampler import (DataMatrix, DistributionSpec, sample,
@@ -55,7 +56,8 @@ __all__ = [
     "derivative_sum", "h_nu", "verify_lemmas",
     "poisson_approx_check", "threshold_xn",
     "IsotropicGaussianMax", "EquicorrelatedGaussianMax", "TwoPointMax",
-    "RademacherGaussianMax", "DiagonalGaussianMax", "law_of", "sup_distance",
+    "RademacherGaussianMax", "DiagonalGaussianMax", "LocalMeansMax", "law_of",
+    "sup_distance",
     "two_point_marginal_tail",
     "ExperimentConfig", "RunManifest", "run", "emit_plot",
 ]

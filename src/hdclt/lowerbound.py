@@ -15,8 +15,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .distance import MaxStatSample, max_stat_sample, max_statistic
-from .sampler import DistributionSpec, derive_seed, sample_scaled_sums
+from .distance import (MaxStatSample, max_stat_sample, max_statistic,
+                       scaled_sum_blocks)
+from .sampler import DistributionSpec, derive_seed
 
 
 def threshold_xn(d: float) -> float:
@@ -30,18 +31,25 @@ def poisson_approx_check(spec: DistributionSpec, n: int, reps: int,
                          seed: int) -> dict:
     """Estimate F(x_n) and lambda_n for the max statistic of ``spec``.
 
-    F is estimated from ``reps`` draws of the full max statistic; the marginal
-    tail from all reps*d coordinate values of the same draws (coordinates are
-    i.i.d. for the supported families).  Returns ``x_n``, ``f_hat``,
-    ``lambda_hat``, the residual ``|f_hat - exp(-lambda_hat)|``, its
-    ``d * P(W_1 > x)^2`` bound ``residual_bound``, and the standard error
-    ``propagated_se`` of the residual from both estimates.
+    The ``reps`` draws of W come from :func:`scaled_sum_blocks`, and each
+    block is reduced to two counts before the next is drawn: its rows whose
+    max is <= x_n, which estimate F, and its coordinates above x_n, which
+    estimate the marginal tail from all reps*d coordinate values
+    (coordinates are i.i.d. for the supported families).  Memory therefore
+    stays near ``BLOCK_FLOATS`` however large reps*d is.  Returns ``x_n``,
+    ``f_hat``, ``lambda_hat``, the residual ``|f_hat - exp(-lambda_hat)|``,
+    its ``d * P(W_1 > x)^2`` bound ``residual_bound``, and the standard
+    error ``propagated_se`` of the residual from both estimates.
     """
     d = spec.dim
     x_n = threshold_xn(d)
-    draws = sample_scaled_sums(spec, n, reps, seed)
-    f_hat = float(np.mean(max_statistic(draws) <= x_n))
-    tail = float(np.mean(draws > x_n))
+    below = above = 0
+    for _, draws in scaled_sum_blocks(spec, n, reps, seed):
+        below += int(np.count_nonzero(max_statistic(draws) <= x_n))
+        above += int(np.count_nonzero(draws > x_n))
+        del draws  # before the next block is drawn
+    f_hat = below / reps
+    tail = above / (reps * d)
     lam = d * tail
     se_f = math.sqrt(max(f_hat * (1 - f_hat), 1e-300) / reps)
     se_tail = math.sqrt(max(tail * (1 - tail), 1e-300) / (reps * d))

@@ -4,7 +4,10 @@ When the d coordinates of W are i.i.d., P(max_j W_j <= x) is the d-th power
 of one marginal CDF, so the law of the max statistic is closed-form and can
 be sampled by inverting it: one uniform per replication in place of d
 variates.  The equicorrelated Gaussian with rho >= 0 is a one-factor mixture
-of such laws and takes two uniforms per replication.
+of such laws and takes two uniforms per replication.  The local-means
+coordinates are dependent multinomial cell counts, but their one-sided max
+has a closed form too (Levin's Poisson representation) and is inverted the
+same way.
 
 Each law is a small frozen record with ``cdf(x)``.  A law that allows exact
 inversion also has ``sample(*u)``, which maps ``variates`` arrays of
@@ -21,9 +24,11 @@ from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import bdtr, gammaln, log_ndtr, ndtr, ndtri, xlog1py, xlogy
+from scipy.special import (bdtr, bdtrc, gammaln, log_ndtr, ndtr, ndtri,
+                           xlog1py, xlogy)
 
-from .sampler import DistributionSpec, _count_sums, blocks, two_point_support
+from .sampler import (DistributionSpec, _count_sums, blocks,
+                      local_means_support, two_point_support)
 
 SIDES = ("one_sided", "two_sided")
 QUADRATURE_NODES = 64
@@ -156,8 +161,25 @@ class EquicorrelatedGaussianMax:
         return x
 
 
+class _StepLaw:
+    """CDF and inversion of a law on the ascending ``atoms``, whose CDF at
+    ``atoms[i]`` is ``table[i]``."""
+
+    def cdf(self, x) -> np.ndarray:
+        below = np.searchsorted(self.atoms, np.asarray(x, dtype=float),
+                                side="right")
+        return np.concatenate([[0.0], self.table])[below]
+
+    def sample(self, u) -> np.ndarray:
+        # P(index <= i) = P(u < table[i]) = table[i]; a last entry rounded
+        # below 1 must not send u past the last atom
+        idx = np.searchsorted(self.table, u, side="right")
+        np.minimum(idx, self.table.size - 1, out=idx)
+        return self.atoms[idx]
+
+
 @dataclass(frozen=True)
-class TwoPointMax:
+class TwoPointMax(_StepLaw):
     """Max statistic of W = n^{-1/2} sum_i X_i with i.i.d. two-point
     coordinates: W_j = (K a + (n - K) b)/sqrt(n), K ~ Binomial(n, 1/B^2).
 
@@ -192,17 +214,60 @@ class TwoPointMax:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "table", table)
 
-    def cdf(self, x) -> np.ndarray:
-        below = np.searchsorted(self.atoms, np.asarray(x, dtype=float),
-                                side="right")
-        return np.concatenate([[0.0], self.table])[below]
 
-    def sample(self, u) -> np.ndarray:
-        # P(index <= i) = P(u < table[i]) = table[i]; a last entry rounded
-        # below 1 must not send u past the last atom
-        idx = np.searchsorted(self.table, u, side="right")
-        np.minimum(idx, self.n, out=idx)
-        return self.atoms[idx]
+@dataclass(frozen=True)
+class LocalMeansMax(_StepLaw):
+    """One-sided max statistic of the many-local-means scaled sum: each of
+    n observations falls in one of d equally likely cells, and
+    W_j = (N_j hi + (n - N_j) lo)/sqrt(n) for the cell counts N_j.
+
+    W_j increases with N_j, so the max statistic's CDF at ``atoms[m]``, the
+    value of a coordinate with count m, is P(max_j N_j <= m).  Levin's
+    Poisson representation (Ann. Statist. 9, 1981) gives this multinomial
+    probability as P(S = n)/P(Poisson(n) = n), where S is the sum of d
+    independent Poisson(n/d) counts, each with its pmf cut off above m (not
+    renormalised).  P(S = n) is read off one FFT power of the cut pmf per
+    m, so building the table costs about (m_max - n/d) FFTs of length
+    about d m_max, with m_max a few Poisson(n/d) deviations above n/d.
+    The table is exactly 0 below ceil(n/d), where some count must exceed
+    m, and exactly 1 from the first m with d P(N_1 > m) < 2^-53, a union
+    bound on P(max_j N_j > m).
+    """
+
+    n: int
+    d: int
+    variates: ClassVar[int] = 1
+    atoms: np.ndarray = field(init=False, repr=False, compare=False)
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.n < 1 or self.d < 2:
+            raise ValueError("need n >= 1 and d >= 2")
+        n, d = self.n, self.d
+        hi, lo, p = local_means_support(d)
+        k = np.arange(n + 1)
+        object.__setattr__(self, "atoms", _count_sums(k, n, hi, lo))
+        first = -(-n // d)
+        # bdtrc(n, n, p) = 0, so some m qualifies
+        last = first + int(np.argmax(d * bdtrc(k[first:], n, p) < _U_MIN))
+        lam = n / d
+        cut = np.exp(xlogy(k, lam) - lam - gammaln(k + 1))
+        # the d-fold convolution has terms up to index d m; a transform of
+        # at least this length wraps none of them onto index n for any
+        # m < last, and a power of two keeps it off pocketfft's slow path
+        # for prime lengths
+        size = 1 << (max(n + 1, d * (last - 1) - n + 1) - 1).bit_length()
+        table = np.zeros(n + 1)
+        for m in range(first, last):
+            power = np.fft.rfft(cut[:m + 1], size) ** d
+            table[m] = np.fft.irfft(power, size)[n]
+        table /= math.exp(xlogy(n, n) - n - gammaln(n + 1))
+        table[last:] = 1.0
+        # rounding in the transforms can leave an entry just outside [0, 1]
+        # or below its predecessor
+        np.clip(table, 0.0, 1.0, out=table)
+        np.maximum.accumulate(table, out=table)
+        object.__setattr__(self, "table", table)
 
 
 def two_point_marginal_tail(B: float, n: int, x: float) -> float:
@@ -301,14 +366,17 @@ def _gaussian_law(cov, side: str):
 
 def law_of(spec: DistributionSpec, n: int, side: str = "one_sided"):
     """The exact law of the max statistic of W = n^{-1/2} sum_i X_i for
-    ``spec``, or None when its coordinates do not factor into a law here
-    (dependent two-valued coordinates, negative or unequal correlation, the
-    uniform family, the two-sided equicorrelated max).  The laws of the
+    ``spec``, or None when it has no law here: the two-sided local-means
+    max, negative or unequal correlation, the two-sided equicorrelated max,
+    the uniform and Rademacher families, and quasi-Gaussian overlays other
+    than Rademacher plus diagonal noise.  The laws of the
     Rademacher-plus-noise and unequal-variance diagonal Gaussian families
     have a CDF but no sampler."""
     _check_side(side)
     if spec.kind == "two_point":
         return TwoPointMax(spec.B, n, spec.dim, side)
+    if spec.kind == "local_means" and side == "one_sided":
+        return LocalMeansMax(n, spec.dim)
     if spec.kind == "gaussian":
         return _gaussian_law(spec.cov, side)
     if (spec.kind == "quasi_gaussian" and spec.base.kind == "rademacher"

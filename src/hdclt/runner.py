@@ -370,19 +370,23 @@ def _local_means_row(args):
     cfg, d = args
     n = 50 * d
     spec = DistributionSpec.local_means(d)
-    draws = sample_scaled_sums(spec, n, cfg.replications,
-                               derive_seed(cfg.seed, 30, d))
-    ref_spec = DistributionSpec.gaussian(CovarianceModel.identity(d))
-    ref = lowerbound.reference_max_stats(ref_spec,
+    w = distance.max_stat_sample(spec, n, cfg.replications,
+                                 derive_seed(cfg.seed, 30, d))
+    identity = CovarianceModel.identity(d)
+    ref = lowerbound.reference_max_stats(DistributionSpec.gaussian(identity),
                                          cfg.replications * cfg.ref_factor,
                                          derive_seed(cfg.seed, 31, d))
-    dist = distance.ks_distance(
-        distance.MaxStatSample.from_draws(draws, "one_sided"), ref)
-    identity = CovarianceModel.identity(d)
+    dist, se = distance.ks_distance_with_se(w, ref)
     sigma_w = CovarianceModel.local_means(d)
     gap = sup_norm_diff(identity, sigma_w)
     combined, prior, coupling = bounds.bounds_local_means(n, d, cfg.kappa_geom)
-    return {"d": d, "n": n, "distance": dist,
+    return {"d": d, "n": n, "distance": dist, "se": se,
+            # the 1% two-sample KS critical value, and the exact distance
+            # the Monte Carlo one estimates
+            "noise_floor": distance.ks_two_sample_critical(
+                cfg.replications, cfg.replications * cfg.ref_factor),
+            "exact_distance": maxlaw.sup_distance(
+                maxlaw.law_of(spec, n), maxlaw.IsotropicGaussianMax(d)),
             "delta0": bounds.delta0(identity, sigma_w, d),
             "comparison_bound": bounds.bound_gaussian_comparison(gap, d),
             "combined_bound": combined, "prior_bound": prior,
@@ -534,8 +538,9 @@ EXPERIMENTS = {
         {"d_list": [10, 40], "kappa_geom": 1, "replications": 100_000,
          "ref_factor": 10},
         _run_local_means,
-        ("d", "n", "distance", "delta0", "comparison_bound", "combined_bound",
-         "prior_bound", "coupling_bound"),
+        ("d", "n", "distance", "se", "noise_floor", "exact_distance",
+         "delta0", "comparison_bound", "combined_bound", "prior_bound",
+         "coupling_bound"),
         plot=("d", "distance", None, "linear")),
     "smoothing_verify": Experiment(
         {"d_list": [3], "v_list": [1, 2],

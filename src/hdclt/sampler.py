@@ -93,6 +93,15 @@ def two_point_support(B: float) -> tuple[float, float, float]:
     return a, b, p
 
 
+def local_means_support(d: int) -> tuple[float, float, float]:
+    """Coordinate values (hi, lo) and cell probability p of the local-means
+    family: an observation falls in one of d equally likely cells and has
+    hi = sqrt((1-p)/p) in its own cell's coordinate and lo = -sqrt(p/(1-p))
+    in the others, p = 1/d."""
+    p = 1.0 / d
+    return np.sqrt((1 - p) / p), -np.sqrt(p / (1 - p)), p
+
+
 @dataclass(frozen=True)
 class DistributionSpec:
     """Tagged distribution family with its population covariance."""
@@ -196,9 +205,7 @@ def _sample_values(spec: DistributionSpec, n: int, rng: np.random.Generator) -> 
 
 
 def _local_means_values(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    p = 1.0 / d
-    hi = np.sqrt((1 - p) / p)
-    lo = -np.sqrt(p / (1 - p))
+    hi, lo, _ = local_means_support(d)
     cells = rng.integers(0, d, size=n)
     x = np.full((n, d), lo)
     x[np.arange(n), cells] = hi
@@ -249,9 +256,7 @@ def sample_scaled_sums(spec: DistributionSpec, n: int, reps: int,
     if spec.kind == "rademacher":
         return _count_sums(rng.binomial(n, 0.5, size=(reps, d)), n, 1.0, -1.0)
     if spec.kind == "local_means":
-        p = 1.0 / d
-        hi = np.sqrt((1 - p) / p)
-        lo = -np.sqrt(p / (1 - p))
+        hi, lo, p = local_means_support(d)
         return _count_sums(rng.multinomial(n, np.full(d, p), size=reps), n, hi, lo)
     if spec.kind == "quasi_gaussian":
         w = sample_scaled_sums(spec.base, n, reps, seed)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from scipy.special import ndtr
 from hdclt.lowerbound import fit_power_law, poisson_approx_check, threshold_xn
 from hdclt.matcore import CovarianceModel
 from hdclt.maxlaw import RademacherGaussianMax, two_point_marginal_tail
-from hdclt.sampler import (DistributionSpec, sample_scaled_sums,
-                           two_point_support)
+from hdclt.sampler import (BLOCK_FLOATS, DistributionSpec,
+                           sample_scaled_sums, two_point_support)
 
 
 class TestThreshold:
@@ -70,6 +71,19 @@ class TestPoissonApprox:
         assert rec["residual_bound"] == pytest.approx(
             rec["lambda_hat"]**2 / spec.dim)
         assert rec["lambda_hat"] <= 10.0
+
+    def test_peak_memory_independent_of_reps_times_d(self):
+        # 5e6 coordinate values, 40 MB as one array; the check must hold
+        # one block at a time
+        for d in (50, 500):
+            spec = DistributionSpec.two_point(2.0, d)
+            tracemalloc.start()
+            try:
+                poisson_approx_check(spec, n=100, reps=5_000_000 // d, seed=3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= BLOCK_FLOATS * 8 + 4_000_000, (d, peak)
 
 
 class TestPowerLawFit:

@@ -17,9 +17,9 @@ from hdclt.lowerbound import fit_power_law, threshold_xn
 from hdclt.matcore import CovarianceModel
 from hdclt import maxlaw
 from hdclt.maxlaw import (DiagonalGaussianMax, EquicorrelatedGaussianMax,
-                          IsotropicGaussianMax, RademacherGaussianMax,
-                          TwoPointMax, law_of, sup_distance,
-                          two_point_marginal_tail)
+                          IsotropicGaussianMax, LocalMeansMax,
+                          RademacherGaussianMax, TwoPointMax, law_of,
+                          sup_distance, two_point_marginal_tail)
 from hdclt.sampler import (BLOCK_FLOATS, DistributionSpec, sample_scaled_sums,
                            substream, two_point_support)
 
@@ -179,6 +179,52 @@ class TestBinomialLaw:
             assert np.all(np.diff(table) >= 0)
 
 
+def _compositions(n, d):
+    """Every vector of d nonnegative counts summing to n."""
+    if d == 1:
+        yield (n,)
+        return
+    for k in range(n + 1):
+        for rest in _compositions(n - k, d - 1):
+            yield (k,) + rest
+
+
+class TestLocalMeansLaw:
+    @pytest.mark.parametrize("n, d", [(12, 3), (20, 4)])
+    def test_table_against_enumeration(self, n, d):
+        # P(max_j N_j <= m) summed over every multinomial outcome
+        pmf = np.zeros(n + 1)
+        for counts in _compositions(n, d):
+            pmf[max(counts)] += math.exp(
+                math.lgamma(n + 1) - sum(math.lgamma(c + 1) for c in counts)
+                - n * math.log(d))
+        np.testing.assert_allclose(LocalMeansMax(n, d).table, np.cumsum(pmf),
+                                   rtol=0, atol=1e-12)
+
+    def test_sample_against_multinomial_max(self):
+        n, d, reps = 2000, 40, 100_000
+        full = sample_scaled_sums(DistributionSpec.local_means(d), n, reps,
+                                  seed=18)
+        drawn = MaxStatSample(full.max(axis=1))
+        law = LocalMeansMax(n, d)
+        inverted = MaxStatSample(law.sample(substream(19, 0).random(reps)))
+        # the inverted draws take exactly the drawn values
+        assert set(np.unique(inverted.values)) <= set(law.atoms)
+        # each empirical CDF within its alpha = 1e-4 DKW radius of the law;
+        # both step at the atoms only, so the sup is taken there
+        radius = math.sqrt(math.log(2.0 / 1e-4) / (2.0 * reps))
+        for sample in (drawn, inverted):
+            assert np.max(np.abs(sample.cdf(law.atoms) - law.table)) <= radius
+
+    def test_large_table_is_a_cdf_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = LocalMeansMax(5000, 100).table
+        assert np.all((table >= 0.0) & (table <= 1.0))
+        assert np.all(np.diff(table) >= 0)
+        assert table[49] == 0.0 and table[-1] == 1.0
+
+
 class TestSample:
     REPS = 200_000
     # the alpha = 0.001 two-sample KS critical value at 200k draws a side
@@ -249,6 +295,9 @@ class TestLawOf:
         assert law_of(diagonal, 1, "two_sided") == DiagonalGaussianMax(
             (1.0, 2.0), "two_sided")
         assert not hasattr(law_of(diagonal, 1), "sample")
+        local = DistributionSpec.local_means(5)
+        assert law_of(local, 10) == LocalMeansMax(10, 5)
+        assert law_of(local, 10, "two_sided") is None
 
     def test_no_law_where_coordinates_do_not_factor(self):
         equi = DistributionSpec.gaussian(
@@ -257,7 +306,6 @@ class TestLawOf:
             CovarianceModel.equicorrelation(5, -0.1))
         assert law_of(equi, 1, "two_sided") is None
         assert law_of(negative, 1) is None
-        assert law_of(DistributionSpec.local_means(5), 10) is None
         assert law_of(DistributionSpec.uniform_bounded(1.0, 5), 10) is None
         with pytest.raises(ValueError):
             law_of(equi, 1, "sideways")
