@@ -18,6 +18,9 @@ Modules:
   reference max statistics and the power-law fit of the rate experiments.
 * :mod:`hdclt.runner`: config-driven experiments (the rate curves are
   assembled here), CSV/JSON/SVG artifacts.
+* :mod:`hdclt.errors`: :class:`HdcltError` and its subclasses, kept for what
+  a run can meet (an invalid config, a failed write, a singular Cholesky
+  factor, an unconverged quadrature); a bad argument raises ``ValueError``.
 """
 
 from ._version import __version__
@@ -30,10 +33,9 @@ from .distance import (MaxStatSample, anticoncentration_probe, ks_distance,
                        rect_family_distance)
 from .errors import HdcltError
 from .lowerbound import poisson_approx_check, threshold_xn
-from .maxlaw import (DiagonalGaussianMax, EquicorrelatedGaussianMax,
-                     IsotropicGaussianMax, LocalMeansMax,
-                     RademacherGaussianMax, TwoPointMax, law_of, sup_distance,
-                     two_point_marginal_tail)
+from .maxlaw import (EquicorrelatedGaussianMax, IsotropicGaussianMax,
+                     LocalMeansMax, RademacherGaussianMax, TwoPointMax, law_of,
+                     sup_distance, two_point_marginal_tail)
 from .matcore import CovarianceModel, RectangleSpec, enlarge
 from .runner import ExperimentConfig, RunManifest, emit_plot, run
 from .sampler import (DataMatrix, DistributionSpec, sample,
@@ -56,8 +58,7 @@ __all__ = [
     "derivative_sum", "h_nu", "verify_lemmas",
     "poisson_approx_check", "threshold_xn",
     "IsotropicGaussianMax", "EquicorrelatedGaussianMax", "TwoPointMax",
-    "RademacherGaussianMax", "DiagonalGaussianMax", "LocalMeansMax", "law_of",
-    "sup_distance",
+    "RademacherGaussianMax", "LocalMeansMax", "law_of", "sup_distance",
     "two_point_marginal_tail",
     "ExperimentConfig", "RunManifest", "run", "emit_plot",
 ]

@@ -1,7 +1,8 @@
 """Command-line entry point: run, list, and validate experiments.
 
-Exit codes for ``run --check``: 0 when the summary has criteria and every one
-passes, 1 when any fails or there are none, 2 on configuration errors.
+Exit codes: 0 on success (for ``run --check``, when the summary has criteria
+and every one passes), 1 when a check fails, there are none, or the run
+meets an error, 2 on configuration and argument errors.
 """
 
 from __future__ import annotations
@@ -43,7 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.threads < 1:
+        parser.error(f"argument --threads: must be >= 1, got {args.threads}")
 
     if args.command == "list":
         for tag in EXPERIMENTS:

@@ -1,4 +1,10 @@
-"""Semantic exception hierarchy shared across the package."""
+"""Semantic exception hierarchy shared across the package.
+
+A bad argument to a function raises ``ValueError``.  An ``HdcltError`` is
+kept for what a run can meet: ``ConfigInvalid`` (the CLI exits 2), and
+``IoFailure``, ``NotPositiveDefinite`` and ``QuadratureNotConverged`` (the
+CLI exits 1 with an ``error:`` line).
+"""
 
 
 class HdcltError(Exception):
@@ -9,32 +15,8 @@ class NotPositiveDefinite(HdcltError):
     """A Cholesky pivot fell below tolerance."""
 
 
-class DimensionMismatch(HdcltError):
-    """Operands have incompatible dimensions."""
-
-
-class DegenerateRectangle(HdcltError):
-    """A rectangle has lower_j > upper_j for some coordinate."""
-
-
-class BadDiagonal(HdcltError):
-    """Anti-concentration probe requires all variances >= 1."""
-
-
-class NonDiagonalSigma(HdcltError):
-    """Analytic smoothing path requires a diagonal covariance."""
-
-
-class OrderTooHigh(HdcltError):
-    """Requested mixed-derivative order exceeds the supported cap."""
-
-
 class QuadratureNotConverged(HdcltError):
     """A quadrature row still moved between the last two orders at the cap."""
-
-
-class BudgetExceeded(HdcltError):
-    """The d**v index-tuple budget for a derivative sum is infeasible."""
 
 
 class ConfigInvalid(HdcltError):

@@ -77,13 +77,13 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]
 
 
 def reference_max_stats(spec: DistributionSpec, reps: int, seed: int,
-                        family: str = "one_sided_max") -> MaxStatSample:
+                        side: str = "one_sided") -> MaxStatSample:
     """Max statistics of N(0, covariance of spec), drawn by
     :func:`max_stat_sample`, so reference replication counts far above the W
     side stay affordable."""
     return max_stat_sample(
         DistributionSpec.gaussian(spec.population_covariance()), 1, reps,
-        derive_seed(seed, 999), side_of(family))
+        derive_seed(seed, 999), side)
 
 
 def side_of(family: str) -> str:

@@ -1,10 +1,10 @@
 """Dense symmetric linear algebra and rectangle geometry.
 
-Covariance matrices are wrapped in :class:`CovarianceModel`, which caches the
-Cholesky factor and the smallest eigenvalue, and validates symmetry / PSD-ness
-up to fixed tolerances.  Rectangles are products of half-open intervals
-``(a_j, b_j]`` with infinite endpoints allowed, so one-sided max events
-``{max_j W_j <= x}`` are representable.
+Covariance matrices are wrapped in :class:`CovarianceModel`, which computes
+the smallest eigenvalue once, caches the Cholesky factor, and validates
+symmetry / PSD-ness up to fixed tolerances.  Rectangles are products of
+half-open intervals ``(a_j, b_j]`` with infinite endpoints allowed, so
+one-sided max events ``{max_j W_j <= x}`` are representable.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import threading
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateRectangle, DimensionMismatch, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -26,14 +26,15 @@ class CovarianceModel:
     """Immutable d x d symmetric PSD matrix with lazily cached factorization.
 
     Construction validates symmetry (1e-12 absolute) and PSD-ness up to a
-    1e-10 eigenvalue tolerance.  Exactly singular matrices are representable;
-    only :attr:`chol` requires strict positive definiteness.
+    1e-10 eigenvalue tolerance, which sets ``min_eig``, the smallest
+    eigenvalue from a symmetric eigensolver.  Exactly singular matrices are
+    representable; only :attr:`chol` requires strict positive definiteness.
     """
 
     def __init__(self, entries):
         entries = np.asarray(entries, dtype=float)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {entries.shape}")
+            raise ValueError(f"expected a square matrix, got shape {entries.shape}")
         if not np.all(np.isfinite(entries)):
             raise ValueError("covariance entries must be finite")
         if np.max(np.abs(entries - entries.T)) > SYMMETRY_TOL:
@@ -41,8 +42,9 @@ class CovarianceModel:
         self._entries = 0.5 * (entries + entries.T)
         self._entries.setflags(write=False)
         self._chol = None
-        self._min_eig = None
         self._lock = threading.Lock()
+        self.min_eig = float(scipy.linalg.eigh(
+            self._entries, eigvals_only=True, subset_by_index=(0, 0))[0])
         if self.min_eig < -PSD_TOL:
             raise ValueError(
                 f"matrix is not PSD: smallest eigenvalue {self.min_eig:.3e} < -{PSD_TOL:g}"
@@ -59,18 +61,6 @@ class CovarianceModel:
     @property
     def diagonal(self) -> np.ndarray:
         return np.diag(self._entries)
-
-    @property
-    def min_eig(self) -> float:
-        """Smallest eigenvalue, computed once via a symmetric eigensolver."""
-        if self._min_eig is None:
-            with self._lock:
-                if self._min_eig is None:
-                    self._min_eig = float(
-                        scipy.linalg.eigh(self._entries, eigvals_only=True,
-                                          subset_by_index=(0, 0))[0]
-                    )
-        return self._min_eig
 
     @property
     def chol(self) -> np.ndarray:
@@ -134,7 +124,7 @@ def _cholesky_lower(s: np.ndarray) -> np.ndarray:
 def sup_norm_diff(s: CovarianceModel, q: CovarianceModel) -> float:
     """Entrywise sup-norm distance ``max_{jk} |S_jk - Q_jk|``."""
     if s.dim != q.dim:
-        raise DimensionMismatch(f"dimension mismatch: {s.dim} vs {q.dim}")
+        raise ValueError(f"dimension mismatch: {s.dim} vs {q.dim}")
     return float(np.max(np.abs(s.entries - q.entries)))
 
 
@@ -145,11 +135,11 @@ class RectangleSpec:
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
         if lower.shape != upper.shape or lower.ndim != 1:
-            raise DimensionMismatch("lower and upper must be 1-d vectors of equal length")
+            raise ValueError("lower and upper must be 1-d vectors of equal length")
         if np.any(np.isnan(lower)) or np.any(np.isnan(upper)):
             raise ValueError("rectangle endpoints may not be NaN")
         if np.any(lower > upper):
-            raise DegenerateRectangle("lower_j > upper_j for some coordinate")
+            raise ValueError("lower_j > upper_j for some coordinate")
         self.lower = lower.copy()
         self.upper = upper.copy()
         self.lower.setflags(write=False)
@@ -181,11 +171,11 @@ def enlarge(a: RectangleSpec, t: float) -> RectangleSpec:
     """Rectangle ``A^t`` with endpoints moved out by t (in by -t).
 
     Infinite endpoints stay infinite.  A negative t crossing lower past upper
-    raises :class:`DegenerateRectangle`.
+    raises ``ValueError``.
     """
     lower = a.lower - t
     upper = a.upper + t
     # -inf - t and inf + t stay infinite for finite t
     if np.any(lower > upper):
-        raise DegenerateRectangle(f"enlargement by t={t} produced an empty rectangle")
+        raise ValueError(f"enlargement by t={t} produced an empty rectangle")
     return RectangleSpec(lower, upper)

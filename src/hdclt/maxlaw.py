@@ -278,7 +278,7 @@ def two_point_marginal_tail(B: float, n: int, x: float) -> float:
     """
     a, b, p = two_point_support(B)
     k = np.arange(n + 1)
-    w = (k * a + (n - k) * b) / math.sqrt(n)
+    w = _count_sums(k, n, a, b)
     return float(_binom_pmf(k[w > x], n, p).sum())
 
 
@@ -322,43 +322,17 @@ class RademacherGaussianMax:
         return (out ** self.d).reshape(x.shape)
 
 
-@dataclass(frozen=True)
-class DiagonalGaussianMax:
-    """max_j Z_j or max_j |Z_j| of Z ~ N(0, diag(sigma_j^2)) with unequal
-    sigma_j (CDF only): the product of the d marginal CDFs.  A coordinate
-    with sigma_j = 0 is 0, whose CDF steps from 0 to 1 at x = 0."""
-
-    sigma: tuple
-    side: str = "one_sided"
-
-    def __post_init__(self):
-        if not self.sigma or min(self.sigma) < 0:
-            raise ValueError("need d >= 1 and every sigma_j >= 0")
-        _check_side(self.side)
-
-    def cdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)[..., None]
-        sd = np.asarray(self.sigma)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(sd > 0, x / np.where(sd > 0, sd, 1.0),
-                         np.where(x >= 0, np.inf, -np.inf))
-        if self.side == "one_sided":
-            return np.exp(log_ndtr(z).sum(axis=-1))
-        inside = np.where(x >= 0, ndtr(z) - ndtr(-z), 0.0)
-        return np.prod(inside, axis=-1)
-
-
 def _gaussian_law(cov, side: str):
-    """The law of N(0, cov)'s max statistic when cov is diagonal or
-    nonnegatively equicorrelated (one-sided), if any."""
+    """The law of N(0, cov)'s max statistic when cov has equal positive
+    variances and is diagonal or nonnegatively equicorrelated (one-sided),
+    if any."""
     diag = cov.diagonal
+    if not (diag[0] > 0 and np.all(diag == diag[0])):
+        return None
     off = cov.entries[~np.eye(cov.dim, dtype=bool)]
-    constant = bool(diag[0] > 0 and np.all(diag == diag[0]))
     if not np.any(off):
-        if constant:
-            return IsotropicGaussianMax(cov.dim, math.sqrt(diag[0]), side)
-        return DiagonalGaussianMax(tuple(np.sqrt(diag).tolist()), side)
-    rho = float(off[0]) / diag[0] if constant else math.nan
+        return IsotropicGaussianMax(cov.dim, math.sqrt(diag[0]), side)
+    rho = float(off[0]) / diag[0]
     if np.all(off == off[0]) and 0.0 < rho < 1.0 and side == "one_sided":
         return EquicorrelatedGaussianMax(cov.dim, rho, math.sqrt(diag[0]))
     return None
@@ -367,11 +341,10 @@ def _gaussian_law(cov, side: str):
 def law_of(spec: DistributionSpec, n: int, side: str = "one_sided"):
     """The exact law of the max statistic of W = n^{-1/2} sum_i X_i for
     ``spec``, or None when it has no law here: the two-sided local-means
-    max, negative or unequal correlation, the two-sided equicorrelated max,
-    the uniform and Rademacher families, and quasi-Gaussian overlays other
-    than Rademacher plus diagonal noise.  The laws of the
-    Rademacher-plus-noise and unequal-variance diagonal Gaussian families
-    have a CDF but no sampler."""
+    max, unequal variances, negative or unequal correlation, the two-sided
+    equicorrelated max, the uniform and Rademacher families, and
+    quasi-Gaussian overlays other than Rademacher plus diagonal noise.  The
+    law of the Rademacher-plus-noise family has a CDF but no sampler."""
     _check_side(side)
     if spec.kind == "two_point":
         return TwoPointMax(spec.B, n, spec.dim, side)

@@ -256,7 +256,7 @@ def _rate_result(cfg: ExperimentConfig, spec: DistributionSpec,
     """
     side = lowerbound.side_of(cfg.family)
     ref = lowerbound.reference_max_stats(
-        spec, cfg.replications * cfg.ref_factor, cfg.seed, cfg.family)
+        spec, cfg.replications * cfg.ref_factor, cfg.seed, side)
 
     def point(item):
         i, n = item
@@ -678,6 +678,8 @@ def _append_manifest(path: str, manifest: RunManifest) -> None:
                 records = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise IoFailure(f"cannot append to {path}: {exc}") from exc
+        if not isinstance(records, list):
+            raise IoFailure(f"cannot append to {path}: not a JSON array")
     records.append(manifest.to_record())
     try:
         with open(path, "w", encoding="utf-8") as fh:

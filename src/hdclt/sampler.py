@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .matcore import CovarianceModel
 
 FAMILIES = ("gaussian", "two_point", "rademacher", "uniform_bounded",
@@ -65,7 +64,7 @@ class DataMatrix:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
-            raise DimensionMismatch("DataMatrix expects a 2-d array")
+            raise ValueError("DataMatrix expects a 2-d array")
         if not np.all(np.isfinite(v)):
             raise ValueError("DataMatrix entries must be finite")
         object.__setattr__(self, "values", v)
@@ -79,27 +78,27 @@ class DataMatrix:
         return self.values.shape[1]
 
 
-def two_point_support(B: float) -> tuple[float, float, float]:
-    """Support values (a, b) and probability p of the two-point family.
+def _two_point_law(p: float) -> tuple[float, float, float]:
+    """Values (a, b) and probability p of the centred two-point law with unit
+    variance that puts mass p on a = sqrt((1-p)/p) and 1-p on
+    b = -sqrt(p/(1-p))."""
+    return np.sqrt((1.0 - p) / p), -np.sqrt(p / (1.0 - p)), p
 
-    The law puts mass p = 1/B^2 on a = sqrt((1-p)/p) and 1-p on
-    b = -sqrt(p/(1-p)); it is centered with unit variance and |X| <= B.
-    """
+
+def two_point_support(B: float) -> tuple[float, float, float]:
+    """Support values (a, b) and probability p of the two-point family: the
+    centred two-point law at p = 1/B^2, so |X| <= B."""
     if not 2 <= B < np.inf:
         raise ValueError("two_point requires a finite B >= 2")
-    p = 1.0 / B**2
-    a = np.sqrt((1.0 - p) / p)
-    b = -np.sqrt(p / (1.0 - p))
-    return a, b, p
+    return _two_point_law(1.0 / B**2)
 
 
 def local_means_support(d: int) -> tuple[float, float, float]:
     """Coordinate values (hi, lo) and cell probability p of the local-means
-    family: an observation falls in one of d equally likely cells and has
-    hi = sqrt((1-p)/p) in its own cell's coordinate and lo = -sqrt(p/(1-p))
-    in the others, p = 1/d."""
-    p = 1.0 / d
-    return np.sqrt((1 - p) / p), -np.sqrt(p / (1 - p)), p
+    family: an observation falls in one of d equally likely cells, so each
+    coordinate is the centred two-point law at p = 1/d, hi in its own
+    cell's coordinate and lo in the others."""
+    return _two_point_law(1.0 / d)
 
 
 @dataclass(frozen=True)
@@ -154,7 +153,7 @@ class DistributionSpec:
     @staticmethod
     def quasi_gaussian(base: "DistributionSpec", sigma0: CovarianceModel) -> "DistributionSpec":
         if base.dim != sigma0.dim:
-            raise DimensionMismatch("base and sigma0 dimensions differ")
+            raise ValueError("base and sigma0 dimensions differ")
         return DistributionSpec(kind="quasi_gaussian", dim=base.dim, base=base, sigma0=sigma0)
 
     # -- population covariance -----------------------------------------------

@@ -39,8 +39,7 @@ import numpy as np
 from numpy.polynomial import hermite_e, polynomial as npoly
 from scipy.special import ndtr
 
-from .errors import (BudgetExceeded, NonDiagonalSigma, OrderTooHigh,
-                     QuadratureNotConverged)
+from .errors import QuadratureNotConverged
 from .matcore import CovarianceModel, RectangleSpec
 
 MAX_DERIVATIVE_ORDER = 6
@@ -164,7 +163,7 @@ def m_indicator(w, params: SmoothingParams) -> float:
 
 def _require_diagonal(params: SmoothingParams):
     if not params.sigma.is_diagonal:
-        raise NonDiagonalSigma(
+        raise ValueError(
             "analytic path requires diagonal covariance; use Monte Carlo instead")
     if np.any(params.sigma.diagonal <= 0):
         raise ValueError("diagonal covariance entries must be positive")
@@ -316,7 +315,7 @@ def rho_partial(w, multi_index: Sequence[int],
     empty ``multi_index`` gives :func:`rho_eval`.
     """
     if len(multi_index) > MAX_DERIVATIVE_ORDER:
-        raise OrderTooHigh(f"total order {len(multi_index)} exceeds cap "
+        raise ValueError(f"total order {len(multi_index)} exceeds cap "
                            f"{MAX_DERIVATIVE_ORDER}")
     orders = _orders_from_index(multi_index, params.d)
     return float(_integrate(w, [orders], params)[0, 0])
@@ -334,7 +333,7 @@ def derivative_sum(v: int, w, params: SmoothingParams) -> float:
         raise ValueError(f"v must be in 1..{MAX_SUM_ORDER}")
     d = params.d
     if d**v > TUPLE_BUDGET:
-        raise BudgetExceeded(f"d^v = {d**v} exceeds budget {TUPLE_BUDGET}")
+        raise ValueError(f"d^v = {d**v} exceeds budget {TUPLE_BUDGET}")
     points = np.asarray(w, dtype=float) + params.perturbations()
     profiles = [_orders_from_index(combo, d) for combo in
                 itertools.combinations_with_replacement(range(d), v)]

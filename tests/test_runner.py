@@ -265,6 +265,27 @@ class TestCli:
         assert set(summary["checks"]) == {"residual_within_bound",
                                           "lambda_le_10"}
 
+    def test_non_list_manifest_exit_1(self, tmp_path, capsys):
+        cfg = self._write(tmp_path,
+                          "experiment = poisson_check\nreplications = 500\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text("{}\n")
+        assert cli_main(["run", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "manifest.json" in err
+        assert (out / "manifest.json").read_text() == "{}\n"
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
+        cfg = self._write(tmp_path, "experiment = poisson_check\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", cfg, "--threads", threads, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert "--threads" in capsys.readouterr().err
+
     def test_run_without_checks_fails(self, tmp_path, capsys):
         # v = 2 at finite phi and eps != 1 has no rows behind any check
         cfg = self._write(tmp_path, "experiment = smoothing_verify\n"
