@@ -23,6 +23,9 @@ _SQRT5 = math.sqrt(5.0)
 MAMMEN_LOW = (1.0 - _SQRT5) / 2.0
 MAMMEN_HIGH = (1.0 + _SQRT5) / 2.0
 MAMMEN_P_LOW = (_SQRT5 + 1.0) / (2.0 * _SQRT5)
+# two-point multipliers: kind -> (P(low), low, high)
+_TWO_POINT = {"rademacher": (0.5, -1.0, 1.0),
+              "mammen": (MAMMEN_P_LOW, MAMMEN_LOW, MAMMEN_HIGH)}
 
 MULTIPLIER_KINDS = ("gaussian", "rademacher", "mammen")
 
@@ -30,17 +33,16 @@ MULTIPLIER_KINDS = ("gaussian", "rademacher", "mammen")
 MIN_QUANTILE_DRAWS = 100
 
 
-def _draw_multipliers(kind: str, rng: np.random.Generator,
-                      size) -> np.ndarray:
-    if kind == "gaussian":
-        return rng.standard_normal(size)
-    if kind == "rademacher":
-        return rng.integers(0, 2, size=size).astype(float) * 2.0 - 1.0
-    # overwrite the uniforms in place: 1 * (LOW - HIGH) + HIGH == LOW and
-    # 0 * (LOW - HIGH) + HIGH == HIGH hold exactly in float64
-    out = rng.random(size)
-    np.multiply(out < MAMMEN_P_LOW, MAMMEN_LOW - MAMMEN_HIGH, out=out)
-    out += MAMMEN_HIGH
+def _low_indicator(p: float, rng: np.random.Generator, size) -> np.ndarray:
+    """Float 0/1 array, 1 with probability p: entry i is 1 when byte i of
+    ``random_raw`` (little-endian) is below ``cut = floor(256 p)``; then each
+    byte equal to cut, in order, is 1 when a uniform is below 256 p - cut."""
+    m, cut = size[0] * size[1], math.floor(256 * p)
+    byte = (rng.bit_generator.random_raw(-(-m // 8)).astype("<u8", copy=False)
+            .view(np.uint8)[:m].reshape(size))
+    ties = np.flatnonzero(byte == cut)
+    out = np.less(byte, cut, out=np.empty(size), casting="unsafe")
+    out.flat[ties] = rng.random(ties.size) < 256 * p - cut
     return out
 
 
@@ -52,7 +54,9 @@ def multiplier_draws(x: DataMatrix, reps: int, kind: str,
     the Gaussian kind is conditionally exactly N(0, centered empirical cov).
     That law is drawn as ``z @ R`` from ``min(n, d)`` standard normals ``z``,
     where ``R`` is the thin-QR factor of the centred data, since
-    ``R^T R = xc^T xc``.  ``kind`` is one of :data:`MULTIPLIER_KINDS`.
+    ``R^T R = xc^T xc``.  A two-point multiplier is ``high + (low - high)
+    1{low}``, so its draws are one 0/1 product with ``xc`` plus a fixed row.
+    ``kind`` is one of :data:`MULTIPLIER_KINDS`.
     """
     if kind not in MULTIPLIER_KINDS:
         raise ValueError(f"unknown multiplier kind {kind!r}")
@@ -65,9 +69,14 @@ def multiplier_draws(x: DataMatrix, reps: int, kind: str,
     out = np.empty((reps, x.d))
     # a block holds its rows x k multipliers and their rows x d product
     for idx, rows in blocks(reps, max(k, x.d)):
-        xi = _draw_multipliers(kind, substream(seed, 10, idx),
-                               (rows.stop - rows.start, k))
-        out[rows] = xi @ xc
+        rng, size = substream(seed, 10, idx), (rows.stop - rows.start, k)
+        if kind == "gaussian":
+            out[rows] = rng.standard_normal(size) @ xc
+        else:
+            p, low, high = _TWO_POINT[kind]
+            block = np.matmul(_low_indicator(p, rng, size), xc, out=out[rows])
+            block *= low - high
+            block += high * xc.sum(axis=0)
     return out
 
 

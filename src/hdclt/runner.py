@@ -421,7 +421,8 @@ def _ratio_check(values) -> bool:
 
 def _run_smoothing_verify(cfg, pmap):
     cells = [(cfg, phi, eps) for phi in cfg.phi_list for eps in cfg.eps_list]
-    rows = [row for part in pmap(_smoothing_cell, cells) for row in part]
+    # serial at any --threads: its small GIL-bound cells run slower threaded
+    rows = [row for part in map(_smoothing_cell, cells) for row in part]
     checks = {}
     for v in cfg.v_list:
         checks[f"c61_stable_v{v}"] = _ratio_check(
@@ -634,6 +635,7 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1) -> RunManifest
     except OSError as exc:
         raise IoFailure(f"cannot create {out_dir}: {exc}") from exc
 
+    _read_manifest(os.path.join(out_dir, "manifest.json"))  # fail early
     exp = EXPERIMENTS[config.experiment]
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     rows, summary = exp.body(config, _pmap(threads))
@@ -670,17 +672,21 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1) -> RunManifest
     return manifest
 
 
+def _read_manifest(path: str) -> list:
+    if not os.path.exists(path):
+        return []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            records = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise IoFailure(f"cannot append to {path}: {exc}") from exc
+    if not isinstance(records, list):
+        raise IoFailure(f"cannot append to {path}: not a JSON array")
+    return records
+
+
 def _append_manifest(path: str, manifest: RunManifest) -> None:
-    records = []
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                records = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise IoFailure(f"cannot append to {path}: {exc}") from exc
-        if not isinstance(records, list):
-            raise IoFailure(f"cannot append to {path}: not a JSON array")
-    records.append(manifest.to_record())
+    records = _read_manifest(path) + [manifest.to_record()]
     try:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(records, fh, indent=2)

@@ -6,7 +6,7 @@ import pytest
 from scipy.special import ndtri
 
 from hdclt.bootstrap import (MAMMEN_HIGH, MAMMEN_LOW, MAMMEN_P_LOW,
-                             _draw_multipliers, bootstrap_bound_inputs,
+                             _TWO_POINT, _low_indicator, bootstrap_bound_inputs,
                              empirical_cov_centered, empirical_draws,
                              multiplier_draws, simultaneous_quantile)
 from hdclt.bounds import delta0
@@ -31,29 +31,58 @@ class TestMammenLaw:
         with pytest.raises(ValueError):
             multiplier_draws(x, 10, "cauchy", seed=0)
 
-    def test_in_place_fill_identities(self):
-        # the in-place Mammen fill is bit-identical to a select only while
-        # both of these hold exactly
-        step = MAMMEN_LOW - MAMMEN_HIGH
-        assert MAMMEN_HIGH + step == MAMMEN_LOW
-        assert 0.0 * step + MAMMEN_HIGH == MAMMEN_HIGH
+
+def _indicator_oracle(p, rng, size):
+    # entry by entry: byte i of the raw words, least significant byte first;
+    # each byte equal to the cut then takes the next uniform, in order
+    m, cut = size[0] * size[1], math.floor(256 * p)
+    words = [int(w) for w in rng.bit_generator.random_raw(-(-m // 8))]
+    out = []
+    for i in range(m):
+        byte = (words[i // 8] >> (8 * (i % 8))) & 0xFF
+        if byte == cut:
+            out.append(float(rng.random() < 256 * p - cut))
+        else:
+            out.append(float(byte < cut))
+    return np.array(out).reshape(size)
 
 
 class TestTwoPointDraws:
-    # oracles: a select on the same uniforms, and the +-1 map of the same bits
-    ORACLES = {
-        "mammen": lambda rng, size: np.where(rng.random(size) < MAMMEN_P_LOW,
-                                             MAMMEN_LOW, MAMMEN_HIGH),
-        "rademacher": lambda rng, size: rng.integers(0, 2, size) * 2.0 - 1.0,
-    }
-
-    @pytest.mark.parametrize("tag", sorted(ORACLES))
+    @pytest.mark.parametrize("tag", sorted(_TWO_POINT))
     @pytest.mark.parametrize("size", [(1, 500), (7, 3), (2000, 500)])
     def test_draw_equals_oracle(self, tag, size):
-        got = _draw_multipliers(tag, np.random.default_rng(5), size)
-        want = self.ORACLES[tag](np.random.default_rng(5), size)
-        assert got.dtype == np.float64
+        p = _TWO_POINT[tag][0]
+        got = _low_indicator(p, np.random.default_rng(5), size)
+        want = _indicator_oracle(p, np.random.default_rng(5), size)
+        assert got.dtype == np.float64 and got.shape == size
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("tag", sorted(_TWO_POINT))
+    def test_oracle_meets_ties(self, tag):
+        # the (2000, 500) draw settles about 1e6 / 256 bytes by a uniform
+        raw = np.random.default_rng(5).bit_generator.random_raw(2000 * 500 // 8)
+        cut = math.floor(256 * _TWO_POINT[tag][0])
+        assert 3500 < np.sum(raw.astype("<u8").view(np.uint8) == cut) < 4300
+
+    @pytest.mark.parametrize("tag", sorted(_TWO_POINT))
+    def test_low_fraction_is_p(self, tag):
+        # 3.2e7 entries put 5 se below the 0.24 / 256 share of P(low) that
+        # Mammen's ties carry, so dropping them fails too
+        p, rng, parts = _TWO_POINT[tag][0], np.random.default_rng(6), 8
+        low = sum(_low_indicator(p, rng, (4000, 1000)).sum()
+                  for _ in range(parts))
+        m = parts * 4_000_000
+        assert abs(low / m - p) <= 5.0 * math.sqrt(p * (1.0 - p) / m)
+
+    @pytest.mark.parametrize("tag", sorted(_TWO_POINT))
+    @pytest.mark.parametrize("n, d", [(500, 20), (8, 20)])
+    def test_product_matches_explicit_multipliers(self, tag, n, d):
+        p, low, high = _TWO_POINT[tag]
+        x = sample(DistributionSpec.uniform_bounded(1.0, d), n, seed=26)
+        ind = _low_indicator(p, substream(27, 10, 0), (300, n))
+        xi = np.where(ind == 1.0, low, high)
+        np.testing.assert_allclose(multiplier_draws(x, 300, tag, 27),
+                                   xi @ _centred(x), rtol=0, atol=1e-12)
 
 
 class TestMultiplierDraws:
@@ -167,6 +196,13 @@ class TestBlockBudget:
         x = sample(DistributionSpec.gaussian(CovarianceModel.identity(2000)),
                    10, seed=5)
         for kind in ("mammen", "gaussian"):
+            self._check(lambda: multiplier_draws(x, 2000, kind, seed=6))
+
+    def test_two_point_block_holds_one_float_slab(self):
+        # n = 2000 fills each block with 1000 x 2000 indicator floats; its
+        # 2000 / 8 raw words a row come on top and fit in the slack
+        x = sample(DistributionSpec.uniform_bounded(1.0, 10), 2000, seed=5)
+        for kind in ("mammen", "rademacher"):
             self._check(lambda: multiplier_draws(x, 2000, kind, seed=6))
 
 

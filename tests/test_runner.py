@@ -276,6 +276,15 @@ class TestCli:
         assert err.startswith("error: ") and "manifest.json" in err
         assert (out / "manifest.json").read_text() == "{}\n"
 
+    def test_bad_manifest_fails_before_compute(self, tmp_path):
+        cfg = self._write(tmp_path, "experiment = rate_vs_n\n"
+                                    "replications = 500\nn_list = 50, 100\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_text("{}\n")
+        assert cli_main(["run", cfg, "--out", str(out)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
     @pytest.mark.parametrize("threads", ["0", "-4"])
     def test_threads_below_one_exit_2(self, tmp_path, capsys, threads):
         cfg = self._write(tmp_path, "experiment = poisson_check\n")
