@@ -98,27 +98,36 @@ def ks_distance_with_se(a: MaxStatSample, b: MaxStatSample) -> tuple[float, floa
     """Two-sample Kolmogorov distance plus the binomial standard error of
     the CDF difference at the pooled point where the sup is attained.
 
-    Both samples are sorted, so one stable merge of them gives, by a running
-    count of the points from ``a``, both empirical CDFs at every pooled
-    point; each is read at the last point of its run of ties.
+    Between consecutive distinct values v_(k-1) < v_k of the smaller sample
+    s, F_s is constant and F_L of the other sample L does not decrease, so
+    |F_a - F_b| there peaks at v_(k-1) or at L's last point below v_k; past
+    the last v it only falls.  So binary searches in L for the m values v_k
+    give the sup in O(m log |L|) with no pooled array, and equal gaps go to
+    the first in pooled order, as in a merge: the result is the merge's.
     """
-    pooled = np.concatenate([a.values, b.values])
-    order = np.argsort(pooled, kind="stable")
-    pooled = pooled[order]
-    last = np.flatnonzero(np.append(pooled[1:] != pooled[:-1], True))
-    # each array is dropped once read, so at most four pooled-size arrays
-    # are alive at once
-    del pooled
-    count_a = np.cumsum(order < a.size, out=order)[last]
-    del order
-    count_b = last + 1 - count_a
-    del last
-    fa, fb = count_a / a.size, count_b / b.size
-    del count_a, count_b
-    gaps = np.abs(fa - fb)
-    k = int(np.argmax(gaps))
-    se = math.sqrt(fa[k] * (1 - fa[k]) / a.size + fb[k] * (1 - fb[k]) / b.size)
-    return float(gaps[k]), se
+    s, big = (a, b) if a.size <= b.size else (b, a)
+    sv, lv = s.values, big.values
+    count = np.flatnonzero(np.append(sv[1:] != sv[:-1], True))
+    v = sv[count]
+    count += 1                                    # #s <= v_k
+    right = np.searchsorted(lv, v, side="right")  # #L <= v_k
+    tied = lv[right - 1] == v  # v_k is in L (if right = 0, lv[-1] > v_k)
+    left = right.copy()                           # #L < v_k
+    left[tied] = np.searchsorted(lv, v[tied], side="left")
+    gaps, best = v, []  # v is read no more: its buffer takes the gaps
+    # the candidate at v_k is pooled point 2k + 1, the one below it 2k
+    for pos, cs, cl in ((1, count, right), (0, np.append(0, count[:-1]), left)):
+        np.divide(cs, s.size, out=gaps)
+        gaps -= cl / big.size
+        np.abs(gaps, out=gaps)
+        if pos == 0:  # no point of L between v_(k-1) and v_k: no candidate
+            gaps[left == np.append(0, right[:-1])] = -1.0
+        k = int(np.argmax(gaps))
+        best.append((gaps[k], -2 * k - pos, cs[k], cl[k]))
+    dist, _, cs, cl = max(best)  # equal gaps: the earlier pooled point wins
+    fs, fl = cs / s.size, cl / big.size
+    se = math.sqrt(fs * (1 - fs) / s.size + fl * (1 - fl) / big.size)
+    return float(dist), se
 
 
 def ks_two_sample_critical(ra: int, rb: int, alpha: float = 0.01) -> float:
@@ -138,16 +147,13 @@ def rect_family_distance(draws_a: np.ndarray, draws_b: np.ndarray,
     product rectangles whose endpoints are drawn from the pooled central
     99.8% range, so it contains (a grid of) the one-sided family.
     """
-    draws_a = np.atleast_2d(draws_a)
-    draws_b = np.atleast_2d(draws_b)
+    draws_a, draws_b = np.atleast_2d(draws_a, draws_b)
     if draws_a.shape[1] != draws_b.shape[1]:
         raise ValueError("draw dimensions differ")
-    if family == "one_sided_max":
-        return ks_distance(MaxStatSample.from_draws(draws_a, "one_sided"),
-                           MaxStatSample.from_draws(draws_b, "one_sided"))
-    if family == "two_sided_max":
-        return ks_distance(MaxStatSample.from_draws(draws_a, "two_sided"),
-                           MaxStatSample.from_draws(draws_b, "two_sided"))
+    if family in ("one_sided_max", "two_sided_max"):
+        side = family.removesuffix("_max")
+        return ks_distance(MaxStatSample.from_draws(draws_a, side),
+                           MaxStatSample.from_draws(draws_b, side))
     if isinstance(family, tuple) and family[0] == "random_rects":
         _, count, seed = family
         return _random_rects_distance(draws_a, draws_b, int(count), int(seed))
@@ -160,11 +166,9 @@ def _random_rects_distance(draws_a, draws_b, count, seed) -> float:
     pooled = np.concatenate([draws_a, draws_b], axis=0)
     lo = np.quantile(pooled, 0.001, axis=0)
     hi = np.quantile(pooled, 0.999, axis=0)
-
     n_one = count // 2
     max_pool = max_statistic(pooled)
     thresholds = rng.uniform(max_pool.min(), max_pool.max(), size=n_one)
-
     n_gen = count - n_one
     u = rng.uniform(lo, hi, size=(n_gen, 2, d))
     lowers = np.minimum(u[:, 0], u[:, 1])
@@ -172,20 +176,16 @@ def _random_rects_distance(draws_a, draws_b, count, seed) -> float:
     # one-sided coordinates: drop the lower constraint with probability 1/3
     lowers[rng.random((n_gen, d)) < 1.0 / 3.0] = -np.inf
 
-    best = 0.0
     # one-sided equal-threshold rectangles reduce to the max statistic
-    if n_one:
-        fa = MaxStatSample.from_draws(draws_a).cdf(thresholds)
-        fb = MaxStatSample.from_draws(draws_b).cdf(thresholds)
-        best = float(np.max(np.abs(fa - fb)))
-
+    fa, fb = (MaxStatSample.from_draws(x).cdf(thresholds)
+              for x in (draws_a, draws_b))
+    best = float(np.max(np.abs(fa - fb), initial=0.0))
     # a block of rectangles broadcasts against every draw of both samples
     for _, sl in blocks(n_gen, len(pooled) * d):
-        in_a = np.all((draws_a[:, None, :] > lowers[sl]) &
-                      (draws_a[:, None, :] <= uppers[sl]), axis=2)
-        in_b = np.all((draws_b[:, None, :] > lowers[sl]) &
-                      (draws_b[:, None, :] <= uppers[sl]), axis=2)
-        diff = np.abs(in_a.mean(axis=0) - in_b.mean(axis=0))
+        in_a, in_b = (np.all((x[:, None, :] > lowers[sl])
+                             & (x[:, None, :] <= uppers[sl]), axis=2).mean(axis=0)
+                      for x in (draws_a, draws_b))
+        diff = np.abs(in_a - in_b)
         best = max(best, float(diff.max(initial=0.0)))
     return best
 

@@ -358,12 +358,18 @@ def law_of(spec: DistributionSpec, n: int, side: str = "one_sided"):
     return None
 
 
+def quantile_grid(law) -> np.ndarray:
+    """The 4096 quantiles of a one-variate law with a sampler at the
+    midpoints (i + 1/2)/4096."""
+    return law.sample((np.arange(4096) + 0.5) / 4096)
+
+
 def sup_distance(law, ref) -> float:
     """sup_x |law.cdf(x) - ref.cdf(x)| against a one-variate reference law
-    with a sampler, taken over 4096 quantiles of ``ref`` and, for a law with
-    atoms, from both sides of every atom, where the sup of a step CDF
-    against a continuous one is attained."""
-    x = ref.sample((np.arange(4096) + 0.5) / 4096)
+    with a sampler, taken over the :func:`quantile_grid` of ``ref`` and, for
+    a law with atoms, from both sides of every atom, where the sup of a step
+    CDF against a continuous one is attained."""
+    x = quantile_grid(ref)
     best = float(np.max(np.abs(law.cdf(x) - ref.cdf(x))))
     atoms = getattr(law, "atoms", None)
     if atoms is not None:

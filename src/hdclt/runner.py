@@ -448,9 +448,16 @@ def _gaussian_comparison_row(args):
                                      cfg.replications,
                                      derive_seed(cfg.seed, key, i))
             for sigma, key in ((identity, 60), (other, 61)))
-    measured = distance.ks_distance(a, b)
+    measured, se = distance.ks_distance_with_se(a, b)
+    law = maxlaw.law_of(DistributionSpec.gaussian(other), 1)
     return {"rho": rho, "D": gap, "measured": measured,
-            "bound": bounds.bound_gaussian_comparison(gap, cfg.d)}
+            "bound": bounds.bound_gaussian_comparison(gap, cfg.d), "se": se,
+            # the 1% two-sample KS critical value, and the exact distance
+            # the Monte Carlo one estimates (nan for rho < 0: no exact law)
+            "noise_floor": distance.ks_two_sample_critical(
+                cfg.replications, cfg.replications),
+            "exact_distance": math.nan if law is None else
+            maxlaw.sup_distance(law, maxlaw.IsotropicGaussianMax(cfg.d))}
 
 
 def _run_gaussian_comparison(cfg, pmap):
@@ -483,7 +490,13 @@ def _anticoncentration_row(args):
     probe = distance.anticoncentration_probe(sigma, eps, cfg.replications,
                                              seed=derive_seed(cfg.seed, 50, i))
     shape = eps * math.sqrt(math.log(cfg.d))
-    return {"d": cfg.d, "eps": eps, "probe": probe, "nazarov_shape": shape}
+    # the probe's exact value, max_z P(z < max Z <= z + eps), over the
+    # quantile grid of the exact law of max Z
+    law = maxlaw.IsotropicGaussianMax(cfg.d)
+    z = maxlaw.quantile_grid(law)
+    return {"d": cfg.d, "eps": eps, "probe": probe, "nazarov_shape": shape,
+            "se": math.sqrt(probe * (1 - probe) / cfg.replications),
+            "exact_probe": float(np.max(law.cdf(z + eps) - law.cdf(z)))}
 
 
 def _run_anticoncentration(cfg, pmap):
@@ -551,7 +564,9 @@ EXPERIMENTS = {
         _run_smoothing_verify, smoothing.VERIFY_COLUMNS),
     "gaussian_comparison": Experiment(
         {"d": 10, "rho_list": [0.05, 0.1, 0.2], "replications": 200_000},
-        _run_gaussian_comparison, ("rho", "D", "measured", "bound"),
+        _run_gaussian_comparison,
+        ("rho", "D", "measured", "bound", "se", "noise_floor",
+         "exact_distance"),
         plot=("rho", "measured", None, "linear")),
     "poisson_check": Experiment(
         {"B": 2.0, "n": 1000, "d": 50, "replications": 200_000},
@@ -561,7 +576,8 @@ EXPERIMENTS = {
         law=DistributionSpec.two_point),
     "anticoncentration": Experiment(
         {"d": 20, "eps_list": [0.05, 0.1, 0.2], "replications": 200_000},
-        _run_anticoncentration, ("d", "eps", "probe", "nazarov_shape"),
+        _run_anticoncentration,
+        ("d", "eps", "probe", "nazarov_shape", "se", "exact_probe"),
         plot=("eps", "probe", None, "linear")),
 }
 

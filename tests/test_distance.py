@@ -11,7 +11,7 @@ from hdclt.distance import (MaxStatSample, anticoncentration_probe,
                             max_statistic, rect_family_distance)
 from hdclt.lowerbound import threshold_xn
 from hdclt.matcore import CovarianceModel
-from hdclt.maxlaw import law_of
+from hdclt.maxlaw import IsotropicGaussianMax, TwoPointMax, law_of
 from hdclt.sampler import BLOCK_FLOATS, DistributionSpec, substream
 
 
@@ -107,18 +107,82 @@ class TestKsDistance:
         se = math.sqrt(fa[k] * (1 - fa[k]) / a.size + fb[k] * (1 - fb[k]) / b.size)
         return float(gaps[k]), se
 
-    @pytest.mark.parametrize("case", ["tied", "untied", "unequal"])
-    def test_merge_matches_searchsorted(self, case):
+    @staticmethod
+    def _case(case):
         rng = substream(31, 0)
         size_b = 30_000 if case == "unequal" else 20_000
         va = rng.standard_normal(20_000)
         vb = rng.standard_normal(size_b) + 0.02
         if case == "tied":
             # coarse rounding gives long tie runs within and across samples
-            va, vb = np.round(va, 1), np.round(vb, 1)
+            return np.round(va, 1), np.round(vb, 1)
+        if case == "step":
+            # an exact step law (51 atoms) against a continuous sample
+            law = TwoPointMax(2.0, 50, 10)
+            return law.sample(rng.random(20_000)), vb
+        if case == "size_one":
+            return va[:1], vb
+        if case == "both_size_one":
+            return va[:1], vb[:1]
+        if case == "all_tied":
+            return np.full(20_000, 0.5), np.round(vb, 1)
+        if case == "cross_ties":
+            # both samples take every one of the 9 atoms many times
+            return (rng.integers(0, 9, 20_000) / 4.0,
+                    rng.integers(0, 9, size_b) / 4.0)
+        if case == "equal_step":
+            # equal sizes, both with ties: either sample may be the one
+            # searched against the other
+            return np.round(va, 1), np.round(vb[:20_000], 2)
+        if case == "identical":
+            # every gap is 0, so the sup is at the first pooled point
+            return np.round(va, 1), np.round(va, 1)
+        return va, vb
+
+    @pytest.mark.parametrize("case", [
+        "tied", "untied", "unequal", "step", "size_one", "both_size_one",
+        "all_tied", "cross_ties", "equal_step", "identical"])
+    def test_merge_matches_searchsorted(self, case):
+        va, vb = self._case(case)
         a, b = MaxStatSample(va), MaxStatSample(vb)
         assert ks_distance_with_se(a, b) == self._searchsorted_ks(a, b)
         assert ks_distance_with_se(b, a) == self._searchsorted_ks(b, a)
+
+    def test_equal_gaps_take_the_first_pooled_point(self):
+        # |F_a - F_b| is 1/2 at x = 0 (F_a = 1/2, F_b = 0) and again at x = 1
+        # (F_a = 1, F_b = 1/2); a merge reads the se at x = 0
+        a = MaxStatSample(np.array([0.0, 0.0, 1.0, 1.0]))
+        b = MaxStatSample(np.array([1.0, 5.0]))
+        assert ks_distance_with_se(a, b) == (0.5, 0.25)
+        assert ks_distance_with_se(b, a) == (0.5, 0.25)
+
+    @staticmethod
+    def _peak_bytes(a, b):
+        # in either argument order, so the smaller sample is the one scanned
+        peaks = []
+        for x, y in ((a, b), (b, a)):
+            tracemalloc.start()
+            try:
+                ks_distance_with_se(x, y)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return max(peaks)
+
+    def test_peak_memory(self):
+        # a step-law sample has at most n + 1 distinct values, and nothing of
+        # the pooled size is built: the pooled merge this replaced held
+        # 64.1 MB here
+        step = MaxStatSample(TwoPointMax(2.0, 1000, 50).sample(
+            substream(32, 0).random(200_000)))
+        ref = MaxStatSample(IsotropicGaussianMax(50).sample(
+            substream(32, 1).random(2_000_000)))
+        assert self._peak_bytes(step, ref) < 1_000_000
+        # continuous samples: no more than the merge's 12.9 MB
+        rng = substream(32, 2)
+        a = MaxStatSample(rng.standard_normal(200_000))
+        b = MaxStatSample(rng.standard_normal(200_000))
+        assert self._peak_bytes(a, b) <= 12_900_000
 
     def test_critical_value_formula(self):
         r = 100_000

@@ -180,6 +180,35 @@ class TestRun:
         for key in ("exact_slope", "bound", "distance_over_bound"):
             assert key not in summary["checks"]
 
+    def test_gaussian_comparison_reports_noise_and_exact(self, tmp_path):
+        cfg = ExperimentConfig.from_mapping(
+            {"experiment": "gaussian_comparison", "replications": 2000,
+             "rho_list": [0.05, 0.1, 0.2, -0.05], "seed": 5})
+        rows = run(cfg, out_dir=str(tmp_path)).summary["rows"]
+        for row in rows:
+            assert row["noise_floor"] == ks_two_sample_critical(2000, 2000)
+            assert 0 < row["se"] < 0.02
+        # the exact sup distances of the equicorrelated Gaussian max to the
+        # isotropic one; a negative rho has no exact law here, and
+        # summary.json writes the nan as its repr
+        exact = [row["exact_distance"] for row in rows]
+        assert exact[:3] == pytest.approx([0.0323, 0.0630, 0.1208], abs=5e-5)
+        assert exact[3] == "nan"
+        assert set(rows[0]) == set(EXPERIMENTS["gaussian_comparison"].columns)
+
+    def test_anticoncentration_reports_se_and_exact(self, tmp_path):
+        cfg = ExperimentConfig.from_mapping(
+            {"experiment": "anticoncentration", "replications": 2000,
+             "seed": 5})
+        rows = run(cfg, out_dir=str(tmp_path)).summary["rows"]
+        for row in rows:
+            p = row["probe"]
+            assert row["se"] == math.sqrt(p * (1 - p) / 2000)
+        # max_z P(z < max Z <= z + eps) for the max of 20 standard normals
+        assert [row["exact_probe"] for row in rows] == pytest.approx(
+            [0.0397, 0.0792, 0.1576], abs=5e-5)
+        assert set(rows[0]) == set(EXPERIMENTS["anticoncentration"].columns)
+
     def test_identical_runs_are_byte_identical(self, tmp_path):
         cfg = ExperimentConfig.from_mapping(
             {"experiment": "poisson_check", "replications": 2000, "seed": 9})
