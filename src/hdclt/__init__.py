@@ -7,8 +7,8 @@ Modules:
 * :mod:`hdclt.sampler`: seeded distribution families and scaled-sum draws.
 * :mod:`hdclt.bounds`: the bound shapes the experiments report, as plain
   floats at unit constants (shapes, not certified bounds).
-* :mod:`hdclt.bootstrap`: multiplier and empirical bootstrap draws and
-  quantiles.
+* :mod:`hdclt.bootstrap`: multiplier bootstrap draws, the empirical
+  bootstrap among them as resample-count multipliers, and quantiles.
 * :mod:`hdclt.distance`: Kolmogorov distances over rectangle sub-families
   and the one max-statistic sampler.
 * :mod:`hdclt.maxlaw`: exact CDFs and inverse-CDF samplers of max statistics
@@ -24,8 +24,8 @@ Modules:
 """
 
 from ._version import __version__
-from .bootstrap import (empirical_cov_centered, empirical_draws,
-                        multiplier_draws, simultaneous_quantile)
+from .bootstrap import (empirical_cov_centered, multiplier_draws,
+                        simultaneous_quantile)
 from .bounds import (bound_bounded, bound_gaussian_comparison,
                      bounds_local_means, delta0, xlog_factor)
 from .distance import (MaxStatSample, anticoncentration_probe, ks_distance,
@@ -50,8 +50,7 @@ __all__ = [
     "scaled_sum", "substream",
     "xlog_factor", "delta0", "bound_bounded", "bound_gaussian_comparison",
     "bounds_local_means",
-    "multiplier_draws", "empirical_draws",
-    "empirical_cov_centered", "simultaneous_quantile",
+    "multiplier_draws", "empirical_cov_centered", "simultaneous_quantile",
     "MaxStatSample", "ks_distance", "ks_two_sample_critical",
     "rect_family_distance", "max_stat_sample", "anticoncentration_probe",
     "SmoothingParams", "m_indicator", "rho_eval", "rho_partial",

@@ -2,9 +2,10 @@
 
 Draws are conditional on a fixed data matrix X; for fixed (X, kind, seed, R)
 the output is bit-identical regardless of how replications are scheduled.
+The empirical bootstrap is the multiplier bootstrap with multipliers
+``M_i - 1``, ``M`` the resample counts, so one block loop draws every kind.
 The empirical covariance uses the 1/n divisor throughout, matching the
-conditional covariance of the multiplier draws and the empirical
-bootstrap's data inputs.
+conditional covariance of the draws.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ MAMMEN_P_LOW = (_SQRT5 + 1.0) / (2.0 * _SQRT5)
 _TWO_POINT = {"rademacher": (0.5, -1.0, 1.0),
               "mammen": (MAMMEN_P_LOW, MAMMEN_LOW, MAMMEN_HIGH)}
 
-MULTIPLIER_KINDS = ("gaussian", "rademacher", "mammen")
+MULTIPLIER_KINDS = ("gaussian", "rademacher", "mammen", "empirical")
 
 # fewest draws simultaneous_quantile accepts
 MIN_QUANTILE_DRAWS = 100
@@ -46,6 +47,19 @@ def _low_indicator(p: float, rng: np.random.Generator, size) -> np.ndarray:
     return out
 
 
+def _multipliers(kind: str, rng: np.random.Generator, size) -> np.ndarray:
+    """One block's float multipliers; a two-point kind gives its 1{low}."""
+    if kind == "gaussian":
+        return rng.standard_normal(size)
+    if kind == "empirical":
+        # row r's picks offset by r*n, so one bincount counts every row
+        picks = rng.integers(0, size[1], size=size)
+        picks += np.arange(0, picks.size, size[1])[:, None]
+        counts = np.bincount(picks.ravel(), minlength=picks.size)
+        return counts.reshape(size) - 1.0
+    return _low_indicator(_TWO_POINT[kind][0], rng, size)
+
+
 def multiplier_draws(x: DataMatrix, reps: int, kind: str,
                      seed: int) -> np.ndarray:
     """reps x d draws of the multiplier-bootstrap statistic.
@@ -56,7 +70,9 @@ def multiplier_draws(x: DataMatrix, reps: int, kind: str,
     where ``R`` is the thin-QR factor of the centred data, since
     ``R^T R = xc^T xc``.  A two-point multiplier is ``high + (low - high)
     1{low}``, so its draws are one 0/1 product with ``xc`` plus a fixed row.
-    ``kind`` is one of :data:`MULTIPLIER_KINDS`.
+    The empirical kind resamples n rows with replacement: with ``M_i`` the
+    count of row i, ``n^{-1/2} sum_i (X*_i - Xbar)`` is the draw with
+    ``xi_i = M_i - 1``.  ``kind`` is one of :data:`MULTIPLIER_KINDS`.
     """
     if kind not in MULTIPLIER_KINDS:
         raise ValueError(f"unknown multiplier kind {kind!r}")
@@ -67,34 +83,17 @@ def multiplier_draws(x: DataMatrix, reps: int, kind: str,
         xc = np.linalg.qr(xc, mode="r")
     k = xc.shape[0]
     out = np.empty((reps, x.d))
-    # a block holds its rows x k multipliers and their rows x d product
-    for idx, rows in blocks(reps, max(k, x.d)):
+    # a block's rows x d product goes into out; its rows x k multipliers are
+    # budgeted max(k, d) floats a row, and an empirical block, which also
+    # holds the int64 picks and their counts, 3n a row
+    row_floats = 3 * k if kind == "empirical" else max(k, x.d)
+    for idx, rows in blocks(reps, row_floats):
         rng, size = substream(seed, 10, idx), (rows.stop - rows.start, k)
-        if kind == "gaussian":
-            out[rows] = rng.standard_normal(size) @ xc
-        else:
-            p, low, high = _TWO_POINT[kind]
-            block = np.matmul(_low_indicator(p, rng, size), xc, out=out[rows])
+        block = np.matmul(_multipliers(kind, rng, size), xc, out=out[rows])
+        if kind in _TWO_POINT:
+            _, low, high = _TWO_POINT[kind]
             block *= low - high
             block += high * xc.sum(axis=0)
-    return out
-
-
-def empirical_draws(x: DataMatrix, reps: int, seed: int) -> np.ndarray:
-    """reps x d draws of the empirical-bootstrap statistic.
-
-    Each draw resamples n rows with replacement and recenters by the sample
-    mean: ``n^{-1/2} sum_i (X*_i - Xbar)``.
-    """
-    if x.n < 1:
-        raise ValueError("empirical bootstrap requires n >= 1")
-    xbar = x.values.mean(axis=0)
-    out = np.empty((reps, x.d))
-    # the resampled rows x.values[picks] are the n*d-float slab per draw
-    for idx, rows in blocks(reps, x.n * x.d):
-        rng = substream(seed, 11, idx)
-        picks = rng.integers(0, x.n, size=(rows.stop - rows.start, x.n))
-        out[rows] = (x.values[picks].sum(axis=1) - x.n * xbar) / math.sqrt(x.n)
     return out
 
 
@@ -104,27 +103,6 @@ def empirical_cov_centered(x: DataMatrix) -> CovarianceModel:
         raise ValueError("requires n >= 2")
     xc = x.values - x.values.mean(axis=0)
     return CovarianceModel(xc.T @ xc / x.n)
-
-
-def bootstrap_bound_inputs(x: DataMatrix,
-                           psi: float) -> tuple[float, float, float]:
-    """Data-driven empirical-bootstrap inputs (Delta_1', M*, M*(psi)).
-
-    At unit variance sigma_* = 1:
-    Delta_1' = (log d)^2/n^2 max_j sum_i (X_ij - Xbar_j)^4,
-    M*       = max_ij |X_ij - Xbar_j|,
-    M*(psi)  = n^{-1} sum_i ||X_i - Xbar||_inf^4 1{||X_i - Xbar||_inf > psi}.
-    """
-    if x.n < 2:
-        raise ValueError("requires n >= 2")
-    if psi <= 0:
-        raise ValueError("psi must be > 0")
-    xc = x.values - x.values.mean(axis=0)
-    delta1p = math.log(x.d) ** 2 / x.n**2 * float(np.max((xc**4).sum(axis=0)))
-    row_max = np.max(np.abs(xc), axis=1)
-    m_star = float(row_max.max(initial=0.0))
-    m_psi_star = float(np.mean(row_max**4 * (row_max > psi)))
-    return delta1p, m_star, m_psi_star
 
 
 def simultaneous_quantile(draws: np.ndarray, level: float,

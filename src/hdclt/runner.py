@@ -717,10 +717,6 @@ _SVG_W, _SVG_H = 640, 480
 _MARGIN = 64
 
 
-def _axis_ticks(lo: float, hi: float, count: int = 5):
-    return np.linspace(lo, hi, count)
-
-
 def emit_plot(series, kind: str, path) -> Optional[float]:
     """Write a self-contained SVG of (x, y, se) points.
 
@@ -774,10 +770,10 @@ def emit_plot(series, kind: str, path) -> Optional[float]:
         f'<line x1="{_MARGIN}" y1="{_MARGIN}" x2="{_MARGIN}" '
         f'y2="{_SVG_H - _MARGIN}" stroke="black"/>',
     ]
-    for t in _axis_ticks(x0, x1):
+    for t in np.linspace(x0, x1, 5):
         parts.append(f'<text x="{px(t):.1f}" y="{_SVG_H - _MARGIN + 20}" '
                      f'font-size="11" text-anchor="middle">{label(t)}</text>')
-    for t in _axis_ticks(y0, y1):
+    for t in np.linspace(y0, y1, 5):
         parts.append(f'<text x="{_MARGIN - 8}" y="{py(t):.1f}" font-size="11" '
                      f'text-anchor="end">{label(t)}</text>')
 

@@ -6,8 +6,7 @@ import pytest
 from scipy.special import ndtri
 
 from hdclt.bootstrap import (MAMMEN_HIGH, MAMMEN_LOW, MAMMEN_P_LOW,
-                             _TWO_POINT, _low_indicator, bootstrap_bound_inputs,
-                             empirical_cov_centered, empirical_draws,
+                             _TWO_POINT, _low_indicator, empirical_cov_centered,
                              multiplier_draws, simultaneous_quantile)
 from hdclt.bounds import delta0
 from hdclt.distance import MaxStatSample, ks_distance, ks_two_sample_critical
@@ -152,16 +151,26 @@ class TestThinQrGaussianDraws:
 class TestEmpiricalDraws:
     def test_constant_rows_give_zero(self):
         x = DataMatrix(np.tile([0.5, 1.5, -1.0], (6, 1)))
-        draws = empirical_draws(x, 40, seed=7)
+        draws = multiplier_draws(x, 40, "empirical", seed=7)
         np.testing.assert_allclose(draws, 0.0, atol=1e-12)
 
     def test_conditional_mean_and_covariance(self):
         x = sample(DistributionSpec.gaussian(CovarianceModel.identity(3)),
                    150, seed=8)
-        draws = empirical_draws(x, 100_000, seed=9)
+        draws = multiplier_draws(x, 100_000, "empirical", seed=9)
         target = empirical_cov_centered(x).entries
         assert np.max(np.abs(draws.mean(axis=0))) < 0.02
         assert np.max(np.abs(np.cov(draws.T, bias=True) - target)) < 0.03
+
+    @pytest.mark.parametrize("n, d", [(500, 20), (8, 20)])
+    def test_matches_explicit_resampling(self, n, d):
+        # oracle: gather the resampled rows picked by the seed's first block
+        x = sample(DistributionSpec.uniform_bounded(1.0, d), n, seed=28)
+        picks = substream(29, 10, 0).integers(0, n, size=(300, n))
+        want = ((x.values[picks].sum(axis=1) - n * x.values.mean(axis=0))
+                / math.sqrt(n))
+        np.testing.assert_allclose(multiplier_draws(x, 300, "empirical", 29),
+                                   want, rtol=0, atol=1e-12)
 
 
 class TestBlockBudget:
@@ -187,7 +196,7 @@ class TestBlockBudget:
             x = sample(DistributionSpec.gaussian(CovarianceModel.identity(d)),
                        100, seed=5)
             spec = DistributionSpec.uniform_bounded(1.0, d)
-            for fn in (lambda: empirical_draws(x, 1000, seed=6),
+            for fn in (lambda: multiplier_draws(x, 1000, "empirical", seed=6),
                        lambda: sample_scaled_sums(spec, 10, 20_000, seed=7),
                        lambda: multiplier_draws(x, 1000, "mammen", seed=6),
                        lambda: multiplier_draws(x, 1000, "gaussian", seed=6)):
@@ -195,7 +204,7 @@ class TestBlockBudget:
         # n < d: each block's rows x d product is wider than its multipliers
         x = sample(DistributionSpec.gaussian(CovarianceModel.identity(2000)),
                    10, seed=5)
-        for kind in ("mammen", "gaussian"):
+        for kind in ("mammen", "gaussian", "empirical"):
             self._check(lambda: multiplier_draws(x, 2000, kind, seed=6))
 
     def test_two_point_block_holds_one_float_slab(self):
@@ -204,6 +213,12 @@ class TestBlockBudget:
         x = sample(DistributionSpec.uniform_bounded(1.0, 10), 2000, seed=5)
         for kind in ("mammen", "rademacher"):
             self._check(lambda: multiplier_draws(x, 2000, kind, seed=6))
+
+    def test_empirical_block_holds_picks_counts_and_floats(self):
+        # n = 2000 picks, counts and float multipliers a row: a block of
+        # max(n, d) = 2000 floats a row would hold 1000 rows, 48 MB of them
+        x = sample(DistributionSpec.uniform_bounded(1.0, 10), 2000, seed=5)
+        self._check(lambda: multiplier_draws(x, 2000, "empirical", seed=6))
 
 
 class TestEmpiricalCov:
@@ -230,27 +245,6 @@ class TestEmpiricalCov:
             d_big = delta0(sigma, big, 3)
             wins += d_big < d_small
         assert wins >= 95
-
-
-class TestBoundInputs:
-    def test_bounded_data_truncates_to_zero(self):
-        B = 2.0
-        x = sample(DistributionSpec.uniform_bounded(B, 4), 100, seed=11)
-        _, m_star, m_psi = bootstrap_bound_inputs(x, psi=2 * B + 0.1)
-        assert m_star <= 2 * B
-        assert m_psi == 0.0
-
-    def test_all_zero_data(self):
-        x = DataMatrix(np.zeros((5, 2)))
-        assert bootstrap_bound_inputs(x, psi=1.0) == (0.0, 0.0, 0.0)
-
-    def test_hand_computed_pair(self):
-        x = DataMatrix(np.array([[2.0], [-2.0]]))
-        delta1p, m_star, m_psi = bootstrap_bound_inputs(x, psi=1.0)
-        assert m_star == 2.0
-        assert m_psi == pytest.approx(16.0)
-        # centered fourth-moment sum is 2 * 2^4 = 32, log(1)^2 = 0 kills it
-        assert delta1p == 0.0
 
 
 class TestSimultaneousQuantile:
