@@ -115,7 +115,5 @@ def simultaneous_quantile(draws: np.ndarray, level: float,
         raise ValueError(f"need at least {MIN_QUANTILE_DRAWS} replications")
     if not 0.0 < level <= 1.0:
         raise ValueError("level must lie in (0, 1]")
-    stats = max_statistic(draws, side)
-    if level == 1.0:
-        return float(stats.max())
-    return float(np.quantile(stats, level, method="higher"))
+    return float(np.quantile(max_statistic(draws, side), level,
+                             method="higher"))

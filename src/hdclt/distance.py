@@ -23,6 +23,16 @@ from .sampler import (DistributionSpec, blocks, derive_seed,
 # the count transform, plus the quasi-Gaussian noise
 _DRAW_ARRAYS = 3
 
+# the max rectangle families, each the side of the max statistic it reduces to
+FAMILIES = {"one_sided_max": "one_sided", "two_sided_max": "two_sided"}
+
+
+def side_of(family: str) -> str:
+    """The :func:`max_statistic` side of a max family in :data:`FAMILIES`."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return FAMILIES[family]
+
 
 def max_statistic(draws: np.ndarray, side: str = "one_sided") -> np.ndarray:
     """Per-row max statistic, unsorted: max_j draw_j ("one_sided") or
@@ -140,24 +150,22 @@ def rect_family_distance(draws_a: np.ndarray, draws_b: np.ndarray,
                          family: str | tuple = "one_sided_max") -> float:
     """Max over a rectangle family of |P_hat_A(rect) - P_hat_B(rect)|.
 
-    ``family`` is "one_sided_max", "two_sided_max", or
-    ``("random_rects", count, seed)``.  The max families reduce exactly to
-    the two-sample KS distance on the corresponding max statistics.  The
-    random family mixes equal-threshold one-sided rectangles with general
-    product rectangles whose endpoints are drawn from the pooled central
-    99.8% range, so it contains (a grid of) the one-sided family.
+    ``family`` is one of :data:`FAMILIES` or ``("random_rects", count,
+    seed)``.  The max families reduce exactly to the two-sample KS distance
+    on the corresponding max statistics.  The random family mixes
+    equal-threshold one-sided rectangles with general product rectangles
+    whose endpoints are drawn from the pooled central 99.8% range, so it
+    contains (a grid of) the one-sided family.
     """
     draws_a, draws_b = np.atleast_2d(draws_a, draws_b)
     if draws_a.shape[1] != draws_b.shape[1]:
         raise ValueError("draw dimensions differ")
-    if family in ("one_sided_max", "two_sided_max"):
-        side = family.removesuffix("_max")
-        return ks_distance(MaxStatSample.from_draws(draws_a, side),
-                           MaxStatSample.from_draws(draws_b, side))
     if isinstance(family, tuple) and family[0] == "random_rects":
         _, count, seed = family
         return _random_rects_distance(draws_a, draws_b, int(count), int(seed))
-    raise ValueError(f"unknown family {family!r}")
+    side = side_of(family)
+    return ks_distance(MaxStatSample.from_draws(draws_a, side),
+                       MaxStatSample.from_draws(draws_b, side))
 
 
 def _random_rects_distance(draws_a, draws_b, count, seed) -> float:

@@ -85,9 +85,3 @@ def reference_max_stats(spec: DistributionSpec, reps: int, seed: int,
         DistributionSpec.gaussian(spec.population_covariance()), 1, reps,
         derive_seed(seed, 999), side)
 
-
-def side_of(family: str) -> str:
-    """The max_stat side of a rate-curve family name."""
-    if family not in ("one_sided_max", "two_sided_max"):
-        raise ValueError(f"rate curves support max families, not {family!r}")
-    return family.removesuffix("_max")

@@ -19,16 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import (bdtr, bdtrc, gammaln, log_ndtr, ndtr, ndtri,
                            xlog1py, xlogy)
 
 from .sampler import (DistributionSpec, _count_sums, blocks,
                       local_means_support, two_point_support)
+from .smoothing import _gauss_legendre
 
 SIDES = ("one_sided", "two_sided")
 QUADRATURE_NODES = 64
@@ -104,11 +103,6 @@ class IsotropicGaussianMax:
         return t
 
 
-@lru_cache(maxsize=None)
-def _legendre(nodes: int) -> tuple:
-    return leggauss(nodes)
-
-
 @dataclass(frozen=True)
 class EquicorrelatedGaussianMax:
     """max_j Z_j of Z ~ N(0, sigma^2 ((1 - rho) I_d + rho 11^T)), 0 < rho < 1.
@@ -142,7 +136,7 @@ class EquicorrelatedGaussianMax:
         m_lo, m_hi = IsotropicGaussianMax(self.d).sample([0.0, 1.0 - _U_MIN])
         lo = np.clip((a - q * m_hi) / r, -_G_MAX, _G_MAX)
         hi = np.clip((a - q * m_lo) / r, -_G_MAX, _G_MAX)
-        t, w = _legendre(QUADRATURE_NODES)
+        t, w = _gauss_legendre(QUADRATURE_NODES)
         half = 0.5 * (hi - lo)
         g = lo + half * (t + 1.0)
         f = np.exp(self.d * log_ndtr((a - r * g) / q) - 0.5 * g * g)

@@ -110,9 +110,8 @@ class ExperimentConfig:
     multiplier: Optional[str] = _key(
         str, lambda v, c: v in bootstrap.MULTIPLIER_KINDS,
         " or ".join(bootstrap.MULTIPLIER_KINDS))
-    family: Optional[str] = _key(
-        str, lambda v, c: v in ("one_sided_max", "two_sided_max"),
-        "one_sided_max or two_sided_max")
+    family: Optional[str] = _key(str, lambda v, c: v in distance.FAMILIES,
+                                 " or ".join(distance.FAMILIES))
     inner_replications: Optional[int] = _key(
         int, *_at_least(bootstrap.MIN_QUANTILE_DRAWS))
     outer_replications: Optional[int] = _key(int, *_at_least(1))
@@ -254,7 +253,7 @@ def _rate_result(cfg: ExperimentConfig, spec: DistributionSpec,
     second order, and is shared across n, since the covariance of W does not
     depend on n for i.i.d. rows.
     """
-    side = lowerbound.side_of(cfg.family)
+    side = distance.side_of(cfg.family)
     ref = lowerbound.reference_max_stats(
         spec, cfg.replications * cfg.ref_factor, cfg.seed, side)
 
@@ -316,29 +315,25 @@ def _run_zero_skew_rate(cfg, pmap):
     return _rate_result(cfg, spec, (-1.35, -0.65), pmap)
 
 
-def _coverage_chunk(args):
-    cfg, start, stop = args
+def _run_bootstrap_coverage(cfg, pmap):
     spec = cfg.data_spec()
-    rows = []
-    for r in range(start, stop):
+
+    def replication(r):
         x = sample(spec, cfg.n, derive_seed(cfg.seed, 100, r))
         draws = bootstrap.multiplier_draws(x, cfg.inner_replications,
                                            cfg.multiplier,
                                            derive_seed(cfg.seed, 101, r))
         quantile = bootstrap.simultaneous_quantile(draws, cfg.level, "two_sided")
         stat = float(distance.max_statistic(scaled_sum(x), "two_sided")[0])
-        rows.append({"rep": r, "covered": int(stat <= quantile),
-                     "quantile": quantile, "max_stat": stat})
-    return rows
+        return {"rep": r, "covered": int(stat <= quantile),
+                "quantile": quantile, "max_stat": stat}
 
-
-def _run_bootstrap_coverage(cfg, pmap):
-    # fixed chunk size so the work split never depends on the thread count
-    chunk = 50
+    # fixed chunks of 50 so the work split never depends on the thread count
     reps = cfg.outer_replications
-    tasks = [(cfg, start, min(start + chunk, reps))
-             for start in range(0, reps, chunk)]
-    rows = [row for part in pmap(_coverage_chunk, tasks) for row in part]
+    chunks = [range(start, min(start + 50, reps))
+              for start in range(0, reps, 50)]
+    rows = [row for part in pmap(lambda rs: [replication(r) for r in rs],
+                                 chunks) for row in part]
     coverage = float(np.mean([row["covered"] for row in rows]))
     se = math.sqrt(max(coverage * (1 - coverage), 1e-300) / reps)
     lo, hi = cfg.level - 0.02, cfg.level + 0.02
@@ -366,35 +361,34 @@ def _run_bootstrap_agreement(cfg, pmap):
     return rows, summary
 
 
-def _local_means_row(args):
-    cfg, d = args
-    n = 50 * d
-    spec = DistributionSpec.local_means(d)
-    w = distance.max_stat_sample(spec, n, cfg.replications,
-                                 derive_seed(cfg.seed, 30, d))
-    identity = CovarianceModel.identity(d)
-    ref = lowerbound.reference_max_stats(DistributionSpec.gaussian(identity),
-                                         cfg.replications * cfg.ref_factor,
-                                         derive_seed(cfg.seed, 31, d))
-    dist, se = distance.ks_distance_with_se(w, ref)
-    sigma_w = CovarianceModel.local_means(d)
-    gap = sup_norm_diff(identity, sigma_w)
-    combined, prior, coupling = bounds.bounds_local_means(n, d, cfg.kappa_geom)
-    return {"d": d, "n": n, "distance": dist, "se": se,
-            # the 1% two-sample KS critical value, and the exact distance
-            # the Monte Carlo one estimates
-            "noise_floor": distance.ks_two_sample_critical(
-                cfg.replications, cfg.replications * cfg.ref_factor),
-            "exact_distance": maxlaw.sup_distance(
-                maxlaw.law_of(spec, n), maxlaw.IsotropicGaussianMax(d)),
-            "delta0": bounds.delta0(identity, sigma_w, d),
-            "comparison_bound": bounds.bound_gaussian_comparison(gap, d),
-            "combined_bound": combined, "prior_bound": prior,
-            "coupling_bound": coupling}
-
-
 def _run_local_means(cfg, pmap):
-    rows = list(pmap(_local_means_row, [(cfg, d) for d in cfg.d_list]))
+    def point(d):
+        n = 50 * d
+        spec = DistributionSpec.local_means(d)
+        w = distance.max_stat_sample(spec, n, cfg.replications,
+                                     derive_seed(cfg.seed, 30, d))
+        identity = CovarianceModel.identity(d)
+        ref = lowerbound.reference_max_stats(
+            DistributionSpec.gaussian(identity),
+            cfg.replications * cfg.ref_factor, derive_seed(cfg.seed, 31, d))
+        dist, se = distance.ks_distance_with_se(w, ref)
+        sigma_w = CovarianceModel.local_means(d)
+        gap = sup_norm_diff(identity, sigma_w)
+        combined, prior, coupling = bounds.bounds_local_means(n, d,
+                                                              cfg.kappa_geom)
+        return {"d": d, "n": n, "distance": dist, "se": se,
+                # the 1% two-sample KS critical value, and the exact distance
+                # the Monte Carlo one estimates
+                "noise_floor": distance.ks_two_sample_critical(
+                    cfg.replications, cfg.replications * cfg.ref_factor),
+                "exact_distance": maxlaw.sup_distance(
+                    maxlaw.law_of(spec, n), maxlaw.IsotropicGaussianMax(d)),
+                "delta0": bounds.delta0(identity, sigma_w, d),
+                "comparison_bound": bounds.bound_gaussian_comparison(gap, d),
+                "combined_bound": combined, "prior_bound": prior,
+                "coupling_bound": coupling}
+
+    rows = list(pmap(point, cfg.d_list))
     checks = {
         "bounds_finite": all(math.isfinite(row[k]) for row in rows
                              for k in ("comparison_bound", "combined_bound",
@@ -408,21 +402,16 @@ def _run_local_means(cfg, pmap):
     return rows, {"rows": rows, "checks": checks}
 
 
-def _smoothing_cell(args):
-    cfg, phi, eps = args
-    return smoothing.verify_lemmas(cfg.d_list, cfg.v_list, [phi], [eps],
-                                   cfg.K, cfg.kappa, cfg.half_width)
-
-
 def _ratio_check(values) -> bool:
     values = [v for v in values if math.isfinite(v) and v > 0]
     return bool(values) and max(values) / min(values) <= 2.0
 
 
 def _run_smoothing_verify(cfg, pmap):
-    cells = [(cfg, phi, eps) for phi in cfg.phi_list for eps in cfg.eps_list]
-    # serial at any --threads: its small GIL-bound cells run slower threaded
-    rows = [row for part in map(_smoothing_cell, cells) for row in part]
+    # one serial call at any --threads: its GIL-bound cells run slower threaded
+    rows = smoothing.verify_lemmas(cfg.d_list, cfg.v_list, cfg.phi_list,
+                                   cfg.eps_list, cfg.K, cfg.kappa,
+                                   cfg.half_width)
     checks = {}
     for v in cfg.v_list:
         checks[f"c61_stable_v{v}"] = _ratio_check(
@@ -439,30 +428,30 @@ def _run_smoothing_verify(cfg, pmap):
     return rows, {"checks": checks}
 
 
-def _gaussian_comparison_row(args):
-    cfg, i, rho = args
-    identity = CovarianceModel.identity(cfg.d)
-    other = CovarianceModel.equicorrelation(cfg.d, rho)
-    gap = sup_norm_diff(identity, other)
-    a, b = (distance.max_stat_sample(DistributionSpec.gaussian(sigma), 1,
-                                     cfg.replications,
-                                     derive_seed(cfg.seed, key, i))
-            for sigma, key in ((identity, 60), (other, 61)))
-    measured, se = distance.ks_distance_with_se(a, b)
-    law = maxlaw.law_of(DistributionSpec.gaussian(other), 1)
-    return {"rho": rho, "D": gap, "measured": measured,
-            "bound": bounds.bound_gaussian_comparison(gap, cfg.d), "se": se,
-            # the 1% two-sample KS critical value, and the exact distance
-            # the Monte Carlo one estimates (nan for rho < 0: no exact law)
-            "noise_floor": distance.ks_two_sample_critical(
-                cfg.replications, cfg.replications),
-            "exact_distance": math.nan if law is None else
-            maxlaw.sup_distance(law, maxlaw.IsotropicGaussianMax(cfg.d))}
-
-
 def _run_gaussian_comparison(cfg, pmap):
-    tasks = [(cfg, i, rho) for i, rho in enumerate(cfg.rho_list)]
-    rows = list(pmap(_gaussian_comparison_row, tasks))
+    identity = CovarianceModel.identity(cfg.d)
+
+    def point(i):
+        rho = cfg.rho_list[i]
+        other = CovarianceModel.equicorrelation(cfg.d, rho)
+        gap = sup_norm_diff(identity, other)
+        a, b = (distance.max_stat_sample(DistributionSpec.gaussian(sigma), 1,
+                                         cfg.replications,
+                                         derive_seed(cfg.seed, key, i))
+                for sigma, key in ((identity, 60), (other, 61)))
+        measured, se = distance.ks_distance_with_se(a, b)
+        law = maxlaw.law_of(DistributionSpec.gaussian(other), 1)
+        return {"rho": rho, "D": gap, "measured": measured,
+                "bound": bounds.bound_gaussian_comparison(gap, cfg.d),
+                "se": se,
+                # the 1% two-sample KS critical value, and the exact distance
+                # the Monte Carlo one estimates (nan for rho < 0: no exact law)
+                "noise_floor": distance.ks_two_sample_critical(
+                    cfg.replications, cfg.replications),
+                "exact_distance": math.nan if law is None else
+                maxlaw.sup_distance(law, maxlaw.IsotropicGaussianMax(cfg.d))}
+
+    rows = list(pmap(point, range(len(cfg.rho_list))))
     checks = {"measured_below_bound": all(row["measured"] <= row["bound"]
                                          for row in rows)}
     return rows, {"rows": rows, "checks": checks}
@@ -484,24 +473,23 @@ def _run_poisson_check(cfg, pmap):
     return [row], {"record": row, "checks": checks}
 
 
-def _anticoncentration_row(args):
-    cfg, i, eps = args
+def _run_anticoncentration(cfg, pmap):
     sigma = CovarianceModel.identity(cfg.d)
-    probe = distance.anticoncentration_probe(sigma, eps, cfg.replications,
-                                             seed=derive_seed(cfg.seed, 50, i))
-    shape = eps * math.sqrt(math.log(cfg.d))
     # the probe's exact value, max_z P(z < max Z <= z + eps), over the
     # quantile grid of the exact law of max Z
     law = maxlaw.IsotropicGaussianMax(cfg.d)
     z = maxlaw.quantile_grid(law)
-    return {"d": cfg.d, "eps": eps, "probe": probe, "nazarov_shape": shape,
-            "se": math.sqrt(probe * (1 - probe) / cfg.replications),
-            "exact_probe": float(np.max(law.cdf(z + eps) - law.cdf(z)))}
 
+    def point(i):
+        eps = cfg.eps_list[i]
+        probe = distance.anticoncentration_probe(
+            sigma, eps, cfg.replications, seed=derive_seed(cfg.seed, 50, i))
+        return {"d": cfg.d, "eps": eps, "probe": probe,
+                "nazarov_shape": eps * math.sqrt(math.log(cfg.d)),
+                "se": math.sqrt(probe * (1 - probe) / cfg.replications),
+                "exact_probe": float(np.max(law.cdf(z + eps) - law.cdf(z)))}
 
-def _run_anticoncentration(cfg, pmap):
-    tasks = [(cfg, i, eps) for i, eps in enumerate(cfg.eps_list)]
-    rows = list(pmap(_anticoncentration_row, tasks))
+    rows = list(pmap(point, range(len(cfg.eps_list))))
     checks = {"below_2x_shape": all(row["probe"] <= 2.0 * row["nazarov_shape"]
                                     for row in rows)}
     doubling = [(a, b) for a, b in zip(rows, rows[1:])
@@ -590,14 +578,19 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, columns, rows) -> None:
+def _write_text(path: str, text: str) -> None:
+    """Write one artifact; a failed write raises IoFailure."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt_cell(row[c]) for c in columns) + "\n")
+            fh.write(text)
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
+
+
+def _write_csv(path: str, columns, rows) -> None:
+    lines = [",".join(columns)]
+    lines += [",".join(_fmt_cell(row[c]) for c in columns) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _json_safe(obj):
@@ -630,11 +623,9 @@ class RunManifest:
     summary: dict = field(compare=False)
 
     def to_record(self) -> dict:
-        return {"experiment": self.experiment, "config_hash": self.config_hash,
-                "tool_version": self.tool_version, "seed": self.seed,
-                "started": self.started, "finished": self.finished,
-                "csv_paths": self.csv_paths, "summary_path": self.summary_path,
-                "plot_paths": self.plot_paths}
+        """The manifest.json record: every field but the summary."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "summary"}
 
     @property
     def all_checks_pass(self) -> bool:
@@ -663,12 +654,8 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1) -> RunManifest
     summary_path = os.path.join(out_dir, "summary.json")
     summary = {"experiment": config.experiment, "seed": config.seed,
                **_json_safe(summary)}
-    try:
-        with open(summary_path, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {summary_path}: {exc}") from exc
+    _write_text(summary_path,
+                json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     plot_paths = []
     if exp.plot is not None:
@@ -703,12 +690,7 @@ def _read_manifest(path: str) -> list:
 
 def _append_manifest(path: str, manifest: RunManifest) -> None:
     records = _read_manifest(path) + [manifest.to_record()]
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(records, fh, indent=2)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write_text(path, json.dumps(records, indent=2) + "\n")
 
 
 # -- SVG plotting -------------------------------------------------------------
@@ -792,9 +774,5 @@ def emit_plot(series, kind: str, path) -> Optional[float]:
                      f'slope = {slope:.6f}</text>')
     parts.append("</svg>")
 
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(parts) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    _write_text(path, "\n".join(parts) + "\n")
     return slope

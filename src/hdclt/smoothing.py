@@ -372,7 +372,8 @@ def verify_lemmas(d_list: Sequence[int], v_list: Sequence[int],
                   phi_list: Sequence[float], eps_list: Sequence[float],
                   K: float, kappa: float = 4.0,
                   half_width: float = 1.5) -> list[dict]:
-    """Attained-constant table across (d, v, phi, eps) cells.
+    """Attained-constant table across (phi, eps, d, v) cells, one row per
+    cell in that order: phi-major, v varying fastest.
 
     Per cell, with S_v the boundary-grid max of :func:`derivative_sum`:
 
@@ -385,27 +386,23 @@ def verify_lemmas(d_list: Sequence[int], v_list: Sequence[int],
       exp((kappa - eta)^2 / ...) factors.
     """
     rows = []
-    for d in d_list:
+    for phi, eps, d in itertools.product(phi_list, eps_list, d_list):
         rect = RectangleSpec(np.full(d, -half_width), np.full(d, half_width))
-        sigma = CovarianceModel.identity(d)
+        params = SmoothingParams(rect=rect, phi=phi, eps=eps,
+                                 sigma=CovarianceModel.identity(d), K=K)
         w_grid = _boundary_w_grid(rect)
+        ld = math.log(d)
+        margin = 2.0 * eps * kappa + (0.0 if math.isinf(phi) else 1.0 / phi)
+        w_far = np.asarray(rect.upper) + margin + 1e-9
         for v in v_list:
-            for phi in phi_list:
-                for eps in eps_list:
-                    params = SmoothingParams(rect=rect, phi=phi, eps=eps,
-                                             sigma=sigma, K=K)
-                    s_boundary = max(derivative_sum(v, w, params)
-                                     for w in w_grid)
-                    ld = math.log(d)
-                    c61 = (math.nan if math.isinf(phi) else
-                           s_boundary * (eps * params.sigma_star) ** (v - 1)
-                           / (phi * ld ** ((v - 1) / 2.0)))
-                    c62 = s_boundary * (eps * params.sigma_star) ** v / ld ** (v / 2.0)
-                    margin = 2.0 * eps * kappa + (0.0 if math.isinf(phi) else 1.0 / phi)
-                    w_far = np.asarray(rect.upper) + margin + 1e-9
-                    s_far = derivative_sum(v, w_far, params)
-                    decay = s_boundary / s_far if s_far > 0 else math.inf
-                    rows.append({"d": d, "v": v, "phi": phi, "eps": eps, "K": K,
-                                 "attained_C61": c61, "attained_C62": c62,
-                                 "decay_ratio": decay})
+            s_boundary = max(derivative_sum(v, w, params) for w in w_grid)
+            c61 = (math.nan if math.isinf(phi) else
+                   s_boundary * (eps * params.sigma_star) ** (v - 1)
+                   / (phi * ld ** ((v - 1) / 2.0)))
+            c62 = s_boundary * (eps * params.sigma_star) ** v / ld ** (v / 2.0)
+            s_far = derivative_sum(v, w_far, params)
+            decay = s_boundary / s_far if s_far > 0 else math.inf
+            rows.append({"d": d, "v": v, "phi": phi, "eps": eps, "K": K,
+                         "attained_C61": c61, "attained_C62": c62,
+                         "decay_ratio": decay})
     return rows

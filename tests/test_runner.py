@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 import re
@@ -231,6 +232,19 @@ class TestRun:
         assert csvs[0] == csvs[1]
         assert len(csvs[0].splitlines()) == 101  # header + one row per rep
 
+    def test_smoothing_sweep_rows_in_phi_eps_d_v_order(self, tmp_path):
+        grid = {"d_list": [2, 3], "v_list": [1, 2],
+                "phi_list": [8.0, math.inf], "eps_list": [1.0, 0.5]}
+        cfg = ExperimentConfig.from_mapping(
+            {"experiment": "smoothing_verify", **grid})
+        with open(run(cfg, out_dir=str(tmp_path)).csv_paths[0],
+                  newline="") as fh:
+            cells = [(float(row["phi"]), float(row["eps"]), int(row["d"]),
+                      int(row["v"])) for row in csv.DictReader(fh)]
+        assert cells == list(itertools.product(
+            grid["phi_list"], grid["eps_list"], grid["d_list"],
+            grid["v_list"]))
+
     def test_manifest_appends(self, tmp_path):
         cfg = ExperimentConfig.from_mapping(
             {"experiment": "poisson_check", "replications": 500, "seed": 1})
@@ -304,6 +318,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "manifest.json" in err
         assert (out / "manifest.json").read_text() == "{}\n"
+
+    @pytest.mark.parametrize("artifact", ["anticoncentration.csv",
+                                          "summary.json",
+                                          "anticoncentration.svg"])
+    def test_unwritable_artifact_exit_1(self, tmp_path, capsys, artifact):
+        # a directory in the artifact's place makes its write fail
+        cfg = self._write(tmp_path, "experiment = anticoncentration\n"
+                                    "replications = 2000\n")
+        out = tmp_path / "out"
+        (out / artifact).mkdir(parents=True)
+        assert cli_main(["run", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: cannot write {out / artifact}: ")
 
     def test_bad_manifest_fails_before_compute(self, tmp_path):
         cfg = self._write(tmp_path, "experiment = rate_vs_n\n"
