@@ -23,6 +23,8 @@ from .sampler import (DistributionSpec, blocks, derive_seed,
 # the count transform, plus the quasi-Gaussian noise
 _DRAW_ARRAYS = 3
 
+_PROBE_GRID = 512  # z points of the anticoncentration probe's grid
+
 # the max rectangle families, each the side of the max statistic it reduces to
 FAMILIES = {"one_sided_max": "one_sided", "two_sided_max": "two_sided"}
 
@@ -199,11 +201,11 @@ def _random_rects_distance(draws_a, draws_b, count, seed) -> float:
 
 
 def anticoncentration_probe(sigma: CovarianceModel, eps: float, reps: int,
-                            grid: int = 512, seed: int = 0) -> float:
+                            seed: int = 0) -> float:
     """Max over a z-grid of P(max Z <= z + eps) - P(max Z <= z).
 
     The grid spans the central 99.9% of the max-statistic distribution with
-    ``grid`` points; all variances must be >= 1 for the probe to be
+    ``_PROBE_GRID`` points; all variances must be >= 1 for the probe to be
     meaningful against the eps*sqrt(log d) anti-concentration shape.
     """
     if np.any(sigma.diagonal < 1.0 - 1e-12):
@@ -212,7 +214,7 @@ def anticoncentration_probe(sigma: CovarianceModel, eps: float, reps: int,
         raise ValueError("eps must be >= 0")
     stat = max_stat_sample(DistributionSpec.gaussian(sigma), 1, reps,
                            seed).values
-    z = np.linspace(np.quantile(stat, 0.0005), np.quantile(stat, 0.9995), grid)
+    z = np.linspace(*np.quantile(stat, [0.0005, 0.9995]), _PROBE_GRID)
     upper = np.searchsorted(stat, z + eps, side="right")
     lower = np.searchsorted(stat, z, side="right")
     return float(np.max(upper - lower)) / reps

@@ -19,7 +19,6 @@ from .errors import NotPositiveDefinite
 SYMMETRY_TOL = 1e-12
 PSD_TOL = 1e-10
 PIVOT_TOL = 1e-12
-UNIT_DIAG_TOL = 1e-12
 
 
 class CovarianceModel:
@@ -72,10 +71,6 @@ class CovarianceModel:
                     self._chol = _cholesky_lower(self._entries)
                     self._chol.setflags(write=False)
         return self._chol
-
-    @property
-    def unit_diag(self) -> bool:
-        return bool(np.all(np.abs(self.diagonal - 1.0) <= UNIT_DIAG_TOL))
 
     @property
     def is_diagonal(self) -> bool:

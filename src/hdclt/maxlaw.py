@@ -302,7 +302,7 @@ class RademacherGaussianMax:
         flat = x.reshape(-1)
         out = np.empty(flat.size)
         k = np.arange(self.n + 1)
-        centers = (2.0 * k - self.n) / math.sqrt(self.n)
+        centers = _count_sums(k, self.n, 1.0, -1.0)
         pk = _binom_pmf(k, self.n, 0.5)
         # x is taken in blocks, so the (points, n + 1) arrays of terms stay
         # within BLOCK_FLOATS however large n is
@@ -336,9 +336,9 @@ def law_of(spec: DistributionSpec, n: int, side: str = "one_sided"):
     """The exact law of the max statistic of W = n^{-1/2} sum_i X_i for
     ``spec``, or None when it has no law here: the two-sided local-means
     max, unequal variances, negative or unequal correlation, the two-sided
-    equicorrelated max, the uniform and Rademacher families, and
-    quasi-Gaussian overlays other than Rademacher plus diagonal noise.  The
-    law of the Rademacher-plus-noise family has a CDF but no sampler."""
+    equicorrelated max and the uniform and Rademacher families.  The law of
+    the quasi-Gaussian family, Rademacher plus unit noise, has a CDF but no
+    sampler."""
     _check_side(side)
     if spec.kind == "two_point":
         return TwoPointMax(spec.B, n, spec.dim, side)
@@ -346,8 +346,7 @@ def law_of(spec: DistributionSpec, n: int, side: str = "one_sided"):
         return LocalMeansMax(n, spec.dim)
     if spec.kind == "gaussian":
         return _gaussian_law(spec.cov, side)
-    if (spec.kind == "quasi_gaussian" and spec.base.kind == "rademacher"
-            and spec.sigma0.is_diagonal):
+    if spec.kind == "quasi_gaussian":
         return RademacherGaussianMax(n, spec.dim, side)
     return None
 

@@ -116,8 +116,9 @@ class ExperimentConfig:
         int, *_at_least(bootstrap.MIN_QUANTILE_DRAWS))
     outer_replications: Optional[int] = _key(int, *_at_least(1))
     ref_factor: Optional[int] = _key(int, *_at_least(1))
-    eps_list: Optional[list] = _key(_list(float), _each(lambda e: e > 0),
-                                    "nonempty, all > 0")
+    eps_list: Optional[list] = _key(_list(float),
+                                    _each(lambda e: 0 < e < math.inf),
+                                    "nonempty, all finite and > 0")
     phi_list: Optional[list] = _key(_list(float), _each(lambda p: p > 0),
                                     "nonempty, all > 0 (inf allowed)")
     v_list: Optional[list] = _key(
@@ -126,7 +127,8 @@ class ExperimentConfig:
         f"d**v <= {smoothing.TUPLE_BUDGET} for every d in d_list")
     K: Optional[float] = _key(float, *_FINITE)
     kappa: Optional[float] = _key(float, *_FINITE)
-    half_width: Optional[float] = _key(float, lambda v, c: v > 0, "> 0")
+    half_width: Optional[float] = _key(float, lambda v, c: 0 < v < math.inf,
+                                       "finite and > 0")
     rho_list: Optional[list] = _key(
         _list(float), _has_cholesky_factors,
         f"nonempty, all with an equicorrelation matrix of dimension d whose "
@@ -310,9 +312,8 @@ def _run_rate_vs_n(cfg, pmap):
 
 
 def _run_zero_skew_rate(cfg, pmap):
-    spec = DistributionSpec.quasi_gaussian(DistributionSpec.rademacher(cfg.d),
-                                           CovarianceModel.identity(cfg.d))
-    return _rate_result(cfg, spec, (-1.35, -0.65), pmap)
+    return _rate_result(cfg, DistributionSpec.quasi_gaussian(cfg.d),
+                        (-1.35, -0.65), pmap)
 
 
 def _run_bootstrap_coverage(cfg, pmap):
@@ -425,7 +426,7 @@ def _run_smoothing_verify(cfg, pmap):
         row["decay_ratio"] >= math.exp(
             (cfg.kappa - cfg.K / math.sqrt(math.log(row["d"]))) ** 2 / 8.0)
         for row in decay_rows)
-    return rows, {"checks": checks}
+    return rows, {"checks": checks, "S_v": [row["S_v"] for row in rows]}
 
 
 def _run_gaussian_comparison(cfg, pmap):

@@ -109,8 +109,6 @@ class DistributionSpec:
     dim: int
     B: Optional[float] = None
     cov: Optional[CovarianceModel] = None
-    base: Optional["DistributionSpec"] = None
-    sigma0: Optional[CovarianceModel] = None
 
     def __post_init__(self):
         if self.kind not in FAMILIES:
@@ -124,9 +122,6 @@ class DistributionSpec:
             raise ValueError("uniform_bounded requires a finite B > 0")
         if self.kind == "local_means" and self.dim < 2:
             raise ValueError("local_means requires d >= 2")
-        if self.kind == "quasi_gaussian":
-            if self.sigma0 is None or not self.sigma0.unit_diag:
-                raise ValueError("quasi_gaussian requires a unit-diagonal sigma0")
 
     # -- constructors -------------------------------------------------------
 
@@ -151,10 +146,9 @@ class DistributionSpec:
         return DistributionSpec(kind="local_means", dim=d)
 
     @staticmethod
-    def quasi_gaussian(base: "DistributionSpec", sigma0: CovarianceModel) -> "DistributionSpec":
-        if base.dim != sigma0.dim:
-            raise ValueError("base and sigma0 dimensions differ")
-        return DistributionSpec(kind="quasi_gaussian", dim=base.dim, base=base, sigma0=sigma0)
+    def quasi_gaussian(d: int) -> "DistributionSpec":
+        """Rademacher coordinates plus independent N(0, I_d) noise."""
+        return DistributionSpec(kind="quasi_gaussian", dim=d)
 
     # -- population covariance -----------------------------------------------
 
@@ -169,8 +163,7 @@ class DistributionSpec:
         if self.kind == "local_means":
             return CovarianceModel.local_means(self.dim)
         if self.kind == "quasi_gaussian":
-            return CovarianceModel(self.base.population_covariance().entries
-                                   + self.sigma0.entries)
+            return CovarianceModel(2.0 * np.eye(self.dim))
         raise AssertionError(self.kind)
 
 
@@ -190,16 +183,15 @@ def _sample_values(spec: DistributionSpec, n: int, rng: np.random.Generator) -> 
     if spec.kind == "two_point":
         a, b, p = two_point_support(spec.B)
         return np.where(rng.random((n, d)) < p, a, b)
-    if spec.kind == "rademacher":
-        return rng.integers(0, 2, size=(n, d)).astype(float) * 2.0 - 1.0
+    if spec.kind in ("rademacher", "quasi_gaussian"):
+        x = rng.integers(0, 2, size=(n, d)).astype(float) * 2.0 - 1.0
+        if spec.kind == "quasi_gaussian":
+            x += rng.standard_normal((n, d))
+        return x
     if spec.kind == "uniform_bounded":
         return rng.uniform(-spec.B, spec.B, size=(n, d))
     if spec.kind == "local_means":
         return _local_means_values(n, d, rng)
-    if spec.kind == "quasi_gaussian":
-        x = _sample_values(spec.base, n, rng)
-        g = rng.standard_normal((n, d)) @ spec.sigma0.chol.T
-        return x + g
     raise AssertionError(spec.kind)
 
 
@@ -240,7 +232,7 @@ def sample_scaled_sums(spec: DistributionSpec, n: int, reps: int,
     * rademacher: 2*Binomial(n, 1/2) - n,
     * gaussian: W ~ N(0, cov) exactly,
     * local_means: multinomial cell counts,
-    * quasi_gaussian: base transform plus one N(0, sigma0) draw per rep.
+    * quasi_gaussian: the rademacher transform plus N(0, I) from substream 2.
 
     Families without a transform (uniform_bounded) fall back to summing
     explicitly sampled data in :func:`blocks` of replications.
@@ -252,15 +244,14 @@ def sample_scaled_sums(spec: DistributionSpec, n: int, reps: int,
     if spec.kind == "two_point":
         a, b, p = two_point_support(spec.B)
         return _count_sums(rng.binomial(n, p, size=(reps, d)), n, a, b)
-    if spec.kind == "rademacher":
-        return _count_sums(rng.binomial(n, 0.5, size=(reps, d)), n, 1.0, -1.0)
+    if spec.kind in ("rademacher", "quasi_gaussian"):
+        w = _count_sums(rng.binomial(n, 0.5, size=(reps, d)), n, 1.0, -1.0)
+        if spec.kind == "quasi_gaussian":
+            w += substream(seed, 2).standard_normal((reps, d))
+        return w
     if spec.kind == "local_means":
         hi, lo, p = local_means_support(d)
         return _count_sums(rng.multinomial(n, np.full(d, p), size=reps), n, hi, lo)
-    if spec.kind == "quasi_gaussian":
-        w = sample_scaled_sums(spec.base, n, reps, seed)
-        w += substream(seed, 2).standard_normal((reps, d)) @ spec.sigma0.chol.T
-        return w
     # generic fallback: explicit data, one n x d slab per replication
     out = np.empty((reps, d))
     for idx, rows in blocks(reps, n * d):

@@ -375,7 +375,7 @@ def verify_lemmas(d_list: Sequence[int], v_list: Sequence[int],
     """Attained-constant table across (phi, eps, d, v) cells, one row per
     cell in that order: phi-major, v varying fastest.
 
-    Per cell, with S_v the boundary-grid max of :func:`derivative_sum`:
+    Per cell, with ``S_v`` the boundary-grid max of :func:`derivative_sum`:
 
     * ``attained_C61`` = S_v (eps sigma_*)^{v-1} / (phi (log d)^{(v-1)/2})
       (NaN at phi = inf),
@@ -404,5 +404,5 @@ def verify_lemmas(d_list: Sequence[int], v_list: Sequence[int],
             decay = s_boundary / s_far if s_far > 0 else math.inf
             rows.append({"d": d, "v": v, "phi": phi, "eps": eps, "K": K,
                          "attained_C61": c61, "attained_C62": c62,
-                         "decay_ratio": decay})
+                         "decay_ratio": decay, "S_v": s_boundary})
     return rows

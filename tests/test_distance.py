@@ -46,8 +46,7 @@ class TestMaxStatHelper:
     def test_fallback_peak_memory_independent_of_d(self):
         # the quasi-Gaussian law has no sampler, so W is drawn in blocks
         for d in (10, 50):
-            spec = DistributionSpec.quasi_gaussian(
-                DistributionSpec.rademacher(d), CovarianceModel.identity(d))
+            spec = DistributionSpec.quasi_gaussian(d)
             tracemalloc.start()
             try:
                 out = max_stat_sample(spec, 100, 100_000, seed=3)

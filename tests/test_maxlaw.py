@@ -273,8 +273,7 @@ class TestLawOf:
         assert law_of(equi, 1) == EquicorrelatedGaussianMax(5, 0.3)
         assert law_of(DistributionSpec.two_point(2.0, 4), 9, "two_sided") == \
             TwoPointMax(2.0, 9, 4, "two_sided")
-        quasi = DistributionSpec.quasi_gaussian(DistributionSpec.rademacher(4),
-                                                CovarianceModel.identity(4))
+        quasi = DistributionSpec.quasi_gaussian(4)
         assert law_of(quasi, 7) == RademacherGaussianMax(7, 4)
         diagonal = DistributionSpec.gaussian(
             CovarianceModel(np.diag([1.0, 4.0])))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hdclt import sampler
 from hdclt.bootstrap import MULTIPLIER_KINDS
 from hdclt.cli import main as cli_main
 from hdclt.distance import ks_two_sample_critical
@@ -126,6 +127,14 @@ class TestReadmeKeyTable:
                  for key, _, rule in _readme_table("| key | value | rule |")}
         assert rules == {key: f.metadata["need"] or ""
                          for key, f in KEYS.items()}
+
+
+class TestReadmeFamilyList:
+    def test_sampler_row_names_every_family(self):
+        contents = {cells[0]: cells[1]
+                    for cells in _readme_table("| module | contents |")}
+        named = set(re.findall(r"`(\w+)`", contents["`hdclt.sampler`"]))
+        assert set(sampler.FAMILIES) <= named
 
 
 class TestRun:
@@ -401,6 +410,8 @@ class TestCli:
         "experiment = gaussian_comparison\nrho_list = -0.1111111111111",
         "K = nan", "kappa = nan",
         "experiment = anticoncentration\neps_list = -1",
+        "eps_list = inf", "half_width = inf",
+        "experiment = anticoncentration\neps_list = 0.1 inf",
         "experiment = rate_vs_n\nn_list = 500 250",
         "experiment = rate_vs_n\nn_list = 500",
         "experiment = zero_skew_rate\nn_list = 100",

@@ -7,9 +7,9 @@ from scipy.stats import binom
 
 from hdclt.matcore import CovarianceModel
 from hdclt.maxlaw import RademacherGaussianMax
-from hdclt.sampler import (DataMatrix, DistributionSpec, derive_seed, sample,
-                           sample_scaled_sums, scaled_sum, substream,
-                           two_point_support)
+from hdclt.sampler import (DataMatrix, DistributionSpec, _count_sums,
+                           derive_seed, sample, sample_scaled_sums, scaled_sum,
+                           substream, two_point_support)
 
 
 class TestSubstream:
@@ -82,8 +82,7 @@ class TestQuasiGaussian:
     def test_zero_base_gives_pure_gaussian_max(self):
         # Rademacher base plus unit Gaussian noise against the exact
         # Binomial-mixture max CDF
-        spec = DistributionSpec.quasi_gaussian(DistributionSpec.rademacher(3),
-                                               CovarianceModel.identity(3))
+        spec = DistributionSpec.quasi_gaussian(3)
         draws = sample_scaled_sums(spec, 50, 4000, seed=9)
         x = 0.5
         p_hat = np.mean(draws.max(axis=1) <= x)
@@ -91,27 +90,43 @@ class TestQuasiGaussian:
         assert p_hat == pytest.approx(p_exact, abs=4 * math.sqrt(0.25 / 4000))
 
     def test_scaled_sum_covariance_adds(self):
-        base = DistributionSpec.rademacher(5)
-        spec = DistributionSpec.quasi_gaussian(base, CovarianceModel.identity(5))
+        spec = DistributionSpec.quasi_gaussian(5)
         draws = sample_scaled_sums(spec, 30, 100_000, seed=13)
         emp = np.cov(draws.T, bias=True)
         assert np.max(np.abs(emp - 2.0 * np.eye(5))) < 0.05
 
     def test_zero_skewness_one_dim(self):
-        base = DistributionSpec.rademacher(1)
-        spec = DistributionSpec.quasi_gaussian(base, CovarianceModel.identity(1))
+        spec = DistributionSpec.quasi_gaussian(1)
         w = sample_scaled_sums(spec, 20, 100_000, seed=17).ravel()
         third = np.mean(w**3)
         se = np.std(w**3, ddof=1) / math.sqrt(w.size)
         assert abs(third) <= 3 * se
 
     def test_fourth_moment_composition(self):
-        base = DistributionSpec.rademacher(2)
-        spec = DistributionSpec.quasi_gaussian(base, CovarianceModel.identity(2))
+        spec = DistributionSpec.quasi_gaussian(2)
         # E (X+g)^4 = 1 + 6 + 3 for rademacher plus standard normal; the
         # eighth moment 764 puts the standard error of the mean near 0.04
         x = sample(spec, 200_000, seed=6).values
         assert np.mean(x**4) == pytest.approx(10.0, abs=0.25)
+
+    @pytest.mark.parametrize("d", [1, 3, 20])
+    def test_stream_layout(self, d):
+        # W is the Rademacher count transform of substream 1 plus normals of
+        # substream 2; data are the Rademacher integers of substream 0, then
+        # normals from the same generator
+        spec = DistributionSpec.quasi_gaussian(d)
+        n, reps, seed = 30, 500, 11
+        counts = substream(seed, 1).binomial(n, 0.5, size=(reps, d))
+        want = (_count_sums(counts, n, 1.0, -1.0)
+                + substream(seed, 2).standard_normal((reps, d)))
+        np.testing.assert_array_equal(
+            sample_scaled_sums(spec, n, reps, seed), want)
+        rng = substream(seed, 0)
+        signs = rng.integers(0, 2, size=(n, d)).astype(float) * 2.0 - 1.0
+        np.testing.assert_array_equal(sample(spec, n, seed).values,
+                                      signs + rng.standard_normal((n, d)))
+        np.testing.assert_array_equal(spec.population_covariance().entries,
+                                      2.0 * np.eye(d))
 
 
 class TestScaledSum:

@@ -192,6 +192,24 @@ class TestVerifySweep:
         vals = [r["attained_C61"] for r in rows]
         assert max(vals) / min(vals) <= 2.0
 
+    def test_summary_carries_boundary_derivative_sums(self, tmp_path):
+        # S_v, the boundary-grid max of derivative_sum behind both attained
+        # constants, rides in summary.json in CSV row order, not in the CSV
+        cfg = ExperimentConfig.from_mapping(
+            {"experiment": "smoothing_verify", "phi_list": [8.0],
+             "eps_list": [0.5], "d_list": [2]})
+        manifest = run(cfg, out_dir=str(tmp_path))
+        assert "S_v" not in Path(manifest.csv_paths[0]).read_text()
+        rows = verify_lemmas([2], [1, 2], [8.0], [0.5], K=4.0)
+        assert manifest.summary["S_v"] == [r["S_v"] for r in rows]
+        params = _params(d=2, lower=[-1.5] * 2, upper=[1.5] * 2, phi=8.0,
+                         eps=0.5, K=4.0)
+        assert rows[1]["S_v"] == max(
+            derivative_sum(2, w, params)
+            for w in smoothing._boundary_w_grid(params.rect))
+        assert rows[0]["attained_C61"] * 8.0 == pytest.approx(
+            rows[0]["S_v"], abs=1e-12)
+
 
 class TestBatchedQuadrature:
     @pytest.mark.parametrize("d", [2, 3])
