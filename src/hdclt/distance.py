@@ -70,34 +70,25 @@ class MaxStatSample:
                                side="right") / self.size
 
 
-def scaled_sum_blocks(spec: DistributionSpec, n: int, reps: int, seed: int):
-    """Yield ``(rows, draws)``: the ``reps`` draws of W = n^{-1/2} sum_i X_i
-    by :func:`sample_scaled_sums` in consecutive :func:`blocks`, each block
-    from its own seed.  A block's scaled-sum draw holds at most
-    ``_DRAW_ARRAYS`` arrays of its size, so memory stays near
-    ``BLOCK_FLOATS`` whatever ``d`` is, provided the caller drops each
-    block before asking for the next."""
-    for idx, rows in blocks(reps, _DRAW_ARRAYS * spec.dim):
-        yield rows, sample_scaled_sums(spec, n, rows.stop - rows.start,
-                                       derive_seed(seed, 24, idx))
-
-
 def max_stat_sample(spec: DistributionSpec, n: int, reps: int, seed: int,
                     side: str = "one_sided") -> MaxStatSample:
     """``reps`` draws of the max statistic of W = n^{-1/2} sum_i X_i.
 
     Where :func:`maxlaw.law_of` gives ``spec`` a law with a sampler, each
     draw inverts its CDF at ``law.variates`` uniforms.  Otherwise W is drawn
-    by :func:`scaled_sum_blocks`, and only each block's row maxima are kept.
+    by :func:`sample_scaled_sums` in consecutive :func:`blocks`, each from
+    its own seed, and only each block's row maxima are kept, so memory stays
+    near ``BLOCK_FLOATS`` whatever ``d`` is.
     """
     law = maxlaw.law_of(spec, n, side)
     if hasattr(law, "sample"):
         u = substream(seed, 23).random((law.variates, reps))
         return MaxStatSample(law.sample(*u))
     out = np.empty(reps)
-    for rows, draws in scaled_sum_blocks(spec, n, reps, seed):
-        out[rows] = max_statistic(draws, side)
-        del draws  # before the next block is drawn
+    for idx, rows in blocks(reps, _DRAW_ARRAYS * spec.dim):
+        # one expression, so no block's draw outlives its maxima
+        out[rows] = max_statistic(sample_scaled_sums(
+            spec, n, rows.stop - rows.start, derive_seed(seed, 24, idx)), side)
     return MaxStatSample(out)
 
 

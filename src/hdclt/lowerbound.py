@@ -13,11 +13,11 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
-from .distance import (MaxStatSample, max_stat_sample, max_statistic,
-                       scaled_sum_blocks)
-from .sampler import DistributionSpec, derive_seed
+from . import maxlaw
+from .distance import MaxStatSample, max_stat_sample
+from .sampler import DistributionSpec, derive_seed, substream
 
 
 def threshold_xn(d: float) -> float:
@@ -27,36 +27,47 @@ def threshold_xn(d: float) -> float:
     return float(ndtri(math.exp(-1.0 / d)))
 
 
+def _marginal_tail(spec: DistributionSpec, n: int, x: float) -> float:
+    """Exact P(W_1 > x) where W has i.i.d. coordinates of known law."""
+    if spec.kind == "two_point":
+        return maxlaw.two_point_marginal_tail(spec.B, n, x)
+    if spec.kind == "gaussian":  # build no other law just to refuse it
+        law = maxlaw.law_of(spec, n)
+        if isinstance(law, maxlaw.IsotropicGaussianMax):
+            return float(ndtr(-x / law.sigma))
+    raise ValueError(f"a {spec.kind!r} spec has no i.i.d. coordinates of "
+                     "known tail (two_point, or gaussian with cov sigma^2 I)")
+
+
 def poisson_approx_check(spec: DistributionSpec, n: int, reps: int,
                          seed: int) -> dict:
     """Estimate F(x_n) and lambda_n for the max statistic of ``spec``.
 
-    The ``reps`` draws of W come from :func:`scaled_sum_blocks`, and each
-    block is reduced to two counts before the next is drawn: its rows whose
-    max is <= x_n, which estimate F, and its coordinates above x_n, which
-    estimate the marginal tail from all reps*d coordinate values
-    (coordinates are i.i.d. for the supported families).  Memory therefore
-    stays near ``BLOCK_FLOATS`` however large reps*d is.  Returns ``x_n``,
-    ``f_hat``, ``lambda_hat``, the residual ``|f_hat - exp(-lambda_hat)|``,
-    its ``d * P(W_1 > x)^2`` bound ``residual_bound``, and the standard
-    error ``propagated_se`` of the residual from both estimates.
+    W's coordinates are i.i.d. with exact tail q = P(W_1 > x_n) (else
+    ValueError), so the count C_r of coordinates above x_n, drawn from
+    substream 25 of ``seed``, is Binomial(d, q): f_hat = mean(C_r == 0) and
+    tail = sum C_r / (reps d) have the joint law of the estimators read off
+    reps draws of W.  Returns ``x_n``, ``f_hat``, ``lambda_hat``, the
+    residual ``|f_hat - exp(-lambda_hat)|``, its ``d * P(W_1 > x)^2`` bound
+    ``residual_bound``, its standard error ``propagated_se``, and the exact
+    ``exact_tail`` (q), ``exact_f``, ``exact_lambda`` and ``exact_residual``.
     """
     d = spec.dim
     x_n = threshold_xn(d)
-    below = above = 0
-    for _, draws in scaled_sum_blocks(spec, n, reps, seed):
-        below += int(np.count_nonzero(max_statistic(draws) <= x_n))
-        above += int(np.count_nonzero(draws > x_n))
-        del draws  # before the next block is drawn
-    f_hat = below / reps
-    tail = above / (reps * d)
+    q = _marginal_tail(spec, n, x_n)
+    counts = substream(seed, 25).binomial(d, q, size=reps)
+    f_hat = int(np.count_nonzero(counts == 0)) / reps
+    tail = int(counts.sum()) / (reps * d)
     lam = d * tail
     se_f = math.sqrt(max(f_hat * (1 - f_hat), 1e-300) / reps)
     se_tail = math.sqrt(max(tail * (1 - tail), 1e-300) / (reps * d))
+    exact_f = (1.0 - q) ** d
     return {"x_n": x_n, "f_hat": f_hat, "lambda_hat": lam,
             "residual": abs(f_hat - math.exp(-lam)),
             "residual_bound": d * (lam / d) ** 2,
-            "propagated_se": math.hypot(se_f, math.exp(-lam) * (d * se_tail))}
+            "propagated_se": math.hypot(se_f, math.exp(-lam) * (d * se_tail)),
+            "exact_tail": q, "exact_f": exact_f, "exact_lambda": d * q,
+            "exact_residual": abs(exact_f - math.exp(-d * q))}
 
 
 def fit_power_law(xs: Sequence[float], ys: Sequence[float]

@@ -462,10 +462,7 @@ def _run_poisson_check(cfg, pmap):
     rec = lowerbound.poisson_approx_check(cfg.data_spec(), cfg.n,
                                           cfg.replications,
                                           derive_seed(cfg.seed, 40))
-    row = {"n": cfg.n, "d": cfg.d, "B": cfg.B,
-           "exact_tail": maxlaw.two_point_marginal_tail(cfg.B, cfg.n,
-                                                        rec["x_n"]),
-           **rec}
+    row = {"n": cfg.n, "d": cfg.d, "B": cfg.B, **rec}
     checks = {
         "residual_within_bound":
             rec["residual"] <= rec["residual_bound"] + 4.0 * rec["propagated_se"],
@@ -561,7 +558,8 @@ EXPERIMENTS = {
         {"B": 2.0, "n": 1000, "d": 50, "replications": 200_000},
         _run_poisson_check,
         ("n", "d", "B", "x_n", "f_hat", "lambda_hat", "exact_tail",
-         "residual", "residual_bound", "propagated_se"),
+         "residual", "residual_bound", "propagated_se", "exact_f",
+         "exact_lambda", "exact_residual"),
         law=DistributionSpec.two_point),
     "anticoncentration": Experiment(
         {"d": 20, "eps_list": [0.05, 0.1, 0.2], "replications": 200_000},

@@ -72,6 +72,34 @@ class TestPoissonApprox:
             rec["lambda_hat"]**2 / spec.dim)
         assert rec["lambda_hat"] <= 10.0
 
+    @pytest.mark.parametrize("spec", [
+        DistributionSpec.uniform_bounded(1.0, 20),
+        DistributionSpec.gaussian(CovarianceModel.equicorrelation(20, 0.3)),
+        DistributionSpec.local_means(20)],
+        ids=["uniform_bounded", "equicorrelated", "local_means"])
+    def test_rejects_coordinates_without_known_iid_tail(self, spec):
+        # a Binomial(d, q) count law would not hold for these families
+        with pytest.raises(ValueError, match=repr(spec.kind)):
+            poisson_approx_check(spec, n=10, reps=100, seed=1)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_counts_follow_binomial_law(self, seed):
+        d, n, reps = 50, 1000, 20_000
+        spec = DistributionSpec.two_point(2.0, d)
+        rec = poisson_approx_check(spec, n=n, reps=reps, seed=seed)
+        q = two_point_marginal_tail(2.0, n, threshold_xn(d))
+        f = (1 - q) ** d
+        assert rec["f_hat"] == pytest.approx(
+            f, abs=4 * math.sqrt(f * (1 - f) / reps))
+        assert rec["lambda_hat"] == pytest.approx(
+            d * q, abs=4 * d * math.sqrt(q * (1 - q) / (reps * d)))
+
+    def test_scaled_gaussian_tail(self):
+        # N(0, 4 I) has i.i.d. coordinates with tail Phi(-x/2), not Phi(-x)
+        spec = DistributionSpec.gaussian(CovarianceModel(4.0 * np.eye(50)))
+        rec = poisson_approx_check(spec, n=1, reps=1000, seed=2)
+        assert rec["exact_tail"] == float(ndtr(-threshold_xn(50) / 2.0))
+
     def test_peak_memory_independent_of_reps_times_d(self):
         # 5e6 coordinate values, 40 MB as one array; the check must hold
         # one block at a time

@@ -14,6 +14,7 @@ from hdclt.cli import main as cli_main
 from hdclt.distance import ks_two_sample_critical
 from hdclt.errors import ConfigInvalid
 from hdclt.lowerbound import fit_power_law
+from hdclt.maxlaw import two_point_marginal_tail
 from hdclt.runner import (EXPERIMENTS, KEYS, RUN_KEYS,
                           ExperimentConfig, emit_plot, load_config,
                           parse_config_text, run)
@@ -218,6 +219,40 @@ class TestRun:
         assert [row["exact_probe"] for row in rows] == pytest.approx(
             [0.0397, 0.0792, 0.1576], abs=5e-5)
         assert set(rows[0]) == set(EXPERIMENTS["anticoncentration"].columns)
+
+    def test_poisson_check_reports_exact_values(self, tmp_path):
+        cfg = ExperimentConfig.from_mapping(
+            {"experiment": "poisson_check", "replications": 2000, "seed": 5})
+        manifest = run(cfg, out_dir=str(tmp_path))
+        rec = manifest.summary["record"]
+        # at B = 2, n = 1000, d = 50 the exact tail q at x_n is recomputed
+        # from the binomial enumeration; the max is below x_n exactly when
+        # all 50 i.i.d. coordinates are
+        q = two_point_marginal_tail(2.0, 1000, rec["x_n"])
+        exact_f = (1 - q) ** 50
+        assert rec["exact_tail"] == q
+        assert rec["exact_f"] == pytest.approx(exact_f, rel=1e-12)
+        assert rec["exact_lambda"] == pytest.approx(50 * q, rel=1e-12)
+        assert rec["exact_residual"] == pytest.approx(
+            abs(exact_f - math.exp(-50 * q)), rel=1e-9)
+        assert [rec["exact_f"], rec["exact_lambda"]] == pytest.approx(
+            [0.371899, 0.979413], abs=5e-7)
+        assert rec["exact_residual"] == pytest.approx(3.632e-3, abs=5e-7)
+        # appended after the earlier columns; a report, not a check
+        columns = EXPERIMENTS["poisson_check"].columns
+        assert columns[-3:] == ("exact_f", "exact_lambda", "exact_residual")
+        with open(manifest.csv_paths[0], newline="") as fh:
+            assert tuple(next(csv.reader(fh))) == columns
+        assert set(manifest.summary["checks"]) == {"residual_within_bound",
+                                                   "lambda_le_10"}
+
+    def test_poisson_check_same_at_one_and_two_threads(self, tmp_path):
+        cfg = ExperimentConfig.from_mapping(
+            {"experiment": "poisson_check", "replications": 5000, "seed": 3})
+        csvs = [open(run(cfg, out_dir=str(tmp_path / f"t{t}"),
+                         threads=t).csv_paths[0], "rb").read()
+                for t in (1, 2)]
+        assert csvs[0] == csvs[1]
 
     def test_identical_runs_are_byte_identical(self, tmp_path):
         cfg = ExperimentConfig.from_mapping(
