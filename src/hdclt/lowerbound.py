@@ -1,6 +1,6 @@
 """Constructive lower-bound analyses: the Poisson approximation of the max
-statistic of the two-point construction, plus the Gaussian reference law and
-power-law fit the rate experiments build their curves from.
+statistic of the two-point construction, plus the rate curves' power-law fit
+and Gaussian reference: its exact law and sorted uniforms, shared across n.
 
 The threshold x solves the equation Phi(x)^d = e^{-1}, so the Gaussian max
 statistic lands exactly on e^{-1}; the gap of the data max statistic at that
@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import maxlaw
-from .distance import MaxStatSample, max_stat_sample
+from .distance import MaxStatSample
 from .sampler import DistributionSpec, derive_seed, substream
 
 
@@ -88,11 +88,13 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]
 
 
 def reference_max_stats(spec: DistributionSpec, reps: int, seed: int,
-                        side: str = "one_sided") -> MaxStatSample:
-    """Max statistics of N(0, covariance of spec), drawn by
-    :func:`max_stat_sample`, so reference replication counts far above the W
-    side stay affordable."""
-    return max_stat_sample(
-        DistributionSpec.gaussian(spec.population_covariance()), 1, reps,
-        derive_seed(seed, 999), side)
-
+                        side: str = "one_sided") -> tuple:
+    """Exact law F of N(0, covariance of spec)'s max statistic, which needs a
+    sigma^2 I, and the sorted uniforms u that ``max_stat_sample`` inverts: as
+    F increases, KS(MaxStatSample(F.cdf(w)), u) = KS(w, F.sample(u))."""
+    cov = spec.population_covariance()
+    law = maxlaw.law_of(DistributionSpec.gaussian(cov), 1, side)
+    if not isinstance(law, maxlaw.IsotropicGaussianMax):
+        raise ValueError(f"the {spec.kind} covariance is not sigma^2 I")
+    u = substream(derive_seed(seed, 999), 23).random(reps)
+    return law, MaxStatSample(np.maximum(u, maxlaw._U_MIN, out=u))

@@ -253,17 +253,18 @@ def _rate_result(cfg: ExperimentConfig, spec: DistributionSpec,
     ``n_list`` only, so the curve does not depend on scheduling.  The
     Gaussian reference has ``ref_factor`` times more draws, so its noise is
     second order, and is shared across n, since the covariance of W does not
-    depend on n for i.i.d. rows.
+    depend on n for i.i.d. rows; each distance is taken in its uniform space.
     """
     side = distance.side_of(cfg.family)
-    ref = lowerbound.reference_max_stats(
+    ref_law, ref = lowerbound.reference_max_stats(
         spec, cfg.replications * cfg.ref_factor, cfg.seed, side)
 
     def point(item):
         i, n = item
         w = distance.max_stat_sample(spec, n, cfg.replications,
                                      derive_seed(cfg.seed, 1, i), side)
-        return distance.ks_distance_with_se(w, ref)
+        return distance.ks_distance_with_se(
+            distance.MaxStatSample(ref_law.cdf(w.values)), ref)
 
     points = list(pmap(point, enumerate(cfg.n_list)))
     slope, slope_se, intercept = lowerbound.fit_power_law(
@@ -277,23 +278,24 @@ def _rate_result(cfg: ExperimentConfig, spec: DistributionSpec,
             / (scale * math.log(cfg.d) ** 1.5) for row in rows]
     # exact distances beside the Monte Carlo ones, and the 1% two-sample KS
     # critical value, below which a Monte Carlo distance cannot resolve them
-    ref_law = maxlaw.law_of(
-        DistributionSpec.gaussian(spec.population_covariance()), 1, side)
     exact = [maxlaw.sup_distance(maxlaw.law_of(spec, n, side), ref_law)
              for n in cfg.n_list]
+    exact_slope = lowerbound.fit_power_law(cfg.n_list, exact)[0]
     floor = distance.ks_two_sample_critical(
         cfg.replications, cfg.replications * cfg.ref_factor)
     summary = {
         "slope": slope, "slope_se": slope_se,
         "intercept": intercept, "normalized": norm,
-        "exact_distance": exact,
-        "exact_slope": lowerbound.fit_power_law(cfg.n_list, exact)[0],
+        "exact_distance": exact, "exact_slope": exact_slope,
         "noise_floor": floor,
         "distance_below_noise_floor": [e < floor for e in exact],
         "metadata": {"envelope_over_sqrt_logd":
                      (b / math.sqrt(math.log(cfg.d))) if cfg.B else None},
         "checks": {"slope_in_band":
                    slope_band[0] <= slope <= slope_band[1]},
+        # the same criteria on the exact values: a report, never a check
+        "exact_checks": {"slope_in_band":
+                         slope_band[0] <= exact_slope <= slope_band[1]},
     }
     return rows, summary
 
@@ -369,10 +371,11 @@ def _run_local_means(cfg, pmap):
         w = distance.max_stat_sample(spec, n, cfg.replications,
                                      derive_seed(cfg.seed, 30, d))
         identity = CovarianceModel.identity(d)
-        ref = lowerbound.reference_max_stats(
+        ref_law, ref = lowerbound.reference_max_stats(
             DistributionSpec.gaussian(identity),
             cfg.replications * cfg.ref_factor, derive_seed(cfg.seed, 31, d))
-        dist, se = distance.ks_distance_with_se(w, ref)
+        dist, se = distance.ks_distance_with_se(
+            distance.MaxStatSample(ref_law.cdf(w.values)), ref)
         sigma_w = CovarianceModel.local_means(d)
         gap = sup_norm_diff(identity, sigma_w)
         combined, prior, coupling = bounds.bounds_local_means(n, d,
@@ -383,7 +386,7 @@ def _run_local_means(cfg, pmap):
                 "noise_floor": distance.ks_two_sample_critical(
                     cfg.replications, cfg.replications * cfg.ref_factor),
                 "exact_distance": maxlaw.sup_distance(
-                    maxlaw.law_of(spec, n), maxlaw.IsotropicGaussianMax(d)),
+                    maxlaw.law_of(spec, n), ref_law),
                 "delta0": bounds.delta0(identity, sigma_w, d),
                 "comparison_bound": bounds.bound_gaussian_comparison(gap, d),
                 "combined_bound": combined, "prior_bound": prior,
@@ -397,10 +400,13 @@ def _run_local_means(cfg, pmap):
         "delta0_consistent": all(
             row["delta0"] <= math.log(row["d"]) / (row["d"] - 1)
             / (1 - 1 / row["d"]) + 1e-12 for row in rows),
-        "distance_below_10x_combined": all(
-            row["distance"] <= 10.0 * row["combined_bound"] for row in rows),
     }
-    return rows, {"rows": rows, "checks": checks}
+
+    def below_10x(key):
+        return all(row[key] <= 10.0 * row["combined_bound"] for row in rows)
+    checks["distance_below_10x_combined"] = below_10x("distance")
+    return rows, {"rows": rows, "checks": checks, "exact_checks": {
+        "distance_below_10x_combined": below_10x("exact_distance")}}
 
 
 def _ratio_check(values) -> bool:
@@ -455,7 +461,11 @@ def _run_gaussian_comparison(cfg, pmap):
     rows = list(pmap(point, range(len(cfg.rho_list))))
     checks = {"measured_below_bound": all(row["measured"] <= row["bound"]
                                          for row in rows)}
-    return rows, {"rows": rows, "checks": checks}
+    # a row with no exact law gives no exact verdict; no row, none at all
+    exact = [row for row in rows if not math.isnan(row["exact_distance"])]
+    return rows, {"rows": rows, "checks": checks, "exact_checks": {
+        "measured_below_bound": all(row["exact_distance"] <= row["bound"]
+                                    for row in exact) if exact else None}}
 
 
 def _run_poisson_check(cfg, pmap):
@@ -468,7 +478,9 @@ def _run_poisson_check(cfg, pmap):
             rec["residual"] <= rec["residual_bound"] + 4.0 * rec["propagated_se"],
         "lambda_le_10": rec["lambda_hat"] <= 10.0,
     }
-    return [row], {"record": row, "checks": checks}
+    return [row], {"record": row, "checks": checks, "exact_checks": {
+        "residual_within_bound":
+            rec["exact_residual"] <= rec["exact_lambda"] ** 2 / cfg.d}}
 
 
 def _run_anticoncentration(cfg, pmap):
@@ -488,13 +500,16 @@ def _run_anticoncentration(cfg, pmap):
                 "exact_probe": float(np.max(law.cdf(z + eps) - law.cdf(z)))}
 
     rows = list(pmap(point, range(len(cfg.eps_list))))
-    checks = {"below_2x_shape": all(row["probe"] <= 2.0 * row["nazarov_shape"]
-                                    for row in rows)}
     doubling = [(a, b) for a, b in zip(rows, rows[1:])
                 if abs(b["eps"] - 2 * a["eps"]) < 1e-12]
-    checks["linear_in_eps"] = bool(doubling) and all(
-        1.5 <= b["probe"] / a["probe"] <= 2.5 for a, b in doubling)
-    return rows, {"rows": rows, "checks": checks}
+
+    def verdicts(key):
+        return {"below_2x_shape": all(row[key] <= 2.0 * row["nazarov_shape"]
+                                      for row in rows),
+                "linear_in_eps": bool(doubling) and all(
+                    1.5 <= b[key] / a[key] <= 2.5 for a, b in doubling)}
+    return rows, {"rows": rows, "checks": verdicts("probe"),
+                  "exact_checks": verdicts("exact_probe")}
 
 
 @dataclass(frozen=True)

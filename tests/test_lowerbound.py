@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -5,10 +6,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from hdclt.lowerbound import fit_power_law, poisson_approx_check, threshold_xn
+from hdclt.distance import MaxStatSample, ks_distance_with_se, max_stat_sample
+from hdclt.lowerbound import (fit_power_law, poisson_approx_check,
+                              reference_max_stats, threshold_xn)
 from hdclt.matcore import CovarianceModel
-from hdclt.maxlaw import RademacherGaussianMax, two_point_marginal_tail
-from hdclt.sampler import (BLOCK_FLOATS, DistributionSpec,
+from hdclt.maxlaw import (IsotropicGaussianMax, RademacherGaussianMax,
+                          law_of, two_point_marginal_tail)
+from hdclt.sampler import (BLOCK_FLOATS, DistributionSpec, derive_seed,
                            sample_scaled_sums, two_point_support)
 
 
@@ -112,6 +116,65 @@ class TestPoissonApprox:
             finally:
                 tracemalloc.stop()
             assert peak <= BLOCK_FLOATS * 8 + 4_000_000, (d, peak)
+
+
+class TestReferenceMaxStats:
+    @pytest.mark.parametrize("side", ["one_sided", "two_sided"])
+    def test_uniforms_are_the_inverted_stream(self, side):
+        spec = DistributionSpec.quasi_gaussian(20)
+        law, u = reference_max_stats(spec, 5000, seed=7, side=side)
+        assert law == IsotropicGaussianMax(20, math.sqrt(2.0), side)
+        assert np.all(np.diff(u.values) >= 0) and u.values[0] > 0
+        drawn = max_stat_sample(DistributionSpec.gaussian(
+            spec.population_covariance()), 1, 5000, derive_seed(7, 999), side)
+        np.testing.assert_array_equal(np.sort(law.sample(u.values)),
+                                      drawn.values)
+
+    @pytest.mark.parametrize("spec", [
+        DistributionSpec.local_means(10),
+        DistributionSpec.gaussian(CovarianceModel.equicorrelation(10, 0.3)),
+        DistributionSpec.gaussian(CovarianceModel(np.diag([1.0, 2.0, 3.0])))],
+        ids=["local_means", "equicorrelated", "unequal_variances"])
+    def test_refuses_covariance_without_isotropic_law(self, spec):
+        with pytest.raises(ValueError, match=f"the {spec.kind} covariance"):
+            reference_max_stats(spec, 100, seed=1)
+
+    @staticmethod
+    def _w_samples():
+        """(label, W sample, reference spec, side) cases: two-point W with
+        every atom of its law added, so that atoms whose reference CDF
+        rounds to 0 or 1 are in the sample, local-means W against the
+        identity, and the continuous quasi-Gaussian W."""
+        for seed, (n, B, side) in enumerate(itertools.product(
+                (50, 400, 2000), (2.0, 4.0), ("one_sided", "two_sided"))):
+            spec = DistributionSpec.two_point(B, 20)
+            w = max_stat_sample(spec, n, 2000, seed, side).values
+            atoms = law_of(spec, n, side).atoms
+            yield (f"two_point-{n}-{B}-{side}",
+                   np.concatenate([w, atoms]), spec, side)
+        for d in (10, 40):
+            w = max_stat_sample(DistributionSpec.local_means(d), 50 * d, 2000,
+                                d)
+            yield (f"local_means-{d}", w.values, DistributionSpec.gaussian(
+                CovarianceModel.identity(d)), "one_sided")
+        for seed, n in enumerate((100, 400)):
+            spec = DistributionSpec.quasi_gaussian(20)
+            yield (f"quasi_gaussian-{n}",
+                   max_stat_sample(spec, n, 2000, seed).values, spec,
+                   "one_sided")
+
+    def test_uniform_space_distance_is_the_drawn_reference_distance(self):
+        tails = set()
+        for label, w, ref_spec, side in self._w_samples():
+            for seed in range(10):
+                law, u = reference_max_stats(ref_spec, 6000, seed, side)
+                f = law.cdf(w)
+                tails |= {v for v in (0.0, 1.0) if v in f}
+                assert ks_distance_with_se(MaxStatSample(f), u) == \
+                    ks_distance_with_se(MaxStatSample(w),
+                                        MaxStatSample(law.sample(u.values))), \
+                    (label, seed)
+        assert tails == {0.0, 1.0}  # atoms at both rounded ends were met
 
 
 class TestPowerLawFit:

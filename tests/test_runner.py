@@ -297,6 +297,104 @@ class TestRun:
         assert len(json.load(open(str(tmp_path / "manifest.json")))) == 2
 
 
+class TestUniformSpaceDistances:
+    # distance and se recorded, at seed 101, from the implementation that
+    # inverted the reference uniforms into Gaussian draws: taking the KS in
+    # uniform space must reproduce them bit for bit
+    @pytest.mark.parametrize("mapping, pinned", [
+        ({"experiment": "rate_vs_n", "replications": 2000, "ref_factor": 2},
+         [("0.09574999999999995", "0.013635357874841422"),
+          ("0.07399999999999995", "0.013515296889080906"),
+          ("0.05874999999999997", "0.013485973616131687"),
+          ("0.035500000000000004", "0.011423766344774388")]),
+        ({"experiment": "zero_skew_rate", "replications": 2000,
+          "ref_factor": 2},
+         [("0.040000000000000036", "0.013266847779333266"),
+          ("0.016249999999999987", "0.011092006553144476"),
+          ("0.02124999999999999", "0.012111104795806203")]),
+        ({"experiment": "local_means"},
+         [("0.13818199999999997", "0.001457053051606564"),
+          ("0.14822800000000003", "0.0016138679069973476")])],
+        ids=["rate_vs_n", "zero_skew_rate", "local_means"])
+    def test_distances_match_the_inverted_reference(self, tmp_path, mapping,
+                                                    pinned):
+        cfg = ExperimentConfig.from_mapping({**mapping, "seed": 101})
+        with open(run(cfg, out_dir=str(tmp_path)).csv_paths[0],
+                  newline="") as fh:
+            assert [(repr(float(row["distance"])), repr(float(row["se"])))
+                    for row in csv.DictReader(fh)] == pinned
+
+
+class TestExactChecks:
+    """Each summary's ``exact_checks`` re-evaluates its criteria on the
+    exact values; it is a report and never enters ``checks``."""
+
+    @staticmethod
+    def _summary(tmp_path, mapping):
+        manifest = run(ExperimentConfig.from_mapping({**mapping, "seed": 5}),
+                       out_dir=str(tmp_path))
+        checks = manifest.summary["checks"]
+        assert manifest.all_checks_pass == all(checks.values())
+        assert set(manifest.summary["exact_checks"]) <= set(checks)
+        return manifest.summary
+
+    @pytest.mark.parametrize("experiment, band", [
+        ("rate_vs_n", (-0.65, -0.35)), ("zero_skew_rate", (-1.35, -0.65))])
+    def test_slope_in_band(self, tmp_path, experiment, band):
+        summary = self._summary(tmp_path, {"experiment": experiment,
+                                           "replications": 2000})
+        slope = summary["exact_slope"]
+        assert summary["exact_checks"] == {
+            "slope_in_band": band[0] <= slope <= band[1]}
+        assert summary["exact_checks"]["slope_in_band"]
+
+    def test_distance_below_10x_combined(self, tmp_path):
+        summary = self._summary(tmp_path, {"experiment": "local_means",
+                                           "replications": 2000})
+        assert summary["exact_checks"] == {
+            "distance_below_10x_combined": all(
+                row["exact_distance"] <= 10 * row["combined_bound"]
+                for row in summary["rows"])}
+
+    @pytest.mark.parametrize("rho_list, verdict", [
+        ([0.05, 0.1, -0.05], True), ([-0.05], None)])
+    def test_measured_below_bound(self, tmp_path, rho_list, verdict):
+        # a negative rho has no exact law: its row gives no exact verdict
+        summary = self._summary(tmp_path, {"experiment": "gaussian_comparison",
+                                           "replications": 2000,
+                                           "rho_list": rho_list})
+        exact = [row for row in summary["rows"]
+                 if row["exact_distance"] != "nan"]
+        assert summary["exact_checks"] == {"measured_below_bound": verdict}
+        if exact:
+            assert verdict == all(row["exact_distance"] <= row["bound"]
+                                  for row in exact)
+
+    @pytest.mark.parametrize("eps_list", [[0.05, 0.1, 0.2], [0.05, 0.3]])
+    def test_below_2x_shape_and_linear_in_eps(self, tmp_path, eps_list):
+        summary = self._summary(tmp_path, {"experiment": "anticoncentration",
+                                           "replications": 2000,
+                                           "eps_list": eps_list})
+        rows = summary["rows"]
+        doubling = [(a, b) for a, b in zip(rows, rows[1:])
+                    if b["eps"] == 2 * a["eps"]]
+        assert summary["exact_checks"] == {
+            "below_2x_shape": all(row["exact_probe"]
+                                  <= 2 * row["nazarov_shape"] for row in rows),
+            "linear_in_eps": bool(doubling) and all(
+                1.5 <= b["exact_probe"] / a["exact_probe"] <= 2.5
+                for a, b in doubling)}
+
+    def test_residual_within_bound(self, tmp_path):
+        summary = self._summary(tmp_path, {"experiment": "poisson_check",
+                                           "replications": 2000})
+        rec = summary["record"]
+        assert summary["exact_checks"] == {
+            "residual_within_bound":
+                rec["exact_residual"] <= rec["exact_lambda"] ** 2 / rec["d"]}
+        assert summary["exact_checks"]["residual_within_bound"]
+
+
 class TestEmitPlot:
     def test_single_point(self, tmp_path):
         path = tmp_path / "one.svg"
