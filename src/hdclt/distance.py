@@ -46,14 +46,24 @@ def max_statistic(draws: np.ndarray, side: str = "one_sided") -> np.ndarray:
 
 @dataclass(frozen=True)
 class MaxStatSample:
-    """Sorted Monte Carlo draws of a max statistic (an empirical CDF)."""
+    """Sorted Monte Carlo draws of a max statistic (an empirical CDF).
+
+    ``values`` is read-only.  An input that is already a sorted 1-D float
+    array is kept as it is, not copied, and is itself marked read-only;
+    any other input is sorted into a new array, and the caller's is left
+    untouched.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.sort(np.asarray(self.values, dtype=float).ravel())
+        v = np.asarray(self.values, dtype=float)
+        # NaN compares False, so an array holding one is re-sorted
+        if v.ndim != 1 or not np.all(v[:-1] <= v[1:]):
+            v = np.sort(v.ravel())
         if v.size < 1:
             raise ValueError("MaxStatSample needs at least one draw")
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
     @property

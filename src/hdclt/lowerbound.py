@@ -97,4 +97,6 @@ def reference_max_stats(spec: DistributionSpec, reps: int, seed: int,
     if not isinstance(law, maxlaw.IsotropicGaussianMax):
         raise ValueError(f"the {spec.kind} covariance is not sigma^2 I")
     u = substream(derive_seed(seed, 999), 23).random(reps)
-    return law, MaxStatSample(np.maximum(u, maxlaw._U_MIN, out=u))
+    np.maximum(u, maxlaw._U_MIN, out=u)
+    u.sort()
+    return law, MaxStatSample(u)

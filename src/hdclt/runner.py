@@ -348,14 +348,15 @@ def _run_bootstrap_coverage(cfg, pmap):
 def _run_bootstrap_agreement(cfg, pmap):
     spec = DistributionSpec.gaussian(CovarianceModel.identity(cfg.d))
     x = sample(spec, cfg.n, derive_seed(cfg.seed, 1))
-    mult = bootstrap.multiplier_draws(x, cfg.replications, "gaussian",
-                                      derive_seed(cfg.seed, 2))
+    # each side's reps x d draws are reduced to their max statistics before
+    # the other side's are drawn, so only one such array is held at a time
+    mult = distance.MaxStatSample.from_draws(bootstrap.multiplier_draws(
+        x, cfg.replications, "gaussian", derive_seed(cfg.seed, 2)), "one_sided")
     sigma_hat = bootstrap.empirical_cov_centered(x)
-    direct = sample_scaled_sums(DistributionSpec.gaussian(sigma_hat), 1,
-                                cfg.replications, derive_seed(cfg.seed, 3))
-    ks = distance.ks_distance(
-        distance.MaxStatSample.from_draws(mult, "one_sided"),
-        distance.MaxStatSample.from_draws(direct, "one_sided"))
+    direct = distance.MaxStatSample.from_draws(sample_scaled_sums(
+        DistributionSpec.gaussian(sigma_hat), 1, cfg.replications,
+        derive_seed(cfg.seed, 3)), "one_sided")
+    ks = distance.ks_distance(mult, direct)
     crit = distance.ks_two_sample_critical(cfg.replications, cfg.replications)
     rows = [{"n": cfg.n, "d": cfg.d, "replications": cfg.replications,
              "ks": ks, "critical": crit}]

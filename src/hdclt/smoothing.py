@@ -8,23 +8,26 @@ CDFs and Gaussian-density Hermite terms, which is what the derivative-sum
 verification sweeps evaluate.
 
 Evaluation is batched.  One integrand builder serves :func:`rho_eval`,
-:func:`rho_partial` and :func:`derivative_sum`: given evaluation points and
+:func:`rho_partial` and every derivative sum: given evaluation points and
 per-coordinate derivative-order profiles, it returns one integrand row per
 (profile, point) pair, and one row-wise quadrature integrates all rows
-together.  A derivative sum is thus one quadrature over every (perturbation
-point x index profile) row, and ``rho_eval``/``rho_partial`` are its one-row
-case.  Gauss-Legendre nodes and weights are computed once per order and
-cached as read-only arrays.
+together.  A cell of :func:`verify_lemmas` is thus one quadrature whose
+points are all its (w, perturbation) pairs and whose profiles are the index
+profiles of all its orders v; :func:`derivative_sum` is the one-(v, w) case
+and ``rho_eval``/``rho_partial`` the one-row case.  Gauss-Legendre nodes and
+weights, and Hermite coefficients, are computed once per order and cached as
+read-only arrays.
 
 Rows converge independently: each row keeps its value from the first order
 at which it agrees with the previous order to tolerance (or its
 ``max_order`` value), exactly as if it were integrated alone.  A shared
 stopping order would hand early-converging rows a value from a later order,
-so a row's value would depend on which other rows share its batch, and a
+so a row's value would depend on which other rows share its batch: a
 derivative sum would no longer equal, bit for bit, the one built from
-single-row :func:`rho_partial` calls.  For the same reason each row value is
-a dot product of the weights with that contiguous row, never one
-matrix-vector product over all rows, whose summation order may differ.
+single-row :func:`rho_partial` calls, nor a cell's S_v(w) the single-(v, w)
+:func:`derivative_sum`.  For the same reason each row value is a dot product
+of the weights with that contiguous row, never one matrix-vector product
+over all rows, whose summation order may differ.
 """
 
 from __future__ import annotations
@@ -41,24 +44,31 @@ from scipy.special import ndtr
 
 from .errors import QuadratureNotConverged
 from .matcore import CovarianceModel, RectangleSpec
+from .sampler import blocks, substream
 
 MAX_DERIVATIVE_ORDER = 6
 MAX_SUM_ORDER = 4
 TUPLE_BUDGET = 10_000
-# Gauss-Legendre order every quadrature starts from before it doubles
+# Gauss-Legendre order every quadrature starts from before it doubles, and
+# the order past which a row that has not converged raises
 QUAD_ORDER = 32
+MAX_QUAD_ORDER = 512
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 # -- Hermite machinery -------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def hermite_coefficients(nu: int) -> np.ndarray:
-    """Power-basis coefficients of the probabilists' Hermite polynomial."""
+    """Read-only power-basis coefficients of the probabilists' Hermite
+    polynomial, computed once per order."""
     if nu < 0:
         raise ValueError("nu must be >= 0")
     basis = np.zeros(nu + 1)
     basis[nu] = 1.0
-    return hermite_e.herme2poly(basis)
+    coefficients = hermite_e.herme2poly(basis)
+    coefficients.flags.writeable = False
+    return coefficients
 
 
 def gaussian_pdf(t: np.ndarray) -> np.ndarray:
@@ -179,7 +189,7 @@ def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _quadrature(f, upper: float, order: int, tol: float = 1e-10,
-                max_order: int = 512) -> np.ndarray:
+                max_order: int = MAX_QUAD_ORDER) -> np.ndarray:
     """Row-wise Gauss-Legendre on [0, upper] with order doubling to tolerance.
 
     ``f`` maps the node vector s to a C-contiguous (rows, len(s)) array.
@@ -289,8 +299,6 @@ def rho_eval(w, params: SmoothingParams) -> float:
 def rho_eval_mc(w, params: SmoothingParams, reps: int, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo fallback for general covariance: mean of the smoothed
     indicator at w + eps*Z; returns (estimate, standard error)."""
-    from .sampler import substream
-
     w = np.asarray(w, dtype=float)
     rng = substream(seed, 30)
     z = rng.standard_normal((reps, params.d)) @ params.sigma.chol.T
@@ -326,25 +334,52 @@ def derivative_sum(v: int, w, params: SmoothingParams) -> float:
 
     The sup over the perturbation ball is approximated from below by the
     finite grid in ``params.perturbations()``; tuples sharing a per-coordinate
-    order profile are evaluated once and weighted by their multiplicity.  All
-    (profile, perturbation point) partials come from one batched quadrature.
+    order profile are evaluated once and weighted by their multiplicity.  It
+    is the one-pair case of :func:`_derivative_sums`.
     """
-    if not 1 <= v <= MAX_SUM_ORDER:
-        raise ValueError(f"v must be in 1..{MAX_SUM_ORDER}")
+    return float(_derivative_sums([v], [w], params)[0, 0])
+
+
+def _derivative_sums(v_list: Sequence[int], w_list,
+                     params: SmoothingParams) -> np.ndarray:
+    """(len(v_list), len(w_list)) table of S_v(w) from one batched quadrature.
+
+    The points are every (w, perturbation) pair and the profiles the union
+    of every v's index profiles, so all partials come from one
+    :func:`_integrate` call.  Each S_v(w) sums its own rows in profile order,
+    so it equals the single-(v, w) sum bit for bit.  The w points are split
+    into :func:`~hdclt.sampler.blocks` whose rows fit the block budget at
+    ``MAX_QUAD_ORDER`` nodes, so a large-d call holds at most one w's rows
+    past that budget, as a single-w call does.
+    """
     d = params.d
-    if d**v > TUPLE_BUDGET:
-        raise ValueError(f"d^v = {d**v} exceeds budget {TUPLE_BUDGET}")
-    points = np.asarray(w, dtype=float) + params.perturbations()
-    profiles = [_orders_from_index(combo, d) for combo in
-                itertools.combinations_with_replacement(range(d), v)]
-    partials = _integrate(points, profiles, params)
-    total = 0.0
-    for orders, row in zip(profiles, partials):
-        mult = math.factorial(v)
-        for c in orders.values():
-            mult //= math.factorial(c)
-        total += mult * float(np.max(np.abs(row)))
-    return total
+    groups = []
+    for v in v_list:
+        if not 1 <= v <= MAX_SUM_ORDER:
+            raise ValueError(f"v must be in 1..{MAX_SUM_ORDER}")
+        if d**v > TUPLE_BUDGET:
+            raise ValueError(f"d^v = {d**v} exceeds budget {TUPLE_BUDGET}")
+        groups.append([_orders_from_index(combo, d) for combo in
+                       itertools.combinations_with_replacement(range(d), v)])
+    profiles = [orders for group in groups for orders in group]
+    ys = params.perturbations()
+    points = [np.asarray(w, dtype=float) + ys for w in w_list]
+    # peaks[k, i]: max over the perturbation grid of |partial k at w_i + y|
+    peaks = np.empty((len(profiles), len(points)))
+    for _, ws in blocks(len(points), len(profiles) * len(ys) * MAX_QUAD_ORDER):
+        partials = _integrate(np.concatenate(points[ws]), profiles, params)
+        peaks[:, ws] = np.max(np.abs(partials).reshape(
+            len(profiles), -1, len(ys)), axis=2)
+    sums = np.zeros((len(v_list), len(points)))
+    first = 0
+    for v, group, total in zip(v_list, groups, sums):
+        for orders, peak in zip(group, peaks[first:]):
+            mult = math.factorial(v)
+            for c in orders.values():
+                mult //= math.factorial(c)
+            total += mult * peak
+        first += len(group)
+    return sums
 
 
 # -- lemma verification sweeps ----------------------------------------------
@@ -375,6 +410,8 @@ def verify_lemmas(d_list: Sequence[int], v_list: Sequence[int],
     """Attained-constant table across (phi, eps, d, v) cells, one row per
     cell in that order: phi-major, v varying fastest.
 
+    One quadrature per (phi, eps, d) cell: :func:`_derivative_sums` takes
+    every boundary point, the far point and every v of the cell at once.
     Per cell, with ``S_v`` the boundary-grid max of :func:`derivative_sum`:
 
     * ``attained_C61`` = S_v (eps sigma_*)^{v-1} / (phi (log d)^{(v-1)/2})
@@ -390,17 +427,18 @@ def verify_lemmas(d_list: Sequence[int], v_list: Sequence[int],
         rect = RectangleSpec(np.full(d, -half_width), np.full(d, half_width))
         params = SmoothingParams(rect=rect, phi=phi, eps=eps,
                                  sigma=CovarianceModel.identity(d), K=K)
-        w_grid = _boundary_w_grid(rect)
         ld = math.log(d)
         margin = 2.0 * eps * kappa + (0.0 if math.isinf(phi) else 1.0 / phi)
         w_far = np.asarray(rect.upper) + margin + 1e-9
-        for v in v_list:
-            s_boundary = max(derivative_sum(v, w, params) for w in w_grid)
+        # per v, the boundary grid's sums and then the far point's
+        sums = _derivative_sums(
+            v_list, np.vstack([_boundary_w_grid(rect), w_far]), params)
+        for v, (*s_grid, s_far) in zip(v_list, sums.tolist()):
+            s_boundary = max(s_grid)
             c61 = (math.nan if math.isinf(phi) else
                    s_boundary * (eps * params.sigma_star) ** (v - 1)
                    / (phi * ld ** ((v - 1) / 2.0)))
             c62 = s_boundary * (eps * params.sigma_star) ** v / ld ** (v / 2.0)
-            s_far = derivative_sum(v, w_far, params)
             decay = s_boundary / s_far if s_far > 0 else math.inf
             rows.append({"d": d, "v": v, "phi": phi, "eps": eps, "K": K,
                          "attained_C61": c61, "attained_C62": c62,

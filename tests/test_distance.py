@@ -261,3 +261,23 @@ class TestMaxStatSample:
         # a misspelt two-sided tag must not fall back to max_j draw_j
         with pytest.raises(ValueError):
             max_statistic(np.array([[-5.0, 1.0]]), "two-sided")
+
+    def test_sorted_input_is_kept_read_only(self):
+        values = np.sort(substream(3, 1).standard_normal(1000))
+        expected = MaxStatSample(values.copy()[::-1]).values
+        s = MaxStatSample(values)
+        assert s.values is values and not values.flags.writeable
+        np.testing.assert_array_equal(s.values, expected)
+
+    @pytest.mark.parametrize("values", [
+        np.array([3.0, 1.0, 2.0]),
+        np.array([[1.0, 2.0], [0.5, 3.0]]),
+        np.array([1.0, np.nan, 2.0]),
+        np.array([1, 2, 3])], ids=["unsorted", "2d", "nan", "int"])
+    def test_other_input_is_sorted_into_a_copy(self, values):
+        before = values.copy()
+        s = MaxStatSample(values)
+        assert s.values is not values and not s.values.flags.writeable
+        np.testing.assert_array_equal(s.values, np.sort(before.ravel()))
+        np.testing.assert_array_equal(values, before)
+        assert values.flags.writeable

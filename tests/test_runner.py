@@ -325,6 +325,24 @@ class TestUniformSpaceDistances:
                     for row in csv.DictReader(fh)] == pinned
 
 
+class TestBootstrapAgreement:
+    def test_row_pinned_at_seed_101(self, tmp_path):
+        # recorded from the implementation that held both sides' reps x d
+        # draws at once: reducing each side before drawing the other moves
+        # no stream and no value
+        manifest = run(ExperimentConfig.from_mapping(
+            {"experiment": "bootstrap_agreement", "seed": 101}),
+            out_dir=str(tmp_path))
+        assert repr(manifest.summary["ks"]) == "0.002850000000000019"
+        assert repr(manifest.summary["critical"]) == "0.007278954160144188"
+        with open(manifest.csv_paths[0], newline="") as fh:
+            assert [(row["n"], row["d"], row["replications"],
+                     repr(float(row["ks"])), repr(float(row["critical"])))
+                    for row in csv.DictReader(fh)] == [
+                ("200", "10", "100000", "0.002850000000000019",
+                 "0.007278954160144188")]
+
+
 class TestExactChecks:
     """Each summary's ``exact_checks`` re-evaluates its criteria on the
     exact values; it is a report and never enters ``checks``."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from hdclt import smoothing
+from hdclt import sampler, smoothing
 from hdclt.errors import QuadratureNotConverged
 from hdclt.matcore import CovarianceModel, RectangleSpec, enlarge
 from hdclt.runner import ExperimentConfig, run
@@ -227,6 +227,39 @@ class TestBatchedQuadrature:
             expected += mult * max(abs(rho_partial(w + y, combo, params))
                                    for y in params.perturbations())
         assert derivative_sum(v, w, params) == expected
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("phi", [8.0, math.inf])
+    def test_sweep_rows_are_derivative_sums(self, d, phi):
+        # one batched quadrature per cell gives each row the S_v and the
+        # decay ratio of single derivative_sum calls, bit for bit
+        rows = verify_lemmas([d], [1, 2], [phi], [0.5], K=4.0, kappa=4.0)
+        params = _params(d=d, lower=[-1.5] * d, upper=[1.5] * d, phi=phi,
+                         eps=0.5, K=4.0)
+        margin = 2.0 * 0.5 * 4.0 + (0.0 if math.isinf(phi) else 1.0 / phi)
+        w_far = np.full(d, 1.5) + margin + 1e-9
+        for row, v in zip(rows, (1, 2)):
+            s_v = max(derivative_sum(v, w, params)
+                      for w in smoothing._boundary_w_grid(params.rect))
+            assert row["v"] == v and row["S_v"] == s_v
+            assert row["decay_ratio"] == s_v / derivative_sum(v, w_far, params)
+
+    @pytest.mark.parametrize("budget", [sampler.BLOCK_FLOATS, 1])
+    def test_batched_sums_equal_single_calls(self, monkeypatch, budget):
+        # at a block budget of 1 float every w is its own quadrature
+        monkeypatch.setattr(sampler, "BLOCK_FLOATS", budget)
+        params = _params(d=3, lower=[-1.5] * 3, upper=[1.5] * 3, phi=8.0,
+                         eps=0.25)
+        ws = [np.zeros(3), np.full(3, 1.5), [1.5, 0.0, -0.7], np.full(3, 4.0)]
+        sums = smoothing._derivative_sums([2, 1, 3], ws, params)
+        assert sums.tolist() == [[derivative_sum(v, w, params) for w in ws]
+                                 for v in (2, 1, 3)]
+
+    def test_hermite_coefficients_cached_read_only(self):
+        c = hermite_coefficients(4)
+        assert hermite_coefficients(4) is c and not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0] = 0.0
 
     def test_rows_converge_independently(self):
         # exp converges within a few doublings; the endpoint singularity of
