@@ -36,7 +36,7 @@ from .lowerbound import poisson_approx_check, threshold_xn
 from .maxlaw import (EquicorrelatedGaussianMax, IsotropicGaussianMax,
                      LocalMeansMax, RademacherGaussianMax, TwoPointMax, law_of,
                      sup_distance, two_point_marginal_tail)
-from .matcore import CovarianceModel, RectangleSpec, enlarge
+from .matcore import CovarianceModel, RectangleSpec
 from .runner import ExperimentConfig, RunManifest, emit_plot, run
 from .sampler import (DataMatrix, DistributionSpec, sample,
                       sample_scaled_sums, scaled_sum, substream)
@@ -45,7 +45,7 @@ from .smoothing import (SmoothingParams, derivative_sum, h_nu, m_indicator,
 
 __all__ = [
     "__version__", "HdcltError",
-    "CovarianceModel", "RectangleSpec", "enlarge",
+    "CovarianceModel", "RectangleSpec",
     "DataMatrix", "DistributionSpec", "sample", "sample_scaled_sums",
     "scaled_sum", "substream",
     "xlog_factor", "delta0", "bound_bounded", "bound_gaussian_comparison",

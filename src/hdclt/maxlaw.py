@@ -336,9 +336,9 @@ def law_of(spec: DistributionSpec, n: int, side: str = "one_sided"):
     """The exact law of the max statistic of W = n^{-1/2} sum_i X_i for
     ``spec``, or None when it has no law here: the two-sided local-means
     max, unequal variances, negative or unequal correlation, the two-sided
-    equicorrelated max and the uniform and Rademacher families.  The law of
-    the quasi-Gaussian family, Rademacher plus unit noise, has a CDF but no
-    sampler."""
+    equicorrelated max and the uniform family.  The law of the
+    quasi-Gaussian family, +-1 coordinates plus unit noise, has a CDF but
+    no sampler."""
     _check_side(side)
     if spec.kind == "two_point":
         return TwoPointMax(spec.B, n, spec.dim, side)

@@ -5,8 +5,8 @@ randomness flows through :func:`substream`, which derives an independent
 generator from ``(seed, *key)`` via ``SeedSequence`` spawn keys, so replication
 ``r`` always sees the same stream no matter how work is scheduled.
 
-For families whose coordinates are i.i.d. two-valued (two-point, Rademacher)
-or Gaussian, :func:`sample_scaled_sums` draws the scaled sum
+For families whose coordinates are i.i.d. two-valued, Gaussian or a sum of
+the two (quasi-Gaussian), :func:`sample_scaled_sums` draws the scaled sum
 ``W = n^{-1/2} sum_i X_i`` directly through exact distributional transforms
 (binomial counts, multinomial cell counts), which is what makes the large-R
 rate experiments affordable.
@@ -21,8 +21,8 @@ import numpy as np
 
 from .matcore import CovarianceModel
 
-FAMILIES = ("gaussian", "two_point", "rademacher", "uniform_bounded",
-            "local_means", "quasi_gaussian")
+FAMILIES = ("gaussian", "two_point", "uniform_bounded", "local_means",
+            "quasi_gaussian")
 
 # Memory budget of one Monte Carlo block: 2e6 float64 elements (16 MB).
 BLOCK_FLOATS = 2_000_000
@@ -134,10 +134,6 @@ class DistributionSpec:
         return DistributionSpec(kind="two_point", dim=d, B=float(B))
 
     @staticmethod
-    def rademacher(d: int) -> "DistributionSpec":
-        return DistributionSpec(kind="rademacher", dim=d)
-
-    @staticmethod
     def uniform_bounded(B: float, d: int) -> "DistributionSpec":
         return DistributionSpec(kind="uniform_bounded", dim=d, B=float(B))
 
@@ -147,7 +143,7 @@ class DistributionSpec:
 
     @staticmethod
     def quasi_gaussian(d: int) -> "DistributionSpec":
-        """Rademacher coordinates plus independent N(0, I_d) noise."""
+        """+-1 coordinates plus independent N(0, I_d) noise."""
         return DistributionSpec(kind="quasi_gaussian", dim=d)
 
     # -- population covariance -----------------------------------------------
@@ -156,7 +152,7 @@ class DistributionSpec:
         """Per-observation covariance, which equals the covariance of W."""
         if self.kind == "gaussian":
             return self.cov
-        if self.kind in ("two_point", "rademacher"):
+        if self.kind == "two_point":
             return CovarianceModel.identity(self.dim)
         if self.kind == "uniform_bounded":
             return CovarianceModel(np.eye(self.dim) * self.B**2 / 3.0)
@@ -183,10 +179,9 @@ def _sample_values(spec: DistributionSpec, n: int, rng: np.random.Generator) -> 
     if spec.kind == "two_point":
         a, b, p = two_point_support(spec.B)
         return np.where(rng.random((n, d)) < p, a, b)
-    if spec.kind in ("rademacher", "quasi_gaussian"):
+    if spec.kind == "quasi_gaussian":
         x = rng.integers(0, 2, size=(n, d)).astype(float) * 2.0 - 1.0
-        if spec.kind == "quasi_gaussian":
-            x += rng.standard_normal((n, d))
+        x += rng.standard_normal((n, d))
         return x
     if spec.kind == "uniform_bounded":
         return rng.uniform(-spec.B, spec.B, size=(n, d))
@@ -229,10 +224,9 @@ def sample_scaled_sums(spec: DistributionSpec, n: int, reps: int,
     Uses exact closed-form transforms where the family admits them:
 
     * two_point / local-means marginals: binomial counts of the high value,
-    * rademacher: 2*Binomial(n, 1/2) - n,
     * gaussian: W ~ N(0, cov) exactly,
     * local_means: multinomial cell counts,
-    * quasi_gaussian: the rademacher transform plus N(0, I) from substream 2.
+    * quasi_gaussian: 2*Binomial(n, 1/2) - n, plus N(0, I) from substream 2.
 
     Families without a transform (uniform_bounded) fall back to summing
     explicitly sampled data in :func:`blocks` of replications.
@@ -244,10 +238,9 @@ def sample_scaled_sums(spec: DistributionSpec, n: int, reps: int,
     if spec.kind == "two_point":
         a, b, p = two_point_support(spec.B)
         return _count_sums(rng.binomial(n, p, size=(reps, d)), n, a, b)
-    if spec.kind in ("rademacher", "quasi_gaussian"):
+    if spec.kind == "quasi_gaussian":
         w = _count_sums(rng.binomial(n, 0.5, size=(reps, d)), n, 1.0, -1.0)
-        if spec.kind == "quasi_gaussian":
-            w += substream(seed, 2).standard_normal((reps, d))
+        w += substream(seed, 2).standard_normal((reps, d))
         return w
     if spec.kind == "local_means":
         hi, lo, p = local_means_support(d)

@@ -25,9 +25,10 @@ stopping order would hand early-converging rows a value from a later order,
 so a row's value would depend on which other rows share its batch: a
 derivative sum would no longer equal, bit for bit, the one built from
 single-row :func:`rho_partial` calls, nor a cell's S_v(w) the single-(v, w)
-:func:`derivative_sum`.  For the same reason each row value is a dot product
-of the weights with that contiguous row, never one matrix-vector product
-over all rows, whose summation order may differ.
+:func:`derivative_sum`.  For the same reason each row value is its own dot
+product of that contiguous row with the weights, taken for all rows at once
+by ``np.vecdot`` over the last axis, never one matrix-vector product over
+all rows, whose summation order may differ.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial import hermite_e, polynomial as npoly
@@ -101,19 +102,6 @@ def h_derivative_coefficient_check(nu: int) -> bool:
 
 # -- smoothing functions -----------------------------------------------------
 
-def g_phi(t: float, phi: float) -> float:
-    """Ramp: 1 on t <= 0, linear down to 0 at t = 1/phi; indicator at phi=inf."""
-    if phi <= 0:
-        raise ValueError("phi must be > 0")
-    if math.isinf(phi):
-        return 1.0 if t <= 0 else 0.0
-    if t <= 0:
-        return 1.0
-    if t >= 1.0 / phi:
-        return 0.0
-    return 1.0 - phi * t
-
-
 @dataclass(frozen=True)
 class SmoothingParams:
     """Rectangle, ramp slope, Gaussian scale, covariance, perturbation ball."""
@@ -123,7 +111,6 @@ class SmoothingParams:
     eps: float
     sigma: CovarianceModel
     K: float = 4.0
-    y_grid: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.phi <= 0:
@@ -153,8 +140,6 @@ class SmoothingParams:
         """Finite approximation of the sup over the l_inf ball of radius
         eps*sigma_* *eta: the 2^d corners plus center for d <= 6, else the 2d
         axis-extreme points plus center."""
-        if self.y_grid is not None:
-            return np.asarray(self.y_grid, dtype=float)
         r = self.y_radius
         d = self.d
         if d <= 6:
@@ -164,11 +149,21 @@ class SmoothingParams:
         return np.vstack([np.zeros(d), corners])
 
 
-def m_indicator(w, params: SmoothingParams) -> float:
-    """Smoothed rectangle indicator g_phi(max_j[(w_j-b_j) v (a_j-w_j)])."""
+def m_indicator(w, params: SmoothingParams):
+    """Smoothed rectangle indicator: the ramp of slope phi at the margin
+    max_j[(w_j-b_j) v (a_j-w_j)].
+
+    The margin is taken over the last axis of ``w``, so one point gives one
+    value and a (reps, d) array one value per row.  The ramp is
+    clip(1 - phi*margin, 0, 1), and the indicator 1{margin <= 0} at
+    phi = inf, where inf * 0 would be NaN.
+    """
     w = np.asarray(w, dtype=float)
-    margin = np.max(np.maximum(w - params.rect.upper, params.rect.lower - w))
-    return g_phi(float(margin), params.phi)
+    margin = np.max(np.maximum(w - params.rect.upper, params.rect.lower - w),
+                    axis=-1)
+    if math.isinf(params.phi):
+        return (margin <= 0).astype(float)
+    return np.clip(1.0 - params.phi * margin, 0.0, 1.0)
 
 
 def _require_diagonal(params: SmoothingParams):
@@ -201,8 +196,7 @@ def _quadrature(f, upper: float, order: int, tol: float = 1e-10,
     while True:
         nodes, weights = _gauss_legendre(order)
         s = 0.5 * upper * (nodes + 1.0)
-        vals = np.array([0.5 * upper * float(np.dot(weights, row))
-                         for row in f(s)])
+        vals = 0.5 * upper * np.vecdot(f(s), weights)
         if prev is None:
             result, pending = vals.copy(), np.ones(vals.shape, dtype=bool)
         else:
@@ -299,16 +293,9 @@ def rho_eval(w, params: SmoothingParams) -> float:
 def rho_eval_mc(w, params: SmoothingParams, reps: int, seed: int = 0) -> tuple[float, float]:
     """Monte Carlo fallback for general covariance: mean of the smoothed
     indicator at w + eps*Z; returns (estimate, standard error)."""
-    w = np.asarray(w, dtype=float)
     rng = substream(seed, 30)
     z = rng.standard_normal((reps, params.d)) @ params.sigma.chol.T
-    pts = w + params.eps * z
-    margins = np.max(np.maximum(pts - params.rect.upper,
-                                params.rect.lower - pts), axis=1)
-    if math.isinf(params.phi):
-        vals = (margins <= 0).astype(float)
-    else:
-        vals = np.clip(1.0 - params.phi * margins, 0.0, 1.0)
+    vals = m_indicator(w + params.eps * z, params)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps))
 
 

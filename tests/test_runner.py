@@ -135,7 +135,7 @@ class TestReadmeFamilyList:
         contents = {cells[0]: cells[1]
                     for cells in _readme_table("| module | contents |")}
         named = set(re.findall(r"`(\w+)`", contents["`hdclt.sampler`"]))
-        assert set(sampler.FAMILIES) <= named
+        assert set(sampler.FAMILIES) == named
 
 
 class TestRun:

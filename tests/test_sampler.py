@@ -104,7 +104,7 @@ class TestQuasiGaussian:
 
     def test_fourth_moment_composition(self):
         spec = DistributionSpec.quasi_gaussian(2)
-        # E (X+g)^4 = 1 + 6 + 3 for rademacher plus standard normal; the
+        # E (X+g)^4 = 1 + 6 + 3 for a +-1 sign plus standard normal; the
         # eighth moment 764 puts the standard error of the mean near 0.04
         x = sample(spec, 200_000, seed=6).values
         assert np.mean(x**4) == pytest.approx(10.0, abs=0.25)
@@ -171,11 +171,6 @@ class TestScaledSumTransforms:
         np.testing.assert_array_equal(draws, (k * a + (n - k) * b) / np.sqrt(n))
         assert peak <= 2 * draws.nbytes + 1_000_000
 
-    def test_rademacher_parity(self):
-        draws = sample_scaled_sums(DistributionSpec.rademacher(2), 4, 1000, seed=21)
-        # (2K - 4)/2 takes values in {-2, -1, 0, 1, 2}
-        assert set(np.unique(draws * 2.0)) <= {-4.0, -2.0, 0.0, 2.0, 4.0}
-
     def test_generic_fallback_variance(self):
         spec = DistributionSpec.uniform_bounded(2.0, 3)
         draws = sample_scaled_sums(spec, 7, 50_000, seed=23)
@@ -196,13 +191,6 @@ class TestScaledSumTransforms:
 
 
 class TestSpecValidation:
-    def test_moment_accessors(self):
-        # Rademacher draws are exactly +-1: envelope 1, fourth moment 1
-        # (excess kurtosis -2), and a third moment of zero up to noise
-        x = sample(DistributionSpec.rademacher(2), 50_000, seed=8).values
-        np.testing.assert_array_equal(np.abs(x), 1.0)
-        assert abs(np.mean(x**3)) <= 4.0 / math.sqrt(x.size)
-
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
             DistributionSpec.two_point(1.0, 3)

@@ -9,10 +9,10 @@ from scipy.stats import norm
 
 from hdclt import sampler, smoothing
 from hdclt.errors import QuadratureNotConverged
-from hdclt.matcore import CovarianceModel, RectangleSpec, enlarge
+from hdclt.matcore import CovarianceModel, RectangleSpec
 from hdclt.runner import ExperimentConfig, run
-from hdclt.smoothing import (SmoothingParams, derivative_sum, g_phi,
-                             gaussian_pdf, h_derivative_coefficient_check,
+from hdclt.smoothing import (SmoothingParams, derivative_sum, gaussian_pdf,
+                             h_derivative_coefficient_check,
                              h_nu, hermite_coefficients, m_indicator,
                              rho_eval, rho_eval_mc, rho_partial, verify_lemmas)
 
@@ -44,16 +44,22 @@ class TestHermite:
         np.testing.assert_allclose(hermite_coefficients(3), [0.0, -3.0, 0.0, 1.0])
 
 
+def _ramp(margin, phi):
+    """m_indicator on the 1-d rectangle (-inf, 0], where the margin of w is w."""
+    return m_indicator([margin], _params(phi=phi))
+
+
 class TestRamp:
     def test_anchor_values(self):
         phi = 4.0
-        assert g_phi(0.0, phi) == 1.0
-        assert g_phi(1.0 / (2 * phi), phi) == pytest.approx(0.5)
-        assert g_phi(2.0 / phi, phi) == 0.0
+        assert _ramp(0.0, phi) == 1.0
+        assert _ramp(1.0 / (2 * phi), phi) == pytest.approx(0.5)
+        assert _ramp(2.0 / phi, phi) == 0.0
 
     def test_indicator_limit(self):
-        assert g_phi(0.0, math.inf) == 1.0
-        assert g_phi(1e-12, math.inf) == 0.0
+        # at phi = inf the ramp is 1{margin <= 0}; 1 - inf * 0 would be NaN
+        assert _ramp(0.0, math.inf) == 1.0
+        assert _ramp(1e-12, math.inf) == 0.0
 
 
 class TestSmoothedIndicator:
@@ -71,13 +77,26 @@ class TestSmoothedIndicator:
         rect = RectangleSpec([-1.0, 0.0], [1.0, 2.0])
         params = SmoothingParams(rect=rect, phi=phi, eps=1.0,
                                  sigma=CovarianceModel.identity(2))
-        outer = enlarge(rect, 1.0 / phi)
+        outer = RectangleSpec(rect.lower - 1.0 / phi, rect.upper + 1.0 / phi)
         rng = np.random.default_rng(11)
         w = rng.uniform(-3, 4, size=(1000, 2))
-        m_vals = np.array([m_indicator(p, params) for p in w])
+        m_vals = m_indicator(w, params)
         inner = rect.contains(w).astype(float)
         assert np.all(inner <= m_vals + 1e-12)
         assert np.all(m_vals <= outer.contains(w).astype(float) + 1e-12)
+
+    @pytest.mark.parametrize("phi", [3.0, math.inf])
+    def test_array_equals_row_by_row(self, phi):
+        params = _params(d=4, lower=[-1.0] * 4, upper=[1.0] * 4, phi=phi)
+        w = np.random.default_rng(5).uniform(-1.5, 1.5, size=(1000, 4))
+        vals = m_indicator(w, params)
+        assert vals.shape == (1000,)
+        assert vals.tolist() == [float(m_indicator(p, params)) for p in w]
+
+    def test_indicator_limit_in_one_array(self):
+        # margins 0, 1e-12 and -1 at phi = inf: no NaN from inf * 0
+        vals = m_indicator(np.array([[0.0], [1e-12], [-1.0]]), _params())
+        assert vals.tolist() == [1.0, 0.0, 1.0]
 
 
 class TestRhoEval:
@@ -97,6 +116,19 @@ class TestRhoEval:
                 exact = rho_eval(w, params)
                 mc, se = rho_eval_mc(w, params, reps=400_000, seed=100 + k)
                 assert exact == pytest.approx(mc, abs=4 * se + 1e-6)
+
+    @pytest.mark.parametrize("phi, seed, want", [
+        (4.0, 0, (0.4459624100457411, 0.004622975843166087)),
+        (4.0, 101, (0.45065986597632746, 0.004644525741646491)),
+        (math.inf, 0, (0.3441, 0.0047509763394083275)),
+        (math.inf, 101, (0.3537, 0.004781413723128253))])
+    def test_monte_carlo_pinned(self, phi, seed, want):
+        # recorded from the inline ramp that m_indicator replaced, by repr
+        params = SmoothingParams(
+            rect=RectangleSpec([-1.0] * 3, [1.0] * 3), phi=phi, eps=0.7,
+            sigma=CovarianceModel.equicorrelation(3, 0.3))
+        got = rho_eval_mc([0.5, -0.25, 0.9], params, reps=10_000, seed=seed)
+        assert repr(got) == repr(want)
 
     def test_requires_diagonal_sigma(self):
         params = SmoothingParams(rect=RectangleSpec([-1, -1], [1, 1]),
@@ -139,15 +171,14 @@ class TestRhoPartial:
 
 class TestDerivativeSum:
     def test_far_tail_vanishes(self):
-        params = _params(d=1, y_grid=np.zeros((1, 1)))
+        params = _params(d=1, K=0.0)
         assert derivative_sum(1, [-20.0], params) <= 1e-80
 
     def test_phi_linearity_in_the_ramp_regime(self):
         # S_1 grows linearly in phi while 1/phi stays above the h_1 peak
         # scale of the eps-convolution (phi * eps well below ~0.24)
         params = lambda phi: _params(d=3, lower=[-1.5] * 3, upper=[1.5] * 3,
-                                     phi=phi, eps=1.0 / 1024,
-                                     y_grid=np.zeros((1, 3)))
+                                     phi=phi, eps=1.0 / 1024, K=0.0)
         w = np.full(3, 1.5)
         s_lo = derivative_sum(1, w, params(64.0))
         s_hi = derivative_sum(1, w, params(128.0))
@@ -275,6 +306,29 @@ class TestBatchedQuadrature:
         assert both.tolist() == alone
         assert both[0] == pytest.approx(math.e - 1.0, rel=1e-14)
         assert both[1] == pytest.approx(0.4, rel=1e-10)
+
+    def test_row_values_are_single_row_dot_products(self):
+        # each row value equals np.dot(weights, row) of that row alone, bit
+        # for bit: on random rows, and as the values _quadrature keeps for
+        # random cubics, which every order integrates exactly, so each row
+        # converges at the second order it tries
+        rng = np.random.default_rng(29)
+        for order in rng.integers(7, 513, size=40).tolist():
+            nodes, weights = smoothing._gauss_legendre(order)
+            rows = rng.standard_normal((int(rng.integers(1, 50)), order))
+            assert np.vecdot(rows, weights).tolist() == [
+                float(np.dot(weights, row)) for row in rows]
+            if order % 2:
+                continue
+
+            def cubics(s, coef=rng.standard_normal((len(rows), 4))):
+                return coef @ np.vander(s, 4, increasing=True).T
+
+            want = [0.5 * 2.0 * float(np.dot(weights, row))
+                    for row in cubics(nodes + 1.0)]
+            got = smoothing._quadrature(cubics, 2.0, order // 2,
+                                        max_order=order)
+            assert got.tolist() == want
 
     def test_unconverged_row_raises(self):
         # sqrt still moves by 5e-9 between 256 and 512 nodes, far above the
