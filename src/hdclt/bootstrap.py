@@ -105,15 +105,11 @@ def empirical_cov_centered(x: DataMatrix) -> CovarianceModel:
     return CovarianceModel(xc.T @ xc / x.n)
 
 
-def simultaneous_quantile(draws: np.ndarray, level: float,
-                          side: str = "two_sided") -> float:
-    """Empirical ``level``-quantile of the max statistic of the draws.
-
-    ``side``: "two_sided" uses max_j |draw_j|, "one_sided" uses max_j draw_j.
-    """
+def simultaneous_quantile(draws: np.ndarray, level: float) -> float:
+    """Empirical ``level``-quantile of max_j |draw_j| over the draws."""
     if draws.shape[0] < MIN_QUANTILE_DRAWS:
         raise ValueError(f"need at least {MIN_QUANTILE_DRAWS} replications")
     if not 0.0 < level <= 1.0:
         raise ValueError("level must lie in (0, 1]")
-    return float(np.quantile(max_statistic(draws, side), level,
+    return float(np.quantile(max_statistic(draws, "two_sided"), level,
                              method="higher"))

@@ -201,20 +201,17 @@ def _random_rects_distance(draws_a, draws_b, count, seed) -> float:
     return best
 
 
-def anticoncentration_probe(sigma: CovarianceModel, eps: float, reps: int,
+def anticoncentration_probe(d: int, eps: float, reps: int,
                             seed: int = 0) -> float:
-    """Max over a z-grid of P(max Z <= z + eps) - P(max Z <= z).
+    """Max over a z-grid of P(max Z <= z + eps) - P(max Z <= z), Z ~ N(0, I_d).
 
     The grid spans the central 99.9% of the max-statistic distribution with
-    ``_PROBE_GRID`` points; all variances must be >= 1 for the probe to be
-    meaningful against the eps*sqrt(log d) anti-concentration shape.
+    ``_PROBE_GRID`` points.
     """
-    if np.any(sigma.diagonal < 1.0 - 1e-12):
-        raise ValueError("anticoncentration probe requires all variances >= 1")
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    stat = max_stat_sample(DistributionSpec.gaussian(sigma), 1, reps,
-                           seed).values
+    stat = max_stat_sample(DistributionSpec.gaussian(
+        CovarianceModel.identity(d)), 1, reps, seed).values
     z = np.linspace(*np.quantile(stat, [0.0005, 0.9995]), _PROBE_GRID)
     upper = np.searchsorted(stat, z + eps, side="right")
     lower = np.searchsorted(stat, z, side="right")

@@ -13,7 +13,7 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from . import maxlaw
 from .distance import MaxStatSample
@@ -27,34 +27,27 @@ def threshold_xn(d: float) -> float:
     return float(ndtri(math.exp(-1.0 / d)))
 
 
-def _marginal_tail(spec: DistributionSpec, n: int, x: float) -> float:
-    """Exact P(W_1 > x) where W has i.i.d. coordinates of known law."""
-    if spec.kind == "two_point":
-        return maxlaw.two_point_marginal_tail(spec.B, n, x)
-    if spec.kind == "gaussian":  # build no other law just to refuse it
-        law = maxlaw.law_of(spec, n)
-        if isinstance(law, maxlaw.IsotropicGaussianMax):
-            return float(ndtr(-x / law.sigma))
-    raise ValueError(f"a {spec.kind!r} spec has no i.i.d. coordinates of "
-                     "known tail (two_point, or gaussian with cov sigma^2 I)")
-
-
 def poisson_approx_check(spec: DistributionSpec, n: int, reps: int,
                          seed: int) -> dict:
-    """Estimate F(x_n) and lambda_n for the max statistic of ``spec``.
+    """Estimate F(x_n) and lambda_n for the max statistic of the two-point
+    construction ``spec`` (any other spec raises ValueError).
 
-    W's coordinates are i.i.d. with exact tail q = P(W_1 > x_n) (else
-    ValueError), so the count C_r of coordinates above x_n, drawn from
-    substream 25 of ``seed``, is Binomial(d, q): f_hat = mean(C_r == 0) and
-    tail = sum C_r / (reps d) have the joint law of the estimators read off
-    reps draws of W.  Returns ``x_n``, ``f_hat``, ``lambda_hat``, the
-    residual ``|f_hat - exp(-lambda_hat)|``, its ``d * P(W_1 > x)^2`` bound
-    ``residual_bound``, its standard error ``propagated_se``, and the exact
-    ``exact_tail`` (q), ``exact_f``, ``exact_lambda`` and ``exact_residual``.
+    W's coordinates are i.i.d. with exact tail q = P(W_1 > x_n) from
+    :func:`maxlaw.two_point_marginal_tail`, so the count C_r of coordinates
+    above x_n, drawn from substream 25 of ``seed``, is Binomial(d, q):
+    f_hat = mean(C_r == 0) and tail = sum C_r / (reps d) have the joint law
+    of the estimators read off reps draws of W.  Returns ``x_n``, ``f_hat``,
+    ``lambda_hat``, the residual ``|f_hat - exp(-lambda_hat)|``, its
+    ``d * P(W_1 > x)^2`` bound ``residual_bound``, its standard error
+    ``propagated_se``, and the exact ``exact_tail`` (q), ``exact_f``,
+    ``exact_lambda`` and ``exact_residual``.
     """
+    if spec.kind != "two_point":
+        raise ValueError(f"a {spec.kind!r} spec is not the two-point "
+                         "construction")
     d = spec.dim
     x_n = threshold_xn(d)
-    q = _marginal_tail(spec, n, x_n)
+    q = maxlaw.two_point_marginal_tail(spec.B, n, x_n)
     counts = substream(seed, 25).binomial(d, q, size=reps)
     f_hat = int(np.count_nonzero(counts == 0)) / reps
     tail = int(counts.sum()) / (reps * d)

@@ -144,11 +144,6 @@ class RectangleSpec:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def __eq__(self, other):
-        return (isinstance(other, RectangleSpec)
-                and np.array_equal(self.lower, other.lower)
-                and np.array_equal(self.upper, other.upper))
-
     def __repr__(self):  # pragma: no cover
         return f"RectangleSpec(lower={self.lower}, upper={self.upper})"
 

@@ -326,7 +326,7 @@ def _run_bootstrap_coverage(cfg, pmap):
         draws = bootstrap.multiplier_draws(x, cfg.inner_replications,
                                            cfg.multiplier,
                                            derive_seed(cfg.seed, 101, r))
-        quantile = bootstrap.simultaneous_quantile(draws, cfg.level, "two_sided")
+        quantile = bootstrap.simultaneous_quantile(draws, cfg.level)
         stat = float(distance.max_statistic(scaled_sum(x), "two_sided")[0])
         return {"rep": r, "covered": int(stat <= quantile),
                 "quantile": quantile, "max_stat": stat}
@@ -485,7 +485,6 @@ def _run_poisson_check(cfg, pmap):
 
 
 def _run_anticoncentration(cfg, pmap):
-    sigma = CovarianceModel.identity(cfg.d)
     # the probe's exact value, max_z P(z < max Z <= z + eps), over the
     # quantile grid of the exact law of max Z
     law = maxlaw.IsotropicGaussianMax(cfg.d)
@@ -494,7 +493,7 @@ def _run_anticoncentration(cfg, pmap):
     def point(i):
         eps = cfg.eps_list[i]
         probe = distance.anticoncentration_probe(
-            sigma, eps, cfg.replications, seed=derive_seed(cfg.seed, 50, i))
+            cfg.d, eps, cfg.replications, seed=derive_seed(cfg.seed, 50, i))
         return {"d": cfg.d, "eps": eps, "probe": probe,
                 "nazarov_shape": eps * math.sqrt(math.log(cfg.d)),
                 "se": math.sqrt(probe * (1 - probe) / cfg.replications),
@@ -615,10 +614,6 @@ def _json_safe(obj):
         return [_json_safe(v) for v in obj]
     if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return _json_safe(float(obj))
     return obj
 
 

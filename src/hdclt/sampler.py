@@ -228,8 +228,7 @@ def sample_scaled_sums(spec: DistributionSpec, n: int, reps: int,
     * local_means: multinomial cell counts,
     * quasi_gaussian: 2*Binomial(n, 1/2) - n, plus N(0, I) from substream 2.
 
-    Families without a transform (uniform_bounded) fall back to summing
-    explicitly sampled data in :func:`blocks` of replications.
+    A family without a transform (uniform_bounded) raises ValueError.
     """
     rng = substream(seed, 1)
     d = spec.dim
@@ -245,11 +244,4 @@ def sample_scaled_sums(spec: DistributionSpec, n: int, reps: int,
     if spec.kind == "local_means":
         hi, lo, p = local_means_support(d)
         return _count_sums(rng.multinomial(n, np.full(d, p), size=reps), n, hi, lo)
-    # generic fallback: explicit data, one n x d slab per replication
-    out = np.empty((reps, d))
-    for idx, rows in blocks(reps, n * d):
-        # one expression, so no block's slab outlives its sum
-        m = rows.stop - rows.start
-        out[rows] = _sample_values(spec, n * m, substream(seed, 3, idx)
-                                   ).reshape(m, n, d).sum(axis=1) / np.sqrt(n)
-    return out
+    raise ValueError(f"a {spec.kind!r} spec has no scaled-sum transform")

@@ -224,26 +224,17 @@ class TestRectFamilies:
 
 class TestAnticoncentration:
     def test_zero_eps_is_zero(self):
-        probe = anticoncentration_probe(CovarianceModel.identity(5), 0.0,
-                                        reps=10_000, seed=1)
+        probe = anticoncentration_probe(5, 0.0, reps=10_000, seed=1)
         assert probe == 0.0
 
     def test_identity_d100_below_nazarov_shape(self):
-        probe = anticoncentration_probe(CovarianceModel.identity(100), 0.1,
-                                        reps=1_000_000, seed=2)
+        probe = anticoncentration_probe(100, 0.1, reps=1_000_000, seed=2)
         assert probe <= 2.0 * 0.1 * math.sqrt(math.log(100))
 
     def test_near_linear_in_eps(self):
-        sigma = CovarianceModel.identity(20)
-        small = anticoncentration_probe(sigma, 0.05, reps=400_000, seed=3)
-        large = anticoncentration_probe(sigma, 0.10, reps=400_000, seed=3)
+        small = anticoncentration_probe(20, 0.05, reps=400_000, seed=3)
+        large = anticoncentration_probe(20, 0.10, reps=400_000, seed=3)
         assert 1.5 <= large / small <= 2.5
-
-    def test_variances_below_one_rejected(self):
-        with pytest.raises(ValueError, match="anticoncentration probe "
-                           "requires all variances >= 1"):
-            anticoncentration_probe(CovarianceModel(np.eye(3) * 0.5), 0.1,
-                                    reps=1000)
 
 
 class TestMaxStatSample:

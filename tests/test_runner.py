@@ -41,6 +41,9 @@ class TestConfigParsing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigInvalid):
             parse_config_text("experiment = poisson_check\nbogus = 1\n")
+        with pytest.raises(ConfigInvalid, match="bogus"):
+            ExperimentConfig.from_mapping({"experiment": "poisson_check",
+                                           "bogus": 1})
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigInvalid):
@@ -471,13 +474,17 @@ class TestCli:
     def test_non_list_manifest_exit_1(self, tmp_path, capsys):
         cfg = self._write(tmp_path,
                           "experiment = poisson_check\nreplications = 500\n")
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / "manifest.json").write_text("{}\n")
-        assert cli_main(["run", cfg, "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "manifest.json" in err
-        assert (out / "manifest.json").read_text() == "{}\n"
+        # a JSON object, and JSON cut off mid-record
+        for i, text in enumerate(["{}\n", '{"a": ']):
+            out = tmp_path / f"out{i}"
+            out.mkdir()
+            manifest = out / "manifest.json"
+            manifest.write_text(text)
+            assert cli_main(["run", cfg, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot append to {manifest}")
+            assert manifest.read_text() == text
+            assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     @pytest.mark.parametrize("artifact", ["anticoncentration.csv",
                                           "summary.json",
@@ -511,6 +518,14 @@ class TestCli:
         assert exc.value.code == 2
         assert not out.exists()
         assert "--threads" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        # --seed overrides a config that has already loaded and validated
+        cfg = self._write(tmp_path, "experiment = poisson_check\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", cfg, "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: seed must be >= 0\n"
+        assert not out.exists()
 
     def test_run_without_checks_fails(self, tmp_path, capsys):
         # v = 2 at finite phi and eps != 1 has no rows behind any check

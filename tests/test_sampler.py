@@ -171,10 +171,10 @@ class TestScaledSumTransforms:
         np.testing.assert_array_equal(draws, (k * a + (n - k) * b) / np.sqrt(n))
         assert peak <= 2 * draws.nbytes + 1_000_000
 
-    def test_generic_fallback_variance(self):
+    def test_family_without_transform_rejected(self):
         spec = DistributionSpec.uniform_bounded(2.0, 3)
-        draws = sample_scaled_sums(spec, 7, 50_000, seed=23)
-        assert np.max(np.abs(draws.var(axis=0) - 4.0 / 3.0)) < 0.05
+        with pytest.raises(ValueError, match="'uniform_bounded'"):
+            sample_scaled_sums(spec, 7, 100, seed=23)
 
     def test_local_means_coordinates_match_marginal(self):
         d, n = 8, 40
