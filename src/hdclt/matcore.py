@@ -12,7 +12,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotPositiveDefinite
 
@@ -42,8 +41,7 @@ class CovarianceModel:
         self._entries.setflags(write=False)
         self._chol = None
         self._lock = threading.Lock()
-        self.min_eig = float(scipy.linalg.eigh(
-            self._entries, eigvals_only=True, subset_by_index=(0, 0))[0])
+        self.min_eig = float(np.linalg.eigvalsh(self._entries)[0])
         if self.min_eig < -PSD_TOL:
             raise ValueError(
                 f"matrix is not PSD: smallest eigenvalue {self.min_eig:.3e} < -{PSD_TOL:g}"
@@ -71,11 +69,6 @@ class CovarianceModel:
                     self._chol = _cholesky_lower(self._entries)
                     self._chol.setflags(write=False)
         return self._chol
-
-    @property
-    def is_diagonal(self) -> bool:
-        off = self._entries - np.diag(self.diagonal)
-        return bool(np.max(np.abs(off)) <= SYMMETRY_TOL) if self.dim > 1 else True
 
     def __repr__(self):  # pragma: no cover
         return f"CovarianceModel(dim={self.dim})"
@@ -105,7 +98,7 @@ def _cholesky_lower(s: np.ndarray) -> np.ndarray:
     """LAPACK Cholesky factor, rejected when any pivot (squared diagonal
     entry of the factor) is at most PIVOT_TOL."""
     try:
-        low = scipy.linalg.cholesky(s, lower=True)
+        low = np.linalg.cholesky(s)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"not positive definite: {exc}") from exc
     pivots = np.diag(low) ** 2

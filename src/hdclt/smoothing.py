@@ -1,9 +1,9 @@
 """Mixed smoothing of rectangle indicators and its exact partial derivatives.
 
 The smoothed indicator composes a Lipschitz ramp of slope ``phi`` with the
-max-margin function of a rectangle, then convolves with a centered Gaussian at
-scale ``eps``.  For diagonal covariance the result and all its mixed partials
-reduce to one-dimensional Gauss-Legendre quadrature of products of normal
+max-margin function of a rectangle, then convolves with a standard Gaussian
+scaled by ``eps``.  The result and all its mixed partials reduce to
+one-dimensional Gauss-Legendre quadrature of products of normal
 CDFs and Gaussian-density Hermite terms, which is what the derivative-sum
 verification sweeps evaluate.
 
@@ -44,7 +44,7 @@ from numpy.polynomial import hermite_e, polynomial as npoly
 from scipy.special import ndtr
 
 from .errors import QuadratureNotConverged
-from .matcore import CovarianceModel, RectangleSpec
+from .matcore import RectangleSpec
 from .sampler import blocks, substream
 
 MAX_DERIVATIVE_ORDER = 6
@@ -104,12 +104,11 @@ def h_derivative_coefficient_check(nu: int) -> bool:
 
 @dataclass(frozen=True)
 class SmoothingParams:
-    """Rectangle, ramp slope, Gaussian scale, covariance, perturbation ball."""
+    """Rectangle, ramp slope, Gaussian scale, perturbation ball."""
 
     rect: RectangleSpec
     phi: float
     eps: float
-    sigma: CovarianceModel
     K: float = 4.0
 
     def __post_init__(self):
@@ -117,16 +116,10 @@ class SmoothingParams:
             raise ValueError("phi must be > 0")
         if self.eps <= 0:
             raise ValueError("eps must be > 0")
-        if self.rect.dim != self.sigma.dim:
-            raise ValueError("rectangle and covariance dimensions differ")
 
     @property
     def d(self) -> int:
         return self.rect.dim
-
-    @property
-    def sigma_star(self) -> float:
-        return float(math.sqrt(np.min(self.sigma.diagonal)))
 
     @property
     def eta(self) -> float:
@@ -134,11 +127,11 @@ class SmoothingParams:
 
     @property
     def y_radius(self) -> float:
-        return self.eps * self.sigma_star * self.eta
+        return self.eps * self.eta
 
     def perturbations(self) -> np.ndarray:
         """Finite approximation of the sup over the l_inf ball of radius
-        eps*sigma_* *eta: the 2^d corners plus center for d <= 6, else the 2d
+        eps*eta: the 2^d corners plus center for d <= 6, else the 2d
         axis-extreme points plus center."""
         r = self.y_radius
         d = self.d
@@ -164,14 +157,6 @@ def m_indicator(w, params: SmoothingParams):
     if math.isinf(params.phi):
         return (margin <= 0).astype(float)
     return np.clip(1.0 - params.phi * margin, 0.0, 1.0)
-
-
-def _require_diagonal(params: SmoothingParams):
-    if not params.sigma.is_diagonal:
-        raise ValueError(
-            "analytic path requires diagonal covariance; use Monte Carlo instead")
-    if np.any(params.sigma.diagonal <= 0):
-        raise ValueError("diagonal covariance entries must be positive")
 
 
 @functools.lru_cache(maxsize=None)
@@ -230,32 +215,31 @@ def _integrand(points: np.ndarray, profiles: Sequence[dict],
 
     Row (k, p) at s is the product over coordinates of the factor at point
     p: a coordinate j that profile k differentiates nu times contributes
-    ``-(1/sd_j)^nu * [h_nu(upper arg) - h_nu(lower arg)]`` (multiplied in
+    ``-(1/eps)^nu * [h_nu(upper arg) - h_nu(lower arg)]`` (multiplied in
     ascending j), and every other coordinate its CDF difference over the
     s-enlarged rectangle.
     """
-    sd = params.eps * np.sqrt(params.sigma.diagonal)
+    eps = params.eps
     upper = params.rect.upper[:, None]
     lower = params.rect.lower[:, None]
     w = points[:, :, None]
-    # each derivative in w_j pulls out -1/sd_j and steps h_nu -> h_{nu+1}
+    # each derivative in w_j pulls out -1/eps and steps h_nu -> h_{nu+1}
     # via h' = -h_{nu+1}, so the net sign is -1 for every order nu
-    scale = {(j, nu): -(1.0 / sd[j]) ** nu
-             for orders in profiles for j, nu in orders.items()}
-    nus = {nu for _, nu in scale}
+    nus = {nu for orders in profiles for nu in orders.values()}
+    scale = {nu: -(1.0 / eps) ** nu for nu in nus}
     plains = [[j for j in range(params.d) if j not in orders]
               for orders in profiles]
 
     def f(s):
-        t_up = (upper + s - w) / sd[:, None]
-        t_lo = (lower - s - w) / sd[:, None]
+        t_up = (upper + s - w) / eps
+        t_lo = (lower - s - w) / eps
         cdf = ndtr(t_up) - ndtr(t_lo)
         hermite = {nu: h_nu(nu, t_up) - h_nu(nu, t_lo) for nu in nus}
         blocks = []
         for orders, plain in zip(profiles, plains):
             out = np.ones((len(points), len(s)))
             for j, nu in orders.items():
-                out = out * scale[j, nu] * hermite[nu][:, j]
+                out = out * scale[nu] * hermite[nu][:, j]
             if plain:
                 out = out * np.prod(cdf[:, plain], axis=1)
             blocks.append(out)
@@ -270,7 +254,6 @@ def _integrate(points, profiles: Sequence[dict],
     phi times the row-wise quadrature over s in [0, 1/phi]; at phi = inf,
     the integrand at s = 0 (plain Gaussian convolution of the indicator).
     """
-    _require_diagonal(params)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     f = _integrand(points, profiles, params)
     if math.isinf(params.phi):
@@ -281,7 +264,7 @@ def _integrate(points, profiles: Sequence[dict],
 
 
 def rho_eval(w, params: SmoothingParams) -> float:
-    """Gaussian-convolved smoothed indicator at w (diagonal covariance).
+    """Smoothed indicator at w convolved with eps times a standard normal.
 
     phi * integral over [0, 1/phi] of the product of per-coordinate CDF
     differences of the s-enlarged rectangle; at phi = inf, the integrand at
@@ -291,10 +274,11 @@ def rho_eval(w, params: SmoothingParams) -> float:
 
 
 def rho_eval_mc(w, params: SmoothingParams, reps: int, seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo fallback for general covariance: mean of the smoothed
-    indicator at w + eps*Z; returns (estimate, standard error)."""
+    """Monte Carlo cross-check of :func:`rho_eval`: the mean of the smoothed
+    indicator at w + eps*Z over ``reps`` standard normal Z; returns
+    (estimate, standard error)."""
     rng = substream(seed, 30)
-    z = rng.standard_normal((reps, params.d)) @ params.sigma.chol.T
+    z = rng.standard_normal((reps, params.d))
     vals = m_indicator(w + params.eps * z, params)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps))
 
@@ -306,7 +290,7 @@ def rho_partial(w, multi_index: Sequence[int],
     ``multi_index`` lists coordinate indices with repetition, e.g. (0, 0, 2)
     for the third-order partial twice in coordinate 0 and once in 2.  Each
     differentiated coordinate replaces its CDF-difference factor by
-    ``-(1/(eps*sigma_j))^nu * [h_nu(upper arg) - h_nu(lower arg)]``.  An
+    ``-(1/eps)^nu * [h_nu(upper arg) - h_nu(lower arg)]``.  An
     empty ``multi_index`` gives :func:`rho_eval`.
     """
     if len(multi_index) > MAX_DERIVATIVE_ORDER:
@@ -376,24 +360,17 @@ VERIFY_COLUMNS = ("d", "v", "phi", "eps", "K",
 
 
 def _boundary_w_grid(rect: RectangleSpec) -> np.ndarray:
-    """Points on/near the rectangle boundary: upper corner, face centers,
-    and the center."""
-    center = np.where(np.isfinite(rect.lower) & np.isfinite(rect.upper),
-                      0.5 * (np.nan_to_num(rect.lower) + np.nan_to_num(rect.upper)),
-                      0.0)
-    pts = [center, np.where(np.isfinite(rect.upper), rect.upper, center)]
-    for j in range(rect.dim):
-        if np.isfinite(rect.upper[j]):
-            face = center.copy()
-            face[j] = rect.upper[j]
-            pts.append(face)
-    return np.unique(np.array(pts), axis=0)
+    """The center, the upper corner and the d upper face centers of a finite
+    rectangle."""
+    center = 0.5 * (rect.lower + rect.upper)
+    faces = np.tile(center, (rect.dim, 1))
+    np.fill_diagonal(faces, rect.upper)
+    return np.vstack([center, rect.upper, faces])
 
 
 def verify_lemmas(d_list: Sequence[int], v_list: Sequence[int],
                   phi_list: Sequence[float], eps_list: Sequence[float],
-                  K: float, kappa: float = 4.0,
-                  half_width: float = 1.5) -> list[dict]:
+                  K: float, kappa: float, half_width: float) -> list[dict]:
     """Attained-constant table across (phi, eps, d, v) cells, one row per
     cell in that order: phi-major, v varying fastest.
 
@@ -401,9 +378,9 @@ def verify_lemmas(d_list: Sequence[int], v_list: Sequence[int],
     every boundary point, the far point and every v of the cell at once.
     Per cell, with ``S_v`` the boundary-grid max of :func:`derivative_sum`:
 
-    * ``attained_C61`` = S_v (eps sigma_*)^{v-1} / (phi (log d)^{(v-1)/2})
+    * ``attained_C61`` = S_v eps^{v-1} / (phi (log d)^{(v-1)/2})
       (NaN at phi = inf),
-    * ``attained_C62`` = S_v (eps sigma_*)^v / (log d)^{v/2},
+    * ``attained_C62`` = S_v eps^v / (log d)^{v/2},
     * ``decay_ratio``  = S_v(boundary) / S_v(w_far) where w_far sits a
       distance 2*eps*kappa + 1/phi outside the rectangle corner, the measured
       decay the tail-vanishing bound controls from below by
@@ -412,8 +389,7 @@ def verify_lemmas(d_list: Sequence[int], v_list: Sequence[int],
     rows = []
     for phi, eps, d in itertools.product(phi_list, eps_list, d_list):
         rect = RectangleSpec(np.full(d, -half_width), np.full(d, half_width))
-        params = SmoothingParams(rect=rect, phi=phi, eps=eps,
-                                 sigma=CovarianceModel.identity(d), K=K)
+        params = SmoothingParams(rect=rect, phi=phi, eps=eps, K=K)
         ld = math.log(d)
         margin = 2.0 * eps * kappa + (0.0 if math.isinf(phi) else 1.0 / phi)
         w_far = np.asarray(rect.upper) + margin + 1e-9
@@ -423,9 +399,9 @@ def verify_lemmas(d_list: Sequence[int], v_list: Sequence[int],
         for v, (*s_grid, s_far) in zip(v_list, sums.tolist()):
             s_boundary = max(s_grid)
             c61 = (math.nan if math.isinf(phi) else
-                   s_boundary * (eps * params.sigma_star) ** (v - 1)
+                   s_boundary * eps ** (v - 1)
                    / (phi * ld ** ((v - 1) / 2.0)))
-            c62 = s_boundary * (eps * params.sigma_star) ** v / ld ** (v / 2.0)
+            c62 = s_boundary * eps ** v / ld ** (v / 2.0)
             decay = s_boundary / s_far if s_far > 0 else math.inf
             rows.append({"d": d, "v": v, "phi": phi, "eps": eps, "K": K,
                          "attained_C61": c61, "attained_C62": c62,

@@ -12,7 +12,7 @@ import pytest
 
 import acceptance_report
 from hdclt import distance, smoothing
-from hdclt.matcore import CovarianceModel, RectangleSpec
+from hdclt.matcore import RectangleSpec
 from hdclt.runner import ExperimentConfig, run
 from hdclt.sampler import substream
 from hdclt.smoothing import SmoothingParams
@@ -121,8 +121,7 @@ def test_c7_derivative_correctness():
     for nu in range(1, 6):
         assert smoothing.h_derivative_coefficient_check(nu)
     params = SmoothingParams(rect=RectangleSpec([-1.2] * 3, [1.2] * 3),
-                             phi=6.0, eps=0.8,
-                             sigma=CovarianceModel.identity(3))
+                             phi=6.0, eps=0.8)
     rng = np.random.default_rng(17)
     h = 1e-4
     worst = 0.0

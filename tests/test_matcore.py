@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -60,6 +61,18 @@ class TestCholesky:
                                        rtol=0, atol=1e-12)
 
 
+class TestValidation:
+    @pytest.mark.parametrize("entries, match", [
+        (np.ones((2, 3)), "expected a square matrix"),
+        (np.ones(3), "expected a square matrix"),
+        ([[1.0, np.nan], [np.nan, 1.0]], "entries must be finite"),
+        ([[1.0, np.inf], [np.inf, 1.0]], "entries must be finite"),
+        ([[1.0, 0.5], [0.4, 1.0]], "not symmetric within 1e-12")])
+    def test_invalid_covariance_rejected(self, entries, match):
+        with pytest.raises(ValueError, match=match):
+            CovarianceModel(entries)
+
+
 class TestMinEigenvalue:
     def test_identity(self):
         assert CovarianceModel.identity(7).min_eig == pytest.approx(1.0)
@@ -78,7 +91,7 @@ class TestMinEigenvalue:
         a = rng.standard_normal((6, 6))
         m = a @ a.T
         s = CovarianceModel(m)
-        assert s.min_eig == pytest.approx(np.linalg.eigvalsh(m)[0], rel=1e-10)
+        assert s.min_eig == pytest.approx(scipy.linalg.eigh(m)[0][0], rel=1e-10)
 
 
 class TestSupNormDiff:
@@ -127,3 +140,9 @@ class TestRectangles:
             RectangleSpec([1.0], [0.0])
         with pytest.raises(ValueError):
             RectangleSpec([np.nan], [1.0])
+
+    @pytest.mark.parametrize("lower, upper", [([0.0, 0.0], [1.0]),
+                                              ([0.0], [1.0, 1.0])])
+    def test_bounds_of_unequal_length(self, lower, upper):
+        with pytest.raises(ValueError, match="1-d vectors of equal length"):
+            RectangleSpec(lower, upper)

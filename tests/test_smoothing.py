@@ -9,7 +9,7 @@ from scipy.stats import norm
 
 from hdclt import sampler, smoothing
 from hdclt.errors import QuadratureNotConverged
-from hdclt.matcore import CovarianceModel, RectangleSpec
+from hdclt.matcore import RectangleSpec
 from hdclt.runner import ExperimentConfig, run
 from hdclt.smoothing import (SmoothingParams, derivative_sum, gaussian_pdf,
                              h_derivative_coefficient_check,
@@ -24,7 +24,7 @@ def _params(d=1, lower=None, upper=None, phi=math.inf, eps=1.0, **kw):
     lower = np.full(d, -np.inf) if lower is None else np.asarray(lower, float)
     upper = np.zeros(d) if upper is None else np.asarray(upper, float)
     return SmoothingParams(rect=RectangleSpec(lower, upper), phi=phi, eps=eps,
-                           sigma=CovarianceModel.identity(d), **kw)
+                           **kw)
 
 
 class TestHermite:
@@ -42,6 +42,28 @@ class TestHermite:
     def test_low_order_coefficients(self):
         np.testing.assert_allclose(hermite_coefficients(2), [-1.0, 0.0, 1.0])
         np.testing.assert_allclose(hermite_coefficients(3), [0.0, -3.0, 0.0, 1.0])
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("phi, eps, match", [
+        (0.0, 1.0, "phi must be > 0"), (-2.0, 1.0, "phi must be > 0"),
+        (4.0, 0.0, "eps must be > 0"), (math.inf, -0.5, "eps must be > 0")])
+    def test_smoothing_params_reject_nonpositive_scales(self, phi, eps, match):
+        with pytest.raises(ValueError, match=match):
+            _params(phi=phi, eps=eps)
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda: hermite_coefficients(-1), "nu must be >= 0"),
+        (lambda: h_nu(0, np.zeros(3)), "nu must be >= 1")])
+    def test_hermite_orders_below_range(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+    @pytest.mark.parametrize("multi_index", [(2,), (-1,), (0, 5)])
+    def test_partial_coordinate_out_of_range(self, multi_index):
+        params = _params(d=2, lower=[-1.0] * 2, upper=[1.0] * 2)
+        with pytest.raises(IndexError, match="out of range for d=2"):
+            rho_partial([0.0, 0.0], multi_index, params)
 
 
 def _ramp(margin, phi):
@@ -75,8 +97,7 @@ class TestSmoothedIndicator:
     def test_sandwich_between_indicators(self):
         phi = 3.0
         rect = RectangleSpec([-1.0, 0.0], [1.0, 2.0])
-        params = SmoothingParams(rect=rect, phi=phi, eps=1.0,
-                                 sigma=CovarianceModel.identity(2))
+        params = SmoothingParams(rect=rect, phi=phi, eps=1.0)
         outer = RectangleSpec(rect.lower - 1.0 / phi, rect.upper + 1.0 / phi)
         rng = np.random.default_rng(11)
         w = rng.uniform(-3, 4, size=(1000, 2))
@@ -118,25 +139,16 @@ class TestRhoEval:
                 assert exact == pytest.approx(mc, abs=4 * se + 1e-6)
 
     @pytest.mark.parametrize("phi, seed, want", [
-        (4.0, 0, (0.4459624100457411, 0.004622975843166087)),
-        (4.0, 101, (0.45065986597632746, 0.004644525741646491)),
-        (math.inf, 0, (0.3441, 0.0047509763394083275)),
-        (math.inf, 101, (0.3537, 0.004781413723128253))])
+        (4.0, 0, (0.43140874495689097, 0.004598549049204689)),
+        (4.0, 101, (0.4388035845129141, 0.004632278326545549)),
+        (math.inf, 0, (0.3334, 0.004714516588863239)),
+        (math.inf, 101, (0.3416, 0.00474269894884041))])
     def test_monte_carlo_pinned(self, phi, seed, want):
-        # recorded from the inline ramp that m_indicator replaced, by repr
-        params = SmoothingParams(
-            rect=RectangleSpec([-1.0] * 3, [1.0] * 3), phi=phi, eps=0.7,
-            sigma=CovarianceModel.equicorrelation(3, 0.3))
+        # pinned by repr: the draws are substream 30's standard normals
+        params = _params(d=3, lower=[-1.0] * 3, upper=[1.0] * 3, phi=phi,
+                         eps=0.7)
         got = rho_eval_mc([0.5, -0.25, 0.9], params, reps=10_000, seed=seed)
         assert repr(got) == repr(want)
-
-    def test_requires_diagonal_sigma(self):
-        params = SmoothingParams(rect=RectangleSpec([-1, -1], [1, 1]),
-                                 phi=4.0, eps=1.0,
-                                 sigma=CovarianceModel.equicorrelation(2, 0.5))
-        with pytest.raises(ValueError, match="analytic path requires diagonal "
-                           "covariance; use Monte Carlo instead"):
-            rho_eval([0.0, 0.0], params)
 
 
 class TestRhoPartial:
@@ -210,7 +222,8 @@ class TestDerivativeSum:
 
 class TestVerifySweep:
     def test_c62_stable_and_decay(self):
-        rows = verify_lemmas([3], [1, 2], [math.inf], [1.0, 0.5, 0.25], K=4.0)
+        rows = verify_lemmas([3], [1, 2], [math.inf], [1.0, 0.5, 0.25], K=4.0,
+                             kappa=4.0, half_width=1.5)
         for v in (1, 2):
             vals = [r["attained_C62"] for r in rows if r["v"] == v]
             assert max(vals) / min(vals) <= 2.0
@@ -219,7 +232,8 @@ class TestVerifySweep:
         assert all(r["decay_ratio"] >= floor for r in rows if r["v"] == 1)
 
     def test_c61_stable_in_linear_regime(self):
-        rows = verify_lemmas([3], [1], [4.0, 8.0], [1.0 / 256], K=4.0)
+        rows = verify_lemmas([3], [1], [4.0, 8.0], [1.0 / 256], K=4.0,
+                             kappa=4.0, half_width=1.5)
         vals = [r["attained_C61"] for r in rows]
         assert max(vals) / min(vals) <= 2.0
 
@@ -231,7 +245,8 @@ class TestVerifySweep:
              "eps_list": [0.5], "d_list": [2]})
         manifest = run(cfg, out_dir=str(tmp_path))
         assert "S_v" not in Path(manifest.csv_paths[0]).read_text()
-        rows = verify_lemmas([2], [1, 2], [8.0], [0.5], K=4.0)
+        rows = verify_lemmas([2], [1, 2], [8.0], [0.5], K=4.0, kappa=4.0,
+                             half_width=1.5)
         assert manifest.summary["S_v"] == [r["S_v"] for r in rows]
         params = _params(d=2, lower=[-1.5] * 2, upper=[1.5] * 2, phi=8.0,
                          eps=0.5, K=4.0)
@@ -264,7 +279,8 @@ class TestBatchedQuadrature:
     def test_sweep_rows_are_derivative_sums(self, d, phi):
         # one batched quadrature per cell gives each row the S_v and the
         # decay ratio of single derivative_sum calls, bit for bit
-        rows = verify_lemmas([d], [1, 2], [phi], [0.5], K=4.0, kappa=4.0)
+        rows = verify_lemmas([d], [1, 2], [phi], [0.5], K=4.0, kappa=4.0,
+                             half_width=1.5)
         params = _params(d=d, lower=[-1.5] * d, upper=[1.5] * d, phi=phi,
                          eps=0.5, K=4.0)
         margin = 2.0 * 0.5 * 4.0 + (0.0 if math.isinf(phi) else 1.0 / phi)
@@ -347,7 +363,8 @@ class TestBatchedQuadrature:
             return real(order)
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-        verify_lemmas([3], [1, 2], [8.0, math.inf], [1.0, 0.25], K=4.0)
+        verify_lemmas([3], [1, 2], [8.0, math.inf], [1.0, 0.25], K=4.0,
+                      kappa=4.0, half_width=1.5)
         assert calls and max(calls.values()) == 1
         for order in calls:
             nodes, weights = smoothing._gauss_legendre(order)
