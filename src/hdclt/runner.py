@@ -100,8 +100,11 @@ class ExperimentConfig:
                     "bootstrap_coverage")
     n_list: Optional[list] = _key(
         _list(int),
-        lambda v, c: len(set(v)) >= 2 and v == sorted(v) and v[0] >= 1,
-        "ascending, all >= 1, with at least two distinct values")
+        # rate_vs_n divides each distance by its bound, 0 at n = 1 (log 1 = 0)
+        lambda v, c: (len(set(v)) >= 2 and v == sorted(v)
+                      and v[0] >= (2 if c.experiment == "rate_vs_n" else 1)),
+        "ascending, all >= 1 (>= 2 for rate_vs_n), with at least two "
+        "distinct values")
     d_list: Optional[list] = _key(_list(int), _each(lambda d: d >= 2),
                                   "nonempty, all >= 2")
     kappa_geom: Optional[int] = _key(int, *_at_least(1))

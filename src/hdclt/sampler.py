@@ -1,4 +1,4 @@
-"""Seeded, parallel-safe data generation for all studied distribution families.
+"""Seeded, parallel-safe data generation for the studied distribution families.
 
 Every family has componentwise mean zero.  Reproducibility contract: all
 randomness flows through :func:`substream`, which derives an independent
@@ -9,7 +9,9 @@ For families whose coordinates are i.i.d. two-valued, Gaussian or a sum of
 the two (quasi-Gaussian), :func:`sample_scaled_sums` draws the scaled sum
 ``W = n^{-1/2} sum_i X_i`` directly through exact distributional transforms
 (binomial counts, multinomial cell counts), which is what makes the large-R
-rate experiments affordable.
+rate experiments affordable.  Rows are drawn by :func:`sample` only for the
+``gaussian`` and ``uniform_bounded`` data of the bootstrap experiments; a row
+of any other family is its n = 1 scaled sum.
 """
 
 from __future__ import annotations
@@ -164,38 +166,18 @@ class DistributionSpec:
 
 
 def sample(spec: DistributionSpec, n: int, seed: int) -> DataMatrix:
-    """Draw an n x d matrix of i.i.d. rows from ``spec``, deterministically."""
+    """Draw an n x d matrix of i.i.d. rows from a ``gaussian`` or
+    ``uniform_bounded`` spec, deterministically.  Any other family raises
+    ValueError: its n rows are ``sample_scaled_sums(spec, 1, n, seed)``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = substream(seed, 0)
-    return DataMatrix(_sample_values(spec, n, rng))
-
-
-def _sample_values(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np.ndarray:
-    d = spec.dim
     if spec.kind == "gaussian":
-        z = rng.standard_normal((n, d))
-        return z @ spec.cov.chol.T
-    if spec.kind == "two_point":
-        a, b, p = two_point_support(spec.B)
-        return np.where(rng.random((n, d)) < p, a, b)
-    if spec.kind == "quasi_gaussian":
-        x = rng.integers(0, 2, size=(n, d)).astype(float) * 2.0 - 1.0
-        x += rng.standard_normal((n, d))
-        return x
+        return DataMatrix(rng.standard_normal((n, spec.dim)) @ spec.cov.chol.T)
     if spec.kind == "uniform_bounded":
-        return rng.uniform(-spec.B, spec.B, size=(n, d))
-    if spec.kind == "local_means":
-        return _local_means_values(n, d, rng)
-    raise AssertionError(spec.kind)
-
-
-def _local_means_values(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    hi, lo, _ = local_means_support(d)
-    cells = rng.integers(0, d, size=n)
-    x = np.full((n, d), lo)
-    x[np.arange(n), cells] = hi
-    return x
+        return DataMatrix(rng.uniform(-spec.B, spec.B, size=(n, spec.dim)))
+    raise ValueError(f"a {spec.kind!r} spec has no row sampler; its rows are "
+                     "its n = 1 scaled sums")
 
 
 def scaled_sum(x: DataMatrix) -> np.ndarray:

@@ -386,6 +386,8 @@ def verify_lemmas(d_list: Sequence[int], v_list: Sequence[int],
       decay the tail-vanishing bound controls from below by
       exp((kappa - eta)^2 / ...) factors.
     """
+    if any(d < 2 for d in d_list):  # both constants divide by log d
+        raise ValueError(f"verify_lemmas needs every d >= 2, got {list(d_list)}")
     rows = []
     for phi, eps, d in itertools.product(phi_list, eps_list, d_list):
         rect = RectangleSpec(np.full(d, -half_width), np.full(d, half_width))

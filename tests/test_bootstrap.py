@@ -15,6 +15,20 @@ from hdclt.sampler import (BLOCK_FLOATS, DataMatrix, DistributionSpec, sample,
                            substream)
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: multiplier_draws(DataMatrix(np.zeros((0, 3))), 100,
+                                  "gaussian", 1), "requires n >= 1"),
+        (lambda: multiplier_draws(DataMatrix(np.zeros((0, 3))), 100,
+                                  "mammen", 1), "requires n >= 1"),
+        (lambda: empirical_cov_centered(DataMatrix(np.zeros((1, 3)))),
+         "requires n >= 2"),
+    ])
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 class TestMammenLaw:
     def test_first_three_moments(self):
         p = MAMMEN_P_LOW

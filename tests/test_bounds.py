@@ -10,6 +10,18 @@ from hdclt.bounds import (bound_bounded, bound_gaussian_comparison,
 from hdclt.matcore import CovarianceModel
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: xlog_factor(-0.5), "expects x >= 0"),
+        (lambda: bound_gaussian_comparison(-0.5, 10), "D must be nonnegative"),
+        (lambda: bounds_local_means(100, 1, 2), "requires d >= 2, n >= 3"),
+        (lambda: bounds_local_means(2, 10, 2), "requires d >= 2, n >= 3"),
+    ])
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 class TestXlogFactor:
     def test_values(self):
         assert xlog_factor(0.0) == 0.0

@@ -19,6 +19,19 @@ def _gaussian_max_cdf(sigma, x):
     return float(law_of(DistributionSpec.gaussian(sigma), 1).cdf(x))
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: MaxStatSample(np.array([])), "at least one draw"),
+        (lambda: MaxStatSample.from_draws(np.zeros((0, 3)), "one_sided"),
+         "at least one draw"),
+        (lambda: anticoncentration_probe(5, -0.1, reps=1000, seed=1),
+         "eps must be >= 0"),
+    ])
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 class TestGaussianMaxCdf:
     def test_one_dim_median(self):
         assert _gaussian_max_cdf(CovarianceModel.identity(1), 0.0) == 0.5

@@ -39,6 +39,28 @@ def _two_point_values(B, n):
             for k in range(n + 1)]
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: IsotropicGaussianMax(0), "need d >= 1 and sigma > 0"),
+        (lambda: IsotropicGaussianMax(3, sigma=0.0),
+         "need d >= 1 and sigma > 0"),
+        (lambda: EquicorrelatedGaussianMax(0, 0.5), "need d >= 1, 0 < rho"),
+        (lambda: EquicorrelatedGaussianMax(3, 0.0), "need d >= 1, 0 < rho"),
+        (lambda: EquicorrelatedGaussianMax(3, 1.0), "need d >= 1, 0 < rho"),
+        (lambda: EquicorrelatedGaussianMax(3, 0.5, sigma=-1.0),
+         "need d >= 1, 0 < rho"),
+        (lambda: TwoPointMax(2.0, 0, 3), "need n >= 1 and d >= 1"),
+        (lambda: TwoPointMax(2.0, 5, 0), "need n >= 1 and d >= 1"),
+        (lambda: LocalMeansMax(0, 3), "need n >= 1 and d >= 2"),
+        (lambda: LocalMeansMax(5, 1), "need n >= 1 and d >= 2"),
+        (lambda: RademacherGaussianMax(0, 3), "n and d must be >= 1"),
+        (lambda: RademacherGaussianMax(5, 0), "n and d must be >= 1"),
+    ])
+    def test_constructor_rejects(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 class TestCdf:
     def test_two_point_against_enumeration(self):
         B, n, d = 2.0, 30, 7

@@ -12,7 +12,7 @@ from hdclt import sampler
 from hdclt.bootstrap import MULTIPLIER_KINDS
 from hdclt.cli import main as cli_main
 from hdclt.distance import ks_two_sample_critical
-from hdclt.errors import ConfigInvalid
+from hdclt.errors import ConfigInvalid, IoFailure
 from hdclt.lowerbound import fit_power_law
 from hdclt.maxlaw import two_point_marginal_tail
 from hdclt.runner import (EXPERIMENTS, KEYS, RUN_KEYS,
@@ -83,6 +83,12 @@ class TestExperimentConfig:
                         if isinstance(v, list)):
                 with pytest.raises(ConfigInvalid, match=key):
                     ExperimentConfig.from_mapping({"experiment": name, key: []})
+
+    def test_n_of_one_valid_for_zero_skew_rate(self):
+        # only rate_vs_n divides by a bound that is 0 at n = 1
+        cfg = ExperimentConfig.from_mapping({"experiment": "zero_skew_rate",
+                                             "n_list": [1, 2]})
+        assert cfg.n_list == [1, 2]
 
     def test_unread_keys_stay_unset(self):
         for name in EXPERIMENTS:
@@ -416,6 +422,28 @@ class TestExactChecks:
         assert summary["exact_checks"]["residual_within_bound"]
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("call, error, match", [
+        # x = 0 and y = 0 on log axes
+        (lambda tmp: emit_plot([(0.0, 1.0, 0.1), (1.0, 1.0, 0.1)], "loglog",
+                               str(tmp / "p.svg")),
+         ValueError, "loglog plot requires positive"),
+        (lambda tmp: emit_plot([(1.0, 0.0, 0.1), (2.0, 1.0, 0.1)], "loglog",
+                               str(tmp / "p.svg")),
+         ValueError, "loglog plot requires positive"),
+        # a regular file where a parent directory should be
+        (lambda tmp: run(ExperimentConfig.from_mapping(
+            {"experiment": "anticoncentration"}),
+            out_dir=str(tmp / "file" / "out")),
+         IoFailure, "cannot create"),
+    ])
+    def test_rejected(self, tmp_path, call, error, match):
+        (tmp_path / "file").write_text("")
+        with pytest.raises(error, match=match):
+            call(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 class TestEmitPlot:
     def test_single_point(self, tmp_path):
         path = tmp_path / "one.svg"
@@ -527,6 +555,15 @@ class TestCli:
         assert capsys.readouterr().err == "config error: seed must be >= 0\n"
         assert not out.exists()
 
+    def test_failed_check_without_check_flag_exit_0(self, tmp_path, capsys):
+        # only --check turns a failed criterion into exit 1
+        cfg = self._write(tmp_path, "experiment = smoothing_verify\n"
+                                    "v_list = 2\nphi_list = 8\neps_list = 0.5\n")
+        assert cli_main(["run", cfg, "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL smoothing_verify.c61_stable_v2" in out
+        assert f"wrote {tmp_path / 'out' / 'summary.json'}" in out
+
     def test_run_without_checks_fails(self, tmp_path, capsys):
         # v = 2 at finite phi and eps != 1 has no rows behind any check
         cfg = self._write(tmp_path, "experiment = smoothing_verify\n"
@@ -580,6 +617,8 @@ class TestCli:
         "experiment = anticoncentration\neps_list = 0.1 inf",
         "experiment = rate_vs_n\nn_list = 500 250",
         "experiment = rate_vs_n\nn_list = 500",
+        # rate_vs_n divides each distance by its bound, which is 0 at n = 1
+        "experiment = rate_vs_n\nn_list = 1 2",
         "experiment = zero_skew_rate\nn_list = 100",
         "experiment = bootstrap_agreement\nn = 1",
         # rank n - 1 < d: the empirical covariance has no Cholesky factor

@@ -43,14 +43,15 @@ class TestTwoPoint:
             two_point_support(1.5)
 
     def test_empirical_mean_and_variance(self):
-        x = sample(DistributionSpec.two_point(2.0, 4), 50_000, seed=3).values
+        x = sample_scaled_sums(DistributionSpec.two_point(2.0, 4), 1, 50_000,
+                               seed=3)
         assert abs(x.mean()) <= 3.0 / math.sqrt(x.size)
         assert x.var() == pytest.approx(1.0, abs=0.02)
 
     def test_fourth_moment_closed_form(self):
         # p a^4 + (1 - p) b^4 = 9/4 + 3/4 * 1/9 = 7/3 at B = 2
         spec = DistributionSpec.two_point(2.0, 1)
-        x = sample(spec, 200_000, seed=5).values
+        x = sample_scaled_sums(spec, 1, 200_000, seed=5)
         assert np.mean(x**4) == pytest.approx(7.0 / 3.0, abs=0.05)
 
 
@@ -64,11 +65,12 @@ class TestGaussianFamily:
 
 class TestLocalMeans:
     def test_rows_sum_to_zero_exactly(self):
-        x = sample(DistributionSpec.local_means(10), 200, seed=2).values
+        x = sample_scaled_sums(DistributionSpec.local_means(10), 1, 200, seed=2)
         np.testing.assert_allclose(x.sum(axis=1), 0.0, atol=1e-12)
 
     def test_empirical_covariance_matches_exact(self):
-        x = sample(DistributionSpec.local_means(10), 100_000, seed=4).values
+        x = sample_scaled_sums(DistributionSpec.local_means(10), 1, 100_000,
+                               seed=4)
         emp = np.cov(x.T, bias=True)
         assert np.max(np.abs(np.diag(emp) - 1.0)) < 0.03
         off = emp[~np.eye(10, dtype=bool)]
@@ -106,14 +108,13 @@ class TestQuasiGaussian:
         spec = DistributionSpec.quasi_gaussian(2)
         # E (X+g)^4 = 1 + 6 + 3 for a +-1 sign plus standard normal; the
         # eighth moment 764 puts the standard error of the mean near 0.04
-        x = sample(spec, 200_000, seed=6).values
+        x = sample_scaled_sums(spec, 1, 200_000, seed=6)
         assert np.mean(x**4) == pytest.approx(10.0, abs=0.25)
 
     @pytest.mark.parametrize("d", [1, 3, 20])
     def test_stream_layout(self, d):
         # W is the Rademacher count transform of substream 1 plus normals of
-        # substream 2; data are the Rademacher integers of substream 0, then
-        # normals from the same generator
+        # substream 2
         spec = DistributionSpec.quasi_gaussian(d)
         n, reps, seed = 30, 500, 11
         counts = substream(seed, 1).binomial(n, 0.5, size=(reps, d))
@@ -121,10 +122,6 @@ class TestQuasiGaussian:
                 + substream(seed, 2).standard_normal((reps, d)))
         np.testing.assert_array_equal(
             sample_scaled_sums(spec, n, reps, seed), want)
-        rng = substream(seed, 0)
-        signs = rng.integers(0, 2, size=(n, d)).astype(float) * 2.0 - 1.0
-        np.testing.assert_array_equal(sample(spec, n, seed).values,
-                                      signs + rng.standard_normal((n, d)))
         np.testing.assert_array_equal(spec.population_covariance().entries,
                                       2.0 * np.eye(d))
 
@@ -188,6 +185,36 @@ class TestScaledSumTransforms:
         a = sample_scaled_sums(spec, 10, 100, seed=1)
         b = sample_scaled_sums(spec, 10, 100, seed=1)
         np.testing.assert_array_equal(a, b)
+
+
+class TestRowSampler:
+    @pytest.mark.parametrize("spec", [DistributionSpec.two_point(2.0, 3),
+                                      DistributionSpec.local_means(3),
+                                      DistributionSpec.quasi_gaussian(3)])
+    def test_scaled_sum_families_have_no_rows(self, spec):
+        # their rows are the n = 1 scaled sums
+        with pytest.raises(ValueError, match=f"'{spec.kind}'"):
+            sample(spec, 10, seed=1)
+
+    def test_uniform_population_covariance(self):
+        spec = DistributionSpec.uniform_bounded(3.0, 4)
+        np.testing.assert_array_equal(spec.population_covariance().entries,
+                                      3.0 * np.eye(4))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call, match", [
+        (lambda: DataMatrix(np.zeros(3)), "2-d array"),
+        (lambda: DataMatrix(np.zeros((2, 2, 2))), "2-d array"),
+        (lambda: DataMatrix(np.array([[0.0, np.nan]])), "finite"),
+        (lambda: DataMatrix(np.array([[np.inf, 0.0]])), "finite"),
+        (lambda: DistributionSpec.uniform_bounded(1.0, 0), "dim must be >= 1"),
+        (lambda: sample(DistributionSpec.uniform_bounded(1.0, 2), 0, seed=1),
+         "n must be >= 1"),
+    ])
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 class TestSpecValidation:

@@ -59,6 +59,12 @@ class TestInputChecks:
         with pytest.raises(ValueError, match=match):
             call()
 
+    def test_verify_lemmas_rejects_d_below_two(self):
+        # the attained constants divide by powers of log d, which is 0 at d = 1
+        with pytest.raises(ValueError, match="d >= 2"):
+            verify_lemmas([2, 1], [1], [math.inf], [1.0], K=4.0, kappa=4.0,
+                          half_width=1.5)
+
     @pytest.mark.parametrize("multi_index", [(2,), (-1,), (0, 5)])
     def test_partial_coordinate_out_of_range(self, multi_index):
         params = _params(d=2, lower=[-1.0] * 2, upper=[1.0] * 2)
