@@ -1,6 +1,6 @@
 """Constructive lower-bound analyses: the Poisson approximation of the max
-statistic of the two-point construction, plus the rate curves' power-law fit
-and Gaussian reference: its exact law and sorted uniforms, shared across n.
+statistic of the two-point construction, the rate curves' power-law fit, and
+W's distance to its Gaussian reference, whose law and uniforms serve every n.
 
 The threshold x solves the equation Phi(x)^d = e^{-1}, so the Gaussian max
 statistic lands exactly on e^{-1}; the gap of the data max statistic at that
@@ -16,7 +16,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import maxlaw
-from .distance import MaxStatSample
+from .distance import (MaxStatSample, ks_distance_with_se,
+                       ks_two_sample_critical, max_stat_sample)
 from .sampler import DistributionSpec, derive_seed, substream
 
 
@@ -36,11 +37,11 @@ def poisson_approx_check(spec: DistributionSpec, n: int, reps: int,
     :func:`maxlaw.two_point_marginal_tail`, so the count C_r of coordinates
     above x_n, drawn from substream 25 of ``seed``, is Binomial(d, q):
     f_hat = mean(C_r == 0) and tail = sum C_r / (reps d) have the joint law
-    of the estimators read off reps draws of W.  Returns ``x_n``, ``f_hat``,
-    ``lambda_hat``, the residual ``|f_hat - exp(-lambda_hat)|``, its
-    ``d * P(W_1 > x)^2`` bound ``residual_bound``, its standard error
-    ``propagated_se``, and the exact ``exact_tail`` (q), ``exact_f``,
-    ``exact_lambda`` and ``exact_residual``.
+    of the estimators read off reps draws of W.  Returns, in this order,
+    ``x_n``, ``f_hat``, ``lambda_hat``, the exact ``exact_tail`` (q), the
+    residual ``|f_hat - exp(-lambda_hat)|``, its ``d * P(W_1 > x)^2`` bound
+    ``residual_bound``, its standard error ``propagated_se``, and the exact
+    ``exact_f``, ``exact_lambda`` and ``exact_residual``.
     """
     if spec.kind != "two_point":
         raise ValueError(f"a {spec.kind!r} spec is not the two-point "
@@ -56,10 +57,10 @@ def poisson_approx_check(spec: DistributionSpec, n: int, reps: int,
     se_tail = math.sqrt(max(tail * (1 - tail), 1e-300) / (reps * d))
     exact_f = (1.0 - q) ** d
     return {"x_n": x_n, "f_hat": f_hat, "lambda_hat": lam,
-            "residual": abs(f_hat - math.exp(-lam)),
+            "exact_tail": q, "residual": abs(f_hat - math.exp(-lam)),
             "residual_bound": d * (lam / d) ** 2,
             "propagated_se": math.hypot(se_f, math.exp(-lam) * (d * se_tail)),
-            "exact_tail": q, "exact_f": exact_f, "exact_lambda": d * q,
+            "exact_f": exact_f, "exact_lambda": d * q,
             "exact_residual": abs(exact_f - math.exp(-d * q))}
 
 
@@ -83,8 +84,9 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]
 def reference_max_stats(spec: DistributionSpec, reps: int, seed: int,
                         side: str = "one_sided") -> tuple:
     """Exact law F of N(0, covariance of spec)'s max statistic, which needs a
-    sigma^2 I, and the sorted uniforms u that ``max_stat_sample`` inverts: as
-    F increases, KS(MaxStatSample(F.cdf(w)), u) = KS(w, F.sample(u))."""
+    sigma^2 I, and the sorted uniforms u that ``max_stat_sample`` inverts: the
+    ``ref = (F, u)`` of :func:`reference_distance`, where, as F increases,
+    KS(MaxStatSample(F.cdf(w)), u) = KS(w, F.sample(u))."""
     cov = spec.population_covariance()
     law = maxlaw.law_of(DistributionSpec.gaussian(cov), 1, side)
     if not isinstance(law, maxlaw.IsotropicGaussianMax):
@@ -93,3 +95,17 @@ def reference_max_stats(spec: DistributionSpec, reps: int, seed: int,
     np.maximum(u, maxlaw._U_MIN, out=u)
     u.sort()
     return law, MaxStatSample(u)
+
+
+def reference_distance(spec: DistributionSpec, n: int, reps: int, seed: int,
+                       ref: tuple, side: str = "one_sided") -> tuple:
+    """Measure W = n^{-1/2} sum_i X_i, X_i ~ spec, against ``ref = (F, u)``:
+    the KS distance of F(max W) over ``reps`` draws from ``seed`` to u, its
+    standard error, the 1% two-sample KS critical value (the noise floor a
+    Monte Carlo distance cannot resolve below) and the exact sup distance of
+    the law of max W to F, which the Monte Carlo distance estimates."""
+    law, u = ref
+    w = max_stat_sample(spec, n, reps, seed, side)
+    dist, se = ks_distance_with_se(MaxStatSample(law.cdf(w.values)), u)
+    return (dist, se, ks_two_sample_critical(reps, u.size),
+            maxlaw.sup_distance(maxlaw.law_of(spec, n, side), law))

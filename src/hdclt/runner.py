@@ -3,8 +3,9 @@
 Configs are flat ``key = value`` text files (grammar documented in the
 README); every numeric output is a pure function of (config, seed), never of
 the worker-thread count.  Each run appends a record to ``manifest.json`` in
-its output directory and writes one CSV per experiment with a fixed column
-order, a ``summary.json`` with pass/fail verdicts, and a best-effort SVG.
+its output directory and writes one CSV per experiment in the column order
+of the experiment's rows, a ``summary.json`` with pass/fail verdicts, and a
+best-effort SVG.
 """
 
 from __future__ import annotations
@@ -95,9 +96,9 @@ class ExperimentConfig:
                             ">= 2; > d for bootstrap_agreement")
     d: Optional[int] = _key(int, *_at_least(2))
     B: Optional[float] = _key(
-        float, need="finite; >= 2 for the two-point law of rate_vs_n and "
-                    "poisson_check, > 0 for the uniform law of "
-                    "bootstrap_coverage")
+        float, need="finite with a finite B**2; >= 2 for the two-point law "
+                    "of rate_vs_n and poisson_check, > 0 for the uniform law "
+                    "of bootstrap_coverage")
     n_list: Optional[list] = _key(
         _list(int),
         # rate_vs_n divides each distance by its bound, 0 at n = 1 (log 1 = 0)
@@ -248,8 +249,8 @@ def _pmap(threads: int):
 
 def _rate_result(cfg: ExperimentConfig, spec: DistributionSpec,
                  slope_band: tuple, pmap) -> tuple:
-    """Distance-vs-n curve between the max statistic of W and its Gaussian
-    reference, with a log-log OLS slope.
+    """Distance-vs-n curve of :func:`lowerbound.reference_distance`, W's max
+    statistic against its Gaussian reference, with a log-log OLS slope.
 
     Each n draws ``replications`` fresh data sets (the distance is over the
     sampling law of W, not conditional on a dataset), seeded by its index in
@@ -259,33 +260,26 @@ def _rate_result(cfg: ExperimentConfig, spec: DistributionSpec,
     depend on n for i.i.d. rows; each distance is taken in its uniform space.
     """
     side = distance.side_of(cfg.family)
-    ref_law, ref = lowerbound.reference_max_stats(
+    ref = lowerbound.reference_max_stats(
         spec, cfg.replications * cfg.ref_factor, cfg.seed, side)
 
     def point(item):
         i, n = item
-        w = distance.max_stat_sample(spec, n, cfg.replications,
-                                     derive_seed(cfg.seed, 1, i), side)
-        return distance.ks_distance_with_se(
-            distance.MaxStatSample(ref_law.cdf(w.values)), ref)
+        return lowerbound.reference_distance(
+            spec, n, cfg.replications, derive_seed(cfg.seed, 1, i), ref, side)
 
-    points = list(pmap(point, enumerate(cfg.n_list)))
+    # every n has the same noise floor: same replications, same reference
+    dists, ses, (floor, *_), exact = zip(*pmap(point, enumerate(cfg.n_list)))
     slope, slope_se, intercept = lowerbound.fit_power_law(
-        cfg.n_list, [max(dist, 1e-300) for dist, _ in points])
+        cfg.n_list, [max(dist, 1e-300) for dist in dists])
     b = cfg.B if cfg.B is not None else math.nan
     rows = [{"experiment": cfg.experiment, "n": n, "d": cfg.d, "B": b,
              "family": cfg.family, "distance": dist, "se": se,
-             "seed": cfg.seed} for n, (dist, se) in zip(cfg.n_list, points)]
+             "seed": cfg.seed} for n, dist, se in zip(cfg.n_list, dists, ses)]
     scale = b if cfg.B is not None else 1.0
     norm = [row["distance"] * math.sqrt(row["n"])
             / (scale * math.log(cfg.d) ** 1.5) for row in rows]
-    # exact distances beside the Monte Carlo ones, and the 1% two-sample KS
-    # critical value, below which a Monte Carlo distance cannot resolve them
-    exact = [maxlaw.sup_distance(maxlaw.law_of(spec, n, side), ref_law)
-             for n in cfg.n_list]
     exact_slope = lowerbound.fit_power_law(cfg.n_list, exact)[0]
-    floor = distance.ks_two_sample_critical(
-        cfg.replications, cfg.replications * cfg.ref_factor)
     summary = {
         "slope": slope, "slope_se": slope_se,
         "intercept": intercept, "normalized": norm,
@@ -371,26 +365,19 @@ def _run_bootstrap_agreement(cfg, pmap):
 def _run_local_means(cfg, pmap):
     def point(d):
         n = 50 * d
-        spec = DistributionSpec.local_means(d)
-        w = distance.max_stat_sample(spec, n, cfg.replications,
-                                     derive_seed(cfg.seed, 30, d))
         identity = CovarianceModel.identity(d)
-        ref_law, ref = lowerbound.reference_max_stats(
+        ref = lowerbound.reference_max_stats(
             DistributionSpec.gaussian(identity),
             cfg.replications * cfg.ref_factor, derive_seed(cfg.seed, 31, d))
-        dist, se = distance.ks_distance_with_se(
-            distance.MaxStatSample(ref_law.cdf(w.values)), ref)
+        dist, se, floor, exact = lowerbound.reference_distance(
+            DistributionSpec.local_means(d), n, cfg.replications,
+            derive_seed(cfg.seed, 30, d), ref)
         sigma_w = CovarianceModel.local_means(d)
         gap = sup_norm_diff(identity, sigma_w)
         combined, prior, coupling = bounds.bounds_local_means(n, d,
                                                               cfg.kappa_geom)
         return {"d": d, "n": n, "distance": dist, "se": se,
-                # the 1% two-sample KS critical value, and the exact distance
-                # the Monte Carlo one estimates
-                "noise_floor": distance.ks_two_sample_critical(
-                    cfg.replications, cfg.replications * cfg.ref_factor),
-                "exact_distance": maxlaw.sup_distance(
-                    maxlaw.law_of(spec, n), ref_law),
+                "noise_floor": floor, "exact_distance": exact,
                 "delta0": bounds.delta0(identity, sigma_w, d),
                 "comparison_bound": bounds.bound_gaussian_comparison(gap, d),
                 "combined_bound": combined, "prior_bound": prior,
@@ -431,12 +418,19 @@ def _run_smoothing_verify(cfg, pmap):
         checks[f"c62_stable_v{v}"] = _ratio_check(
             [row["attained_C62"] for row in rows
              if row["v"] == v and math.isinf(row["phi"])])
+
+    def decay_bound(d):  # exp((kappa - K/sqrt(log d))^2 / 8), inf on overflow
+        try:
+            return math.exp((cfg.kappa - cfg.K / math.sqrt(math.log(d))) ** 2
+                            / 8.0)
+        except OverflowError:
+            return math.inf
+
     decay_rows = [row for row in rows if row["v"] == 1]
     checks["decay_v1"] = bool(decay_rows) and all(
-        row["decay_ratio"] >= math.exp(
-            (cfg.kappa - cfg.K / math.sqrt(math.log(row["d"]))) ** 2 / 8.0)
-        for row in decay_rows)
-    return rows, {"checks": checks, "S_v": [row["S_v"] for row in rows]}
+        row["decay_ratio"] >= decay_bound(row["d"]) for row in decay_rows)
+    # S_v is a summary series, not a CSV column
+    return rows, {"checks": checks, "S_v": [row.pop("S_v") for row in rows]}
 
 
 def _run_gaussian_comparison(cfg, pmap):
@@ -519,81 +513,56 @@ def _run_anticoncentration(cfg, pmap):
 class Experiment:
     """One experiment: its keys with their desk-scale defaults (besides
     RUN_KEYS it accepts exactly these, and any of them can be overridden),
-    its body ``body(config, pmap) -> (rows, summary)``, the CSV columns of
-    its rows, its bounded data law ``law(B, d)`` (None when it has no B),
-    and the ``(x, y, se, kind)`` row columns it plots (se None: no bars)."""
+    its body ``body(config, pmap) -> (rows, summary)``, whose row dicts are
+    its CSV rows, its bounded data law ``law(B, d)`` (None when it has no
+    B), and the ``(x, y, se, kind)`` row keys it plots (se None: no bars)."""
 
     defaults: dict
     body: Callable
-    columns: tuple
     law: Optional[Callable] = None
     plot: Optional[tuple] = None
 
-
-_RATE_COLUMNS = ("experiment", "n", "d", "B", "family", "distance", "se",
-                 "seed")
 
 EXPERIMENTS = {
     "rate_vs_n": Experiment(
         {"B": 2.0, "d": 50, "n_list": [250, 500, 1000, 2000],
          "replications": 200_000, "ref_factor": 10, "family": "one_sided_max"},
-        _run_rate_vs_n, _RATE_COLUMNS, law=DistributionSpec.two_point,
+        _run_rate_vs_n, law=DistributionSpec.two_point,
         plot=("n", "distance", "se", "loglog")),
     "zero_skew_rate": Experiment(
         {"d": 20, "n_list": [100, 200, 400], "replications": 1_000_000,
          "ref_factor": 2, "family": "one_sided_max"},
-        _run_zero_skew_rate, _RATE_COLUMNS,
-        plot=("n", "distance", "se", "loglog")),
+        _run_zero_skew_rate, plot=("n", "distance", "se", "loglog")),
     "bootstrap_coverage": Experiment(
         {"n": 500, "d": 20, "B": 2.0, "level": 0.9, "multiplier": "gaussian",
          "inner_replications": 2000, "outer_replications": 2000},
-        _run_bootstrap_coverage, ("rep", "covered", "quantile", "max_stat"),
-        law=DistributionSpec.uniform_bounded),
+        _run_bootstrap_coverage, law=DistributionSpec.uniform_bounded),
     "bootstrap_agreement": Experiment(
         {"n": 200, "d": 10, "replications": 100_000},
-        _run_bootstrap_agreement, ("n", "d", "replications", "ks", "critical")),
+        _run_bootstrap_agreement),
     "local_means": Experiment(
         {"d_list": [10, 40], "kappa_geom": 1, "replications": 100_000,
          "ref_factor": 10},
-        _run_local_means,
-        ("d", "n", "distance", "se", "noise_floor", "exact_distance",
-         "delta0", "comparison_bound", "combined_bound", "prior_bound",
-         "coupling_bound"),
-        plot=("d", "distance", None, "linear")),
+        _run_local_means, plot=("d", "distance", None, "linear")),
     "smoothing_verify": Experiment(
         {"d_list": [3], "v_list": [1, 2],
          "phi_list": [4.0, 8.0, 16.0, 32.0, math.inf],
          "eps_list": [1.0, 0.5, 0.25], "K": 4.0, "kappa": 4.0,
          "half_width": 1.5},
-        _run_smoothing_verify, smoothing.VERIFY_COLUMNS),
+        _run_smoothing_verify),
     "gaussian_comparison": Experiment(
         {"d": 10, "rho_list": [0.05, 0.1, 0.2], "replications": 200_000},
-        _run_gaussian_comparison,
-        ("rho", "D", "measured", "bound", "se", "noise_floor",
-         "exact_distance"),
-        plot=("rho", "measured", None, "linear")),
+        _run_gaussian_comparison, plot=("rho", "measured", None, "linear")),
     "poisson_check": Experiment(
         {"B": 2.0, "n": 1000, "d": 50, "replications": 200_000},
-        _run_poisson_check,
-        ("n", "d", "B", "x_n", "f_hat", "lambda_hat", "exact_tail",
-         "residual", "residual_bound", "propagated_se", "exact_f",
-         "exact_lambda", "exact_residual"),
-        law=DistributionSpec.two_point),
+        _run_poisson_check, law=DistributionSpec.two_point),
     "anticoncentration": Experiment(
         {"d": 20, "eps_list": [0.05, 0.1, 0.2], "replications": 200_000},
-        _run_anticoncentration,
-        ("d", "eps", "probe", "nazarov_shape", "se", "exact_probe"),
-        plot=("eps", "probe", None, "linear")),
+        _run_anticoncentration, plot=("eps", "probe", None, "linear")),
 }
 
 
 # -- persistence --------------------------------------------------------------
-
-def _fmt_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
 
 def _write_text(path: str, text: str) -> None:
     """Write one artifact; a failed write raises IoFailure."""
@@ -604,9 +573,12 @@ def _write_text(path: str, text: str) -> None:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def _write_csv(path: str, columns, rows) -> None:
-    lines = [",".join(columns)]
-    lines += [",".join(_fmt_cell(row[c]) for c in columns) for row in rows]
+def _write_csv(path: str, rows) -> None:
+    """Write the row dicts under a header of the first row's keys: the code
+    that builds a row is the one statement of its column order.  A float
+    cell is its ``str``, which is its shortest round-trip ``repr``."""
+    lines = [",".join(rows[0])]
+    lines += [",".join(str(row[c]) for c in rows[0]) for row in rows]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -662,7 +634,7 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1) -> RunManifest
     finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
 
     csv_path = os.path.join(out_dir, f"{config.experiment}.csv")
-    _write_csv(csv_path, exp.columns, rows)
+    _write_csv(csv_path, rows)
 
     summary_path = os.path.join(out_dir, "summary.json")
     summary = {"experiment": config.experiment, "seed": config.seed,

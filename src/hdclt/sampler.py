@@ -87,11 +87,15 @@ def _two_point_law(p: float) -> tuple[float, float, float]:
     return np.sqrt((1.0 - p) / p), -np.sqrt(p / (1.0 - p)), p
 
 
+# the largest B with a finite B**2, which both bounded laws take
+_B_MAX = float(np.sqrt(np.finfo(float).max))
+
+
 def two_point_support(B: float) -> tuple[float, float, float]:
     """Support values (a, b) and probability p of the two-point family: the
     centred two-point law at p = 1/B^2, so |X| <= B."""
-    if not 2 <= B < np.inf:
-        raise ValueError("two_point requires a finite B >= 2")
+    if not 2 <= B <= _B_MAX:
+        raise ValueError("two_point requires B >= 2 with a finite B**2")
     return _two_point_law(1.0 / B**2)
 
 
@@ -118,10 +122,11 @@ class DistributionSpec:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
         if self.kind == "two_point":
-            two_point_support(self.B)  # validates a finite B >= 2
+            two_point_support(self.B)  # validates B >= 2 with a finite B**2
         if self.kind == "uniform_bounded" and (self.B is None
-                                               or not 0 < self.B < np.inf):
-            raise ValueError("uniform_bounded requires a finite B > 0")
+                                               or not 0 < self.B <= _B_MAX):
+            raise ValueError("uniform_bounded requires B > 0 with a finite "
+                             "B**2")
         if self.kind == "local_means" and self.dim < 2:
             raise ValueError("local_means requires d >= 2")
 

@@ -355,10 +355,6 @@ def _derivative_sums(v_list: Sequence[int], w_list,
 
 # -- lemma verification sweeps ----------------------------------------------
 
-VERIFY_COLUMNS = ("d", "v", "phi", "eps", "K",
-                  "attained_C61", "attained_C62", "decay_ratio")
-
-
 def _boundary_w_grid(rect: RectangleSpec) -> np.ndarray:
     """The center, the upper corner and the d upper face centers of a finite
     rectangle."""

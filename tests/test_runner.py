@@ -19,7 +19,52 @@ from hdclt.runner import (EXPERIMENTS, KEYS, RUN_KEYS,
                           ExperimentConfig, emit_plot, load_config,
                           parse_config_text, run)
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+# the benchmark's smoothing gate compares its reference CSV's header too
+with open(ROOT / "perfbench" / "reference" / "smoothing_verify.csv",
+          newline="") as _fh:
+    _SMOOTHING_HEADER = tuple(next(csv.reader(_fh)))
+
+_RATE_HEADER = ("experiment", "n", "d", "B", "family", "distance", "se",
+                "seed")
+
+# each experiment's CSV header, which its row dicts are the only statement of
+HEADERS = {
+    "rate_vs_n": _RATE_HEADER,
+    "zero_skew_rate": _RATE_HEADER,
+    "bootstrap_coverage": ("rep", "covered", "quantile", "max_stat"),
+    "bootstrap_agreement": ("n", "d", "replications", "ks", "critical"),
+    "local_means": ("d", "n", "distance", "se", "noise_floor",
+                    "exact_distance", "delta0", "comparison_bound",
+                    "combined_bound", "prior_bound", "coupling_bound"),
+    "smoothing_verify": _SMOOTHING_HEADER,
+    "gaussian_comparison": ("rho", "D", "measured", "bound", "se",
+                            "noise_floor", "exact_distance"),
+    "poisson_check": ("n", "d", "B", "x_n", "f_hat", "lambda_hat",
+                      "exact_tail", "residual", "residual_bound",
+                      "propagated_se", "exact_f", "exact_lambda",
+                      "exact_residual"),
+    "anticoncentration": ("d", "eps", "probe", "nazarov_shape", "se",
+                          "exact_probe"),
+}
+
+# a config of each experiment small enough to run in well under a second
+TINY = {
+    "rate_vs_n": {"replications": 100, "ref_factor": 1},
+    "zero_skew_rate": {"n_list": [1, 2], "replications": 100,
+                       "ref_factor": 1},
+    "bootstrap_coverage": {"n": 20, "d": 3, "inner_replications": 100,
+                           "outer_replications": 2},
+    "bootstrap_agreement": {"n": 20, "d": 3, "replications": 100},
+    "local_means": {"d_list": [2], "replications": 100, "ref_factor": 1},
+    "smoothing_verify": {"d_list": [2], "v_list": [1], "phi_list": [8.0],
+                         "eps_list": [1.0]},
+    "gaussian_comparison": {"d": 3, "rho_list": [0.1], "replications": 100},
+    "poisson_check": {"n": 10, "d": 3, "replications": 100},
+    "anticoncentration": {"d": 3, "eps_list": [0.1], "replications": 100},
+}
 
 
 class TestConfigParsing:
@@ -104,7 +149,7 @@ class TestRegistry:
             assert set(exp.defaults) <= set(KEYS) - set(RUN_KEYS), name
             if exp.plot is not None:
                 x, y, se, kind = exp.plot
-                assert {x, y, se} - {None} <= set(exp.columns), name
+                assert {x, y, se} - {None} <= set(HEADERS[name]), name
                 assert kind in ("loglog", "linear"), name
 
 
@@ -214,7 +259,7 @@ class TestRun:
         exact = [row["exact_distance"] for row in rows]
         assert exact[:3] == pytest.approx([0.0323, 0.0630, 0.1208], abs=5e-5)
         assert exact[3] == "nan"
-        assert set(rows[0]) == set(EXPERIMENTS["gaussian_comparison"].columns)
+        assert set(rows[0]) == set(HEADERS["gaussian_comparison"])
 
     def test_anticoncentration_reports_se_and_exact(self, tmp_path):
         cfg = ExperimentConfig.from_mapping(
@@ -227,7 +272,7 @@ class TestRun:
         # max_z P(z < max Z <= z + eps) for the max of 20 standard normals
         assert [row["exact_probe"] for row in rows] == pytest.approx(
             [0.0397, 0.0792, 0.1576], abs=5e-5)
-        assert set(rows[0]) == set(EXPERIMENTS["anticoncentration"].columns)
+        assert set(rows[0]) == set(HEADERS["anticoncentration"])
 
     def test_poisson_check_reports_exact_values(self, tmp_path):
         cfg = ExperimentConfig.from_mapping(
@@ -248,10 +293,10 @@ class TestRun:
             [0.371899, 0.979413], abs=5e-7)
         assert rec["exact_residual"] == pytest.approx(3.632e-3, abs=5e-7)
         # appended after the earlier columns; a report, not a check
-        columns = EXPERIMENTS["poisson_check"].columns
-        assert columns[-3:] == ("exact_f", "exact_lambda", "exact_residual")
+        header = HEADERS["poisson_check"]
+        assert header[-3:] == ("exact_f", "exact_lambda", "exact_residual")
         with open(manifest.csv_paths[0], newline="") as fh:
-            assert tuple(next(csv.reader(fh))) == columns
+            assert tuple(next(csv.reader(fh))) == header
         assert set(manifest.summary["checks"]) == {"residual_within_bound",
                                                    "lambda_le_10"}
 
@@ -304,6 +349,15 @@ class TestRun:
         run(cfg, out_dir=str(tmp_path))
         run(cfg, out_dir=str(tmp_path))
         assert len(json.load(open(str(tmp_path / "manifest.json")))) == 2
+
+
+class TestCsvHeaders:
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_header_pinned(self, tmp_path, name):
+        cfg = ExperimentConfig.from_mapping({"experiment": name, **TINY[name]})
+        with open(run(cfg, out_dir=str(tmp_path)).csv_paths[0],
+                  newline="") as fh:
+            assert tuple(next(csv.reader(fh))) == HEADERS[name]
 
 
 class TestUniformSpaceDistances:
@@ -607,6 +661,10 @@ class TestCli:
         "experiment = bootstrap_coverage\nB = 0",
         "experiment = bootstrap_coverage\nB = nan",
         "experiment = rate_vs_n\nB = inf",
+        # B**2 beyond the float range
+        "experiment = rate_vs_n\nB = 1.35e154",
+        "experiment = poisson_check\nB = 1.35e154",
+        "experiment = bootstrap_coverage\nB = 9e307",
         "experiment = gaussian_comparison\nrho_list = 1.5",
         "experiment = gaussian_comparison\nrho_list = 1",
         "experiment = gaussian_comparison\nrho_list = -0.5",
@@ -642,6 +700,22 @@ class TestCli:
         assert cli_main(["run", cfg, "--out", str(out)]) == 2
         assert not out.exists()
         assert re.search(rf"(^|\W){key}(\W|$)", capsys.readouterr().err)
+
+    def test_decay_bound_beyond_float_range(self, tmp_path):
+        # at d = 3, K = 4 and kappa = 80, exp((kappa - K / sqrt(log d))^2 / 8)
+        # exceeds the float range; every far-point sum underflows to 0, so
+        # each decay_ratio is inf and meets the bound
+        cfg = self._write(tmp_path, "experiment = smoothing_verify\n"
+                                    "kappa = 80\nv_list = 1\nphi_list = 4\n"
+                                    "eps_list = 1\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", cfg, "--out", str(out)]) == 0
+        with open(out / "smoothing_verify.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and all(float(row["decay_ratio"]) == math.inf
+                            for row in rows)
+        summary = json.load(open(str(out / "summary.json")))
+        assert summary["checks"]["decay_v1"] is True
 
     def test_load_config_round_trip(self, tmp_path):
         cfg_path = self._write(tmp_path,

@@ -209,6 +209,9 @@ class TestInputChecks:
         (lambda: DataMatrix(np.array([[0.0, np.nan]])), "finite"),
         (lambda: DataMatrix(np.array([[np.inf, 0.0]])), "finite"),
         (lambda: DistributionSpec.uniform_bounded(1.0, 0), "dim must be >= 1"),
+        # B**2 beyond the float range
+        (lambda: DistributionSpec.two_point(1.35e154, 3), r"finite B\*\*2"),
+        (lambda: DistributionSpec.uniform_bounded(9e307, 3), r"finite B\*\*2"),
         (lambda: sample(DistributionSpec.uniform_bounded(1.0, 2), 0, seed=1),
          "n must be >= 1"),
     ])
