@@ -26,7 +26,7 @@ from ._version import __version__
 from .errors import ConfigInvalid, IoFailure, NotPositiveDefinite
 from .matcore import PIVOT_TOL, CovarianceModel, sup_norm_diff
 from .sampler import (DistributionSpec, derive_seed, sample, scaled_sum,
-                      sample_scaled_sums)
+                      sample_scaled_sums, two_point_support)
 
 RUN_KEYS = ("experiment", "seed")
 
@@ -41,9 +41,6 @@ def _key(parse, ok=None, need=None, default=None):
 def _at_least(lo):
     """Rule and its wording for a number key with a lower bound."""
     return (lambda v, cfg: v >= lo), f">= {lo}"
-
-
-_FINITE = (lambda v, cfg: math.isfinite(v)), "finite"
 
 
 def _list(parse):
@@ -61,6 +58,14 @@ def _fits_tuple_budget(v_list, cfg) -> bool:
     return (_each(lambda v: 1 <= v <= smoothing.MAX_SUM_ORDER)(v_list, cfg)
             and all(d**v <= smoothing.TUPLE_BUDGET
                     for d in cfg.d_list for v in v_list))
+
+
+def _two_point_law_takes(B, cfg) -> bool:
+    """Rule of B: the two-point law of rate_vs_n and poisson_check takes it."""
+    try:
+        return bool(two_point_support(B))
+    except ValueError:
+        return False
 
 
 def _enough_rows(n, cfg) -> bool:
@@ -95,10 +100,8 @@ class ExperimentConfig:
     n: Optional[int] = _key(int, _enough_rows,
                             ">= 2; > d for bootstrap_agreement")
     d: Optional[int] = _key(int, *_at_least(2))
-    B: Optional[float] = _key(
-        float, need="finite with a finite B**2; >= 2 for the two-point law "
-                    "of rate_vs_n and poisson_check, > 0 for the uniform law "
-                    "of bootstrap_coverage")
+    B: Optional[float] = _key(float, _two_point_law_takes,
+                              ">= 2 with a finite B**2")
     n_list: Optional[list] = _key(
         _list(int),
         # rate_vs_n divides each distance by its bound, 0 at n = 1 (log 1 = 0)
@@ -108,7 +111,6 @@ class ExperimentConfig:
         "distinct values")
     d_list: Optional[list] = _key(_list(int), _each(lambda d: d >= 2),
                                   "nonempty, all >= 2")
-    kappa_geom: Optional[int] = _key(int, *_at_least(1))
     level: Optional[float] = _key(float, lambda v, c: 0.0 < v < 1.0,
                                   "in (0, 1)")
     multiplier: Optional[str] = _key(
@@ -129,10 +131,6 @@ class ExperimentConfig:
         _list(int), _fits_tuple_budget,
         f"nonempty, all in 1..{smoothing.MAX_SUM_ORDER}, with "
         f"d**v <= {smoothing.TUPLE_BUDGET} for every d in d_list")
-    K: Optional[float] = _key(float, *_FINITE)
-    kappa: Optional[float] = _key(float, *_FINITE)
-    half_width: Optional[float] = _key(float, lambda v, c: 0 < v < math.inf,
-                                       "finite and > 0")
     rho_list: Optional[list] = _key(
         _list(float), _has_cholesky_factors,
         f"nonempty, all with an equicorrelation matrix of dimension d whose "
@@ -158,10 +156,6 @@ class ExperimentConfig:
             ok = f.metadata["ok"]
             if value is not None and ok is not None and not ok(value, self):
                 raise ConfigInvalid(f"{f.name} must be {f.metadata['need']}")
-        try:
-            self.data_spec()
-        except ValueError as exc:
-            raise ConfigInvalid(f"B = {self.B}: {exc}") from exc
 
     @staticmethod
     def from_mapping(mapping: dict) -> "ExperimentConfig":
@@ -169,12 +163,6 @@ class ExperimentConfig:
         if unknown:
             raise ConfigInvalid(f"unknown keys: {sorted(unknown)}")
         return ExperimentConfig(**mapping)
-
-    def data_spec(self) -> Optional[DistributionSpec]:
-        """The bounded data law the experiment samples, built from B and d;
-        None for the experiments whose law has no B."""
-        law = EXPERIMENTS[self.experiment].law
-        return None if law is None else law(self.B, self.d)
 
     def canonical_text(self) -> str:
         lines = []
@@ -298,7 +286,8 @@ def _rate_result(cfg: ExperimentConfig, spec: DistributionSpec,
 
 
 def _run_rate_vs_n(cfg, pmap):
-    rows, summary = _rate_result(cfg, cfg.data_spec(), (-0.65, -0.35), pmap)
+    spec = DistributionSpec.two_point(cfg.B, cfg.d)
+    rows, summary = _rate_result(cfg, spec, (-0.65, -0.35), pmap)
     norm = summary["normalized"]
     summary["checks"]["normalized_band_le_3"] = max(norm) / min(norm) <= 3.0
     # the headline bounded-case shape at C = 1, beside the distances it
@@ -316,7 +305,10 @@ def _run_zero_skew_rate(cfg, pmap):
 
 
 def _run_bootstrap_coverage(cfg, pmap):
-    spec = cfg.data_spec()
+    # scaling the data by c scales both the max statistic and its bootstrap
+    # quantile by c, so coverage does not depend on the uniform law's bound;
+    # B = 2 fixes only the units of the quantile and max_stat columns
+    spec = DistributionSpec.uniform_bounded(2.0, cfg.d)
 
     def replication(r):
         x = sample(spec, cfg.n, derive_seed(cfg.seed, 100, r))
@@ -374,8 +366,7 @@ def _run_local_means(cfg, pmap):
             derive_seed(cfg.seed, 30, d), ref)
         sigma_w = CovarianceModel.local_means(d)
         gap = sup_norm_diff(identity, sigma_w)
-        combined, prior, coupling = bounds.bounds_local_means(n, d,
-                                                              cfg.kappa_geom)
+        combined, prior, coupling = bounds.bounds_local_means(n, d, 1)
         return {"d": d, "n": n, "distance": dist, "se": se,
                 "noise_floor": floor, "exact_distance": exact,
                 "delta0": bounds.delta0(identity, sigma_w, d),
@@ -402,14 +393,13 @@ def _run_local_means(cfg, pmap):
 
 def _ratio_check(values) -> bool:
     values = [v for v in values if math.isfinite(v) and v > 0]
-    return bool(values) and max(values) / min(values) <= 2.0
+    return len(values) >= 2 and max(values) / min(values) <= 2.0
 
 
 def _run_smoothing_verify(cfg, pmap):
     # one serial call at any --threads: its GIL-bound cells run slower threaded
     rows = smoothing.verify_lemmas(cfg.d_list, cfg.v_list, cfg.phi_list,
-                                   cfg.eps_list, cfg.K, cfg.kappa,
-                                   cfg.half_width)
+                                   cfg.eps_list)
     checks = {}
     for v in cfg.v_list:
         checks[f"c61_stable_v{v}"] = _ratio_check(
@@ -419,16 +409,11 @@ def _run_smoothing_verify(cfg, pmap):
             [row["attained_C62"] for row in rows
              if row["v"] == v and math.isinf(row["phi"])])
 
-    def decay_bound(d):  # exp((kappa - K/sqrt(log d))^2 / 8), inf on overflow
-        try:
-            return math.exp((cfg.kappa - cfg.K / math.sqrt(math.log(d))) ** 2
-                            / 8.0)
-        except OverflowError:
-            return math.inf
-
+    # a far sum that underflowed to 0 (ratio inf) measures no decay
     decay_rows = [row for row in rows if row["v"] == 1]
     checks["decay_v1"] = bool(decay_rows) and all(
-        row["decay_ratio"] >= decay_bound(row["d"]) for row in decay_rows)
+        smoothing.decay_bound(row["d"]) <= row["decay_ratio"] < math.inf
+        for row in decay_rows)
     # S_v is a summary series, not a CSV column
     return rows, {"checks": checks, "S_v": [row.pop("S_v") for row in rows]}
 
@@ -467,9 +452,9 @@ def _run_gaussian_comparison(cfg, pmap):
 
 
 def _run_poisson_check(cfg, pmap):
-    rec = lowerbound.poisson_approx_check(cfg.data_spec(), cfg.n,
-                                          cfg.replications,
-                                          derive_seed(cfg.seed, 40))
+    rec = lowerbound.poisson_approx_check(
+        DistributionSpec.two_point(cfg.B, cfg.d), cfg.n, cfg.replications,
+        derive_seed(cfg.seed, 40))
     row = {"n": cfg.n, "d": cfg.d, "B": cfg.B, **rec}
     checks = {
         "residual_within_bound":
@@ -514,12 +499,11 @@ class Experiment:
     """One experiment: its keys with their desk-scale defaults (besides
     RUN_KEYS it accepts exactly these, and any of them can be overridden),
     its body ``body(config, pmap) -> (rows, summary)``, whose row dicts are
-    its CSV rows, its bounded data law ``law(B, d)`` (None when it has no
-    B), and the ``(x, y, se, kind)`` row keys it plots (se None: no bars)."""
+    its CSV rows, and the ``(x, y, se, kind)`` row keys it plots (se None:
+    no bars)."""
 
     defaults: dict
     body: Callable
-    law: Optional[Callable] = None
     plot: Optional[tuple] = None
 
 
@@ -527,35 +511,32 @@ EXPERIMENTS = {
     "rate_vs_n": Experiment(
         {"B": 2.0, "d": 50, "n_list": [250, 500, 1000, 2000],
          "replications": 200_000, "ref_factor": 10, "family": "one_sided_max"},
-        _run_rate_vs_n, law=DistributionSpec.two_point,
-        plot=("n", "distance", "se", "loglog")),
+        _run_rate_vs_n, plot=("n", "distance", "se", "loglog")),
     "zero_skew_rate": Experiment(
         {"d": 20, "n_list": [100, 200, 400], "replications": 1_000_000,
          "ref_factor": 2, "family": "one_sided_max"},
         _run_zero_skew_rate, plot=("n", "distance", "se", "loglog")),
     "bootstrap_coverage": Experiment(
-        {"n": 500, "d": 20, "B": 2.0, "level": 0.9, "multiplier": "gaussian",
+        {"n": 500, "d": 20, "level": 0.9, "multiplier": "gaussian",
          "inner_replications": 2000, "outer_replications": 2000},
-        _run_bootstrap_coverage, law=DistributionSpec.uniform_bounded),
+        _run_bootstrap_coverage),
     "bootstrap_agreement": Experiment(
         {"n": 200, "d": 10, "replications": 100_000},
         _run_bootstrap_agreement),
     "local_means": Experiment(
-        {"d_list": [10, 40], "kappa_geom": 1, "replications": 100_000,
-         "ref_factor": 10},
+        {"d_list": [10, 40], "replications": 100_000, "ref_factor": 10},
         _run_local_means, plot=("d", "distance", None, "linear")),
     "smoothing_verify": Experiment(
         {"d_list": [3], "v_list": [1, 2],
          "phi_list": [4.0, 8.0, 16.0, 32.0, math.inf],
-         "eps_list": [1.0, 0.5, 0.25], "K": 4.0, "kappa": 4.0,
-         "half_width": 1.5},
+         "eps_list": [1.0, 0.5, 0.25]},
         _run_smoothing_verify),
     "gaussian_comparison": Experiment(
         {"d": 10, "rho_list": [0.05, 0.1, 0.2], "replications": 200_000},
         _run_gaussian_comparison, plot=("rho", "measured", None, "linear")),
     "poisson_check": Experiment(
         {"B": 2.0, "n": 1000, "d": 50, "replications": 200_000},
-        _run_poisson_check, law=DistributionSpec.two_point),
+        _run_poisson_check),
     "anticoncentration": Experiment(
         {"d": 20, "eps_list": [0.05, 0.1, 0.2], "replications": 200_000},
         _run_anticoncentration, plot=("eps", "probe", None, "linear")),

@@ -18,6 +18,11 @@ and ``rho_eval``/``rho_partial`` the one-row case.  Gauss-Legendre nodes and
 weights, and Hermite coefficients, are computed once per order and cached as
 read-only arrays.
 
+The lemma constants are fixed: ``K`` (the perturbation ball's radius is
+eps * K / sqrt(log d)), ``KAPPA`` (the far point's distance outside the
+rectangle, in units of 2 * eps) and ``HALF_WIDTH`` (of the cube the sweeps
+smooth); :func:`decay_bound` is the decay they give.
+
 Rows converge independently: each row keeps its value from the first order
 at which it agrees with the previous order to tolerance (or its
 ``max_order`` value), exactly as if it were integrated alone.  A shared
@@ -54,6 +59,10 @@ TUPLE_BUDGET = 10_000
 # the order past which a row that has not converged raises
 QUAD_ORDER = 32
 MAX_QUAD_ORDER = 512
+# the smoothing lemma's constants (see the module docstring)
+K = 4.0
+KAPPA = 4.0
+HALF_WIDTH = 1.5
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -109,7 +118,7 @@ class SmoothingParams:
     rect: RectangleSpec
     phi: float
     eps: float
-    K: float = 4.0
+    K: float = K  # the module constant
 
     def __post_init__(self):
         if self.phi <= 0:
@@ -364,32 +373,41 @@ def _boundary_w_grid(rect: RectangleSpec) -> np.ndarray:
     return np.vstack([center, rect.upper, faces])
 
 
+def decay_bound(d: int) -> float:
+    """exp((KAPPA - eta)^2 / 8) at eta = K / sqrt(log d), the decay of S_1
+    from the boundary to the far point that the tail-vanishing bound
+    gives; finite for every d >= 2, where 0 < eta < 2 * KAPPA keeps the
+    exponent below 2."""
+    return math.exp((KAPPA - K / math.sqrt(math.log(d))) ** 2 / 8.0)
+
+
 def verify_lemmas(d_list: Sequence[int], v_list: Sequence[int],
-                  phi_list: Sequence[float], eps_list: Sequence[float],
-                  K: float, kappa: float, half_width: float) -> list[dict]:
+                  phi_list: Sequence[float],
+                  eps_list: Sequence[float]) -> list[dict]:
     """Attained-constant table across (phi, eps, d, v) cells, one row per
     cell in that order: phi-major, v varying fastest.
 
-    One quadrature per (phi, eps, d) cell: :func:`_derivative_sums` takes
-    every boundary point, the far point and every v of the cell at once.
-    Per cell, with ``S_v`` the boundary-grid max of :func:`derivative_sum`:
+    Each (phi, eps, d) cell smooths the cube [-HALF_WIDTH, HALF_WIDTH]^d in
+    one quadrature: :func:`_derivative_sums` takes every boundary point, the
+    far point and every v of the cell at once.  Per cell, with ``S_v`` the
+    boundary-grid max of :func:`derivative_sum`:
 
     * ``attained_C61`` = S_v eps^{v-1} / (phi (log d)^{(v-1)/2})
       (NaN at phi = inf),
     * ``attained_C62`` = S_v eps^v / (log d)^{v/2},
     * ``decay_ratio``  = S_v(boundary) / S_v(w_far) where w_far sits a
-      distance 2*eps*kappa + 1/phi outside the rectangle corner, the measured
-      decay the tail-vanishing bound controls from below by
-      exp((kappa - eta)^2 / ...) factors.
+      distance 2*eps*KAPPA + 1/phi outside the rectangle corner, the measured
+      decay that :func:`decay_bound` bounds from below (inf when the far
+      sum underflows to 0).
     """
     if any(d < 2 for d in d_list):  # both constants divide by log d
         raise ValueError(f"verify_lemmas needs every d >= 2, got {list(d_list)}")
     rows = []
     for phi, eps, d in itertools.product(phi_list, eps_list, d_list):
-        rect = RectangleSpec(np.full(d, -half_width), np.full(d, half_width))
-        params = SmoothingParams(rect=rect, phi=phi, eps=eps, K=K)
+        rect = RectangleSpec(np.full(d, -HALF_WIDTH), np.full(d, HALF_WIDTH))
+        params = SmoothingParams(rect=rect, phi=phi, eps=eps)
         ld = math.log(d)
-        margin = 2.0 * eps * kappa + (0.0 if math.isinf(phi) else 1.0 / phi)
+        margin = 2.0 * eps * KAPPA + (0.0 if math.isinf(phi) else 1.0 / phi)
         w_far = np.asarray(rect.upper) + margin + 1e-9
         # per v, the boundary grid's sums and then the far point's
         sums = _derivative_sums(

@@ -634,6 +634,9 @@ class TestCli:
     @pytest.mark.parametrize("experiment, grid, empty_checks", [
         ("smoothing_verify", "phi_list = 8\neps_list = 0.5",
          ["c61_stable_v1", "c61_stable_v2", "c62_stable_v1", "c62_stable_v2"]),
+        # one phi and one eps: no stability check has two values to compare
+        ("smoothing_verify", "phi_list = 4\neps_list = 1",
+         ["c61_stable_v1", "c61_stable_v2", "c62_stable_v1", "c62_stable_v2"]),
         ("anticoncentration", "eps_list = 0.05 0.3\nreplications = 20000",
          ["linear_in_eps"]),
     ])
@@ -657,7 +660,7 @@ class TestCli:
         # bounds are shapes at C = 1; there is no constants key
         "experiment = local_means\nconstants_c = 1.0",
         # configs whose experiment code used to fail after the output
-        # directory was made
+        # directory was made; bootstrap_coverage now reads no B at all
         "experiment = bootstrap_coverage\nB = 0",
         "experiment = bootstrap_coverage\nB = nan",
         "experiment = rate_vs_n\nB = inf",
@@ -669,9 +672,8 @@ class TestCli:
         "experiment = gaussian_comparison\nrho_list = 1",
         "experiment = gaussian_comparison\nrho_list = -0.5",
         "experiment = gaussian_comparison\nrho_list = -0.1111111111111",
-        "K = nan", "kappa = nan",
         "experiment = anticoncentration\neps_list = -1",
-        "eps_list = inf", "half_width = inf",
+        "eps_list = inf",
         "experiment = anticoncentration\neps_list = 0.1 inf",
         "experiment = rate_vs_n\nn_list = 500 250",
         "experiment = rate_vs_n\nn_list = 500",
@@ -685,6 +687,10 @@ class TestCli:
         # keys the experiment does not read
         "experiment = rate_vs_n\nq = 7",
         "experiment = rate_vs_n\nmultiplier = gaussian",
+        # constants that were keys, at their old defaults
+        "K = 4.0", "kappa = 4.0", "half_width = 1.5",
+        "experiment = local_means\nkappa_geom = 1",
+        "experiment = bootstrap_coverage\nB = 2.0",
         # run settings are command-line flags only
         "threads = 2", "out_dir = x",
     ])
@@ -701,12 +707,12 @@ class TestCli:
         assert not out.exists()
         assert re.search(rf"(^|\W){key}(\W|$)", capsys.readouterr().err)
 
-    def test_decay_bound_beyond_float_range(self, tmp_path):
-        # at d = 3, K = 4 and kappa = 80, exp((kappa - K / sqrt(log d))^2 / 8)
-        # exceeds the float range; every far-point sum underflows to 0, so
-        # each decay_ratio is inf and meets the bound
+    def test_decay_without_measured_far_sum_fails(self, tmp_path):
+        # at d = 30 each of the d - 1 undifferentiated factors of a far-point
+        # partial is about Phi(-8) ~ 6e-16, so every far sum underflows to 0:
+        # the CSV keeps decay_ratio = inf, but that is no measured decay
         cfg = self._write(tmp_path, "experiment = smoothing_verify\n"
-                                    "kappa = 80\nv_list = 1\nphi_list = 4\n"
+                                    "d_list = 30\nv_list = 1\nphi_list = 4\n"
                                     "eps_list = 1\n")
         out = tmp_path / "out"
         assert cli_main(["run", cfg, "--out", str(out)]) == 0
@@ -715,7 +721,7 @@ class TestCli:
         assert rows and all(float(row["decay_ratio"]) == math.inf
                             for row in rows)
         summary = json.load(open(str(out / "summary.json")))
-        assert summary["checks"]["decay_v1"] is True
+        assert summary["checks"]["decay_v1"] is False
 
     def test_load_config_round_trip(self, tmp_path):
         cfg_path = self._write(tmp_path,

@@ -62,8 +62,7 @@ class TestInputChecks:
     def test_verify_lemmas_rejects_d_below_two(self):
         # the attained constants divide by powers of log d, which is 0 at d = 1
         with pytest.raises(ValueError, match="d >= 2"):
-            verify_lemmas([2, 1], [1], [math.inf], [1.0], K=4.0, kappa=4.0,
-                          half_width=1.5)
+            verify_lemmas([2, 1], [1], [math.inf], [1.0])
 
     @pytest.mark.parametrize("multi_index", [(2,), (-1,), (0, 5)])
     def test_partial_coordinate_out_of_range(self, multi_index):
@@ -228,8 +227,7 @@ class TestDerivativeSum:
 
 class TestVerifySweep:
     def test_c62_stable_and_decay(self):
-        rows = verify_lemmas([3], [1, 2], [math.inf], [1.0, 0.5, 0.25], K=4.0,
-                             kappa=4.0, half_width=1.5)
+        rows = verify_lemmas([3], [1, 2], [math.inf], [1.0, 0.5, 0.25])
         for v in (1, 2):
             vals = [r["attained_C62"] for r in rows if r["v"] == v]
             assert max(vals) / min(vals) <= 2.0
@@ -238,8 +236,7 @@ class TestVerifySweep:
         assert all(r["decay_ratio"] >= floor for r in rows if r["v"] == 1)
 
     def test_c61_stable_in_linear_regime(self):
-        rows = verify_lemmas([3], [1], [4.0, 8.0], [1.0 / 256], K=4.0,
-                             kappa=4.0, half_width=1.5)
+        rows = verify_lemmas([3], [1], [4.0, 8.0], [1.0 / 256])
         vals = [r["attained_C61"] for r in rows]
         assert max(vals) / min(vals) <= 2.0
 
@@ -251,8 +248,7 @@ class TestVerifySweep:
              "eps_list": [0.5], "d_list": [2]})
         manifest = run(cfg, out_dir=str(tmp_path))
         assert "S_v" not in Path(manifest.csv_paths[0]).read_text()
-        rows = verify_lemmas([2], [1, 2], [8.0], [0.5], K=4.0, kappa=4.0,
-                             half_width=1.5)
+        rows = verify_lemmas([2], [1, 2], [8.0], [0.5])
         assert manifest.summary["S_v"] == [r["S_v"] for r in rows]
         params = _params(d=2, lower=[-1.5] * 2, upper=[1.5] * 2, phi=8.0,
                          eps=0.5, K=4.0)
@@ -285,8 +281,7 @@ class TestBatchedQuadrature:
     def test_sweep_rows_are_derivative_sums(self, d, phi):
         # one batched quadrature per cell gives each row the S_v and the
         # decay ratio of single derivative_sum calls, bit for bit
-        rows = verify_lemmas([d], [1, 2], [phi], [0.5], K=4.0, kappa=4.0,
-                             half_width=1.5)
+        rows = verify_lemmas([d], [1, 2], [phi], [0.5])
         params = _params(d=d, lower=[-1.5] * d, upper=[1.5] * d, phi=phi,
                          eps=0.5, K=4.0)
         margin = 2.0 * 0.5 * 4.0 + (0.0 if math.isinf(phi) else 1.0 / phi)
@@ -369,8 +364,7 @@ class TestBatchedQuadrature:
             return real(order)
 
         monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-        verify_lemmas([3], [1, 2], [8.0, math.inf], [1.0, 0.25], K=4.0,
-                      kappa=4.0, half_width=1.5)
+        verify_lemmas([3], [1, 2], [8.0, math.inf], [1.0, 0.25])
         assert calls and max(calls.values()) == 1
         for order in calls:
             nodes, weights = smoothing._gauss_legendre(order)
