@@ -80,19 +80,33 @@ class MaxStatSample:
                                side="right") / self.size
 
 
+# max_stat_sample's default law: look it up, since None means "no law"
+_LOOK_UP = object()
+
+
 def max_stat_sample(spec: DistributionSpec, n: int, reps: int, seed: int,
-                    side: str = "one_sided") -> MaxStatSample:
+                    side: str = "one_sided", law=_LOOK_UP) -> MaxStatSample:
     """``reps`` draws of the max statistic of W = n^{-1/2} sum_i X_i.
 
-    Where :func:`maxlaw.law_of` gives ``spec`` a law with a sampler, each
-    draw inverts its CDF at ``law.variates`` uniforms.  Otherwise W is drawn
-    by :func:`sample_scaled_sums` in consecutive :func:`blocks`, each from
-    its own seed, and only each block's row maxima are kept, so memory stays
-    near ``BLOCK_FLOATS`` whatever ``d`` is.
+    ``law`` is ``maxlaw.law_of(spec, n, side)``, None included, and is
+    looked up here when not given; a caller that needs the law itself
+    passes it, so it is built once.
+
+    Where the law has a sampler, each draw inverts its CDF at
+    ``law.variates`` uniforms.  A one-variate law's uniforms are sorted
+    first: inversion does not decrease, so its draws come out sorted, the
+    same values as sorting the draws of the unsorted uniforms, and need no
+    second sort.  Otherwise W is drawn by :func:`sample_scaled_sums` in
+    consecutive :func:`blocks`, each from its own seed, and only each
+    block's row maxima are kept, so memory stays near ``BLOCK_FLOATS``
+    whatever ``d`` is.
     """
-    law = maxlaw.law_of(spec, n, side)
+    if law is _LOOK_UP:
+        law = maxlaw.law_of(spec, n, side)
     if hasattr(law, "sample"):
         u = substream(seed, 23).random((law.variates, reps))
+        if law.variates == 1:
+            u.sort(axis=1)
         return MaxStatSample(law.sample(*u))
     out = np.empty(reps)
     for idx, rows in blocks(reps, _DRAW_ARRAYS * spec.dim):

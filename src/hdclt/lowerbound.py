@@ -86,7 +86,9 @@ def reference_max_stats(spec: DistributionSpec, reps: int, seed: int,
     """Exact law F of N(0, covariance of spec)'s max statistic, which needs a
     sigma^2 I, and the sorted uniforms u that ``max_stat_sample`` inverts: the
     ``ref = (F, u)`` of :func:`reference_distance`, where, as F increases,
-    KS(MaxStatSample(F.cdf(w)), u) = KS(w, F.sample(u))."""
+    KS(MaxStatSample(F.cdf(w)), u) = KS(w, F.sample(u)).  u is sorted once
+    and serves every W measured against F, whose CDF is taken only at the
+    distinct values of each sorted sample w."""
     cov = spec.population_covariance()
     law = maxlaw.law_of(DistributionSpec.gaussian(cov), 1, side)
     if not isinstance(law, maxlaw.IsotropicGaussianMax):
@@ -103,9 +105,18 @@ def reference_distance(spec: DistributionSpec, n: int, reps: int, seed: int,
     the KS distance of F(max W) over ``reps`` draws from ``seed`` to u, its
     standard error, the 1% two-sample KS critical value (the noise floor a
     Monte Carlo distance cannot resolve below) and the exact sup distance of
-    the law of max W to F, which the Monte Carlo distance estimates."""
+    the law of max W to F, which the Monte Carlo distance estimates.
+
+    The law of max W is built once and serves both the draws, which come
+    sorted from sorted uniforms where it has a one-variate sampler, and the
+    exact distance.  F is taken once per distinct value of the sorted draws
+    (at most n + 1 of them on a step law) and repeated over each value's
+    run of ties."""
     law, u = ref
-    w = max_stat_sample(spec, n, reps, seed, side)
-    dist, se = ks_distance_with_se(MaxStatSample(law.cdf(w.values)), u)
+    w_law = maxlaw.law_of(spec, n, side)
+    w = max_stat_sample(spec, n, reps, seed, side, w_law).values
+    ends = np.flatnonzero(np.append(w[1:] != w[:-1], True))  # last of each tie
+    f = np.repeat(law.cdf(w[ends]), np.diff(ends, prepend=-1))
+    dist, se = ks_distance_with_se(MaxStatSample(f), u)
     return (dist, se, ks_two_sample_critical(reps, u.size),
-            maxlaw.sup_distance(maxlaw.law_of(spec, n, side), law))
+            maxlaw.sup_distance(w_law, law))

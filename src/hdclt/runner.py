@@ -425,12 +425,14 @@ def _run_gaussian_comparison(cfg, pmap):
         rho = cfg.rho_list[i]
         other = CovarianceModel.equicorrelation(cfg.d, rho)
         gap = sup_norm_diff(identity, other)
-        a, b = (distance.max_stat_sample(DistributionSpec.gaussian(sigma), 1,
-                                         cfg.replications,
-                                         derive_seed(cfg.seed, key, i))
-                for sigma, key in ((identity, 60), (other, 61)))
+        # each side's law is looked up once, to draw and for the exact distance
+        specs = [DistributionSpec.gaussian(sigma) for sigma in (identity, other)]
+        ref, law = laws = [maxlaw.law_of(spec, 1) for spec in specs]
+        a, b = (distance.max_stat_sample(spec, 1, cfg.replications,
+                                         derive_seed(cfg.seed, key, i),
+                                         law=spec_law)
+                for spec, spec_law, key in zip(specs, laws, (60, 61)))
         measured, se = distance.ks_distance_with_se(a, b)
-        law = maxlaw.law_of(DistributionSpec.gaussian(other), 1)
         return {"rho": rho, "D": gap, "measured": measured,
                 "bound": bounds.bound_gaussian_comparison(gap, cfg.d),
                 "se": se,
@@ -439,7 +441,7 @@ def _run_gaussian_comparison(cfg, pmap):
                 "noise_floor": distance.ks_two_sample_critical(
                     cfg.replications, cfg.replications),
                 "exact_distance": math.nan if law is None else
-                maxlaw.sup_distance(law, maxlaw.IsotropicGaussianMax(cfg.d))}
+                maxlaw.sup_distance(law, ref)}
 
     rows = list(pmap(point, range(len(cfg.rho_list))))
     checks = {"measured_below_bound": all(row["measured"] <= row["bound"]

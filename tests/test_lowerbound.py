@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from hdclt import lowerbound, maxlaw
 from hdclt.distance import MaxStatSample, ks_distance_with_se, max_stat_sample
 from hdclt.lowerbound import (fit_power_law, poisson_approx_check,
-                              reference_max_stats, threshold_xn)
+                              reference_distance, reference_max_stats,
+                              threshold_xn)
 from hdclt.matcore import CovarianceModel
 from hdclt.maxlaw import (IsotropicGaussianMax, RademacherGaussianMax,
                           law_of, two_point_marginal_tail)
@@ -164,6 +166,46 @@ class TestReferenceMaxStats:
                                         MaxStatSample(law.sample(u.values))), \
                     (label, seed)
         assert tails == {0.0, 1.0}  # atoms at both rounded ends were met
+
+
+class TestReferenceDistance:
+    # (W spec, n, reference spec): two-point at both ends of the rate
+    # curve, local means against the identity, and the continuous W
+    CASES = [(DistributionSpec.two_point(2.0, 50), 250, None),
+             (DistributionSpec.two_point(2.0, 50), 2000, None),
+             (DistributionSpec.local_means(10), 500,
+              DistributionSpec.gaussian(CovarianceModel.identity(10))),
+             (DistributionSpec.quasi_gaussian(20), 100, None)]
+    IDS = ["two_point-250", "two_point-2000", "local_means-10",
+           "quasi_gaussian-100"]
+
+    @pytest.mark.parametrize("spec, n, ref_spec", CASES, ids=IDS)
+    def test_reference_cdf_per_distinct_value_is_taken_per_draw(
+            self, monkeypatch, spec, n, ref_spec):
+        ref = reference_max_stats(ref_spec or spec, 20_000, seed=3)
+        seen = []
+        monkeypatch.setattr(lowerbound, "ks_distance_with_se",
+                            lambda a, b: seen.append(a) or
+                            ks_distance_with_se(a, b))
+        reference_distance(spec, n, 20_000, 4, ref)
+        w = max_stat_sample(spec, n, 20_000, 4).values
+        assert np.array_equal(seen[0].values, ref[0].cdf(w))
+
+    def test_builds_the_w_law_once(self, monkeypatch):
+        spec = DistributionSpec.local_means(10)
+        ref = reference_max_stats(
+            DistributionSpec.gaussian(CovarianceModel.identity(10)), 1000,
+            seed=1)
+        lookups, builds = [], []
+        real_law_of = maxlaw.law_of
+        real_build = maxlaw.LocalMeansMax.__post_init__
+        monkeypatch.setattr(maxlaw, "law_of", lambda *a, **k:
+                            lookups.append(a) or real_law_of(*a, **k))
+        monkeypatch.setattr(maxlaw.LocalMeansMax, "__post_init__",
+                            lambda self: builds.append(self) or
+                            real_build(self))
+        reference_distance(spec, 500, 1000, 2, ref)
+        assert len(lookups) == 1 and len(builds) == 1
 
 
 class TestPowerLawFit:

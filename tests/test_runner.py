@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hdclt import sampler
+from hdclt import maxlaw, sampler
 from hdclt.bootstrap import MULTIPLIER_KINDS
 from hdclt.cli import main as cli_main
 from hdclt.distance import ks_two_sample_critical
@@ -260,6 +260,20 @@ class TestRun:
         assert exact[:3] == pytest.approx([0.0323, 0.0630, 0.1208], abs=5e-5)
         assert exact[3] == "nan"
         assert set(rows[0]) == set(HEADERS["gaussian_comparison"])
+
+    def test_gaussian_comparison_looks_up_each_law_once(self, tmp_path,
+                                                        monkeypatch):
+        # one law per side of each rho, both to draw and for the exact
+        # distance; a negative rho's lookup gives None and still counts once
+        calls = []
+        real = maxlaw.law_of
+        monkeypatch.setattr(maxlaw, "law_of",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        run(ExperimentConfig.from_mapping(
+            {"experiment": "gaussian_comparison", "d": 3,
+             "rho_list": [0.1, -0.1], "replications": 100}),
+            out_dir=str(tmp_path))
+        assert len(calls) == 4
 
     def test_anticoncentration_reports_se_and_exact(self, tmp_path):
         cfg = ExperimentConfig.from_mapping(
