@@ -10,9 +10,9 @@ Modules:
 * :mod:`hdclt.bootstrap`: multiplier bootstrap draws, the empirical
   bootstrap among them as resample-count multipliers, and quantiles.
 * :mod:`hdclt.distance`: Kolmogorov distances over rectangle sub-families
-  and the one max-statistic sampler.
-* :mod:`hdclt.maxlaw`: exact CDFs and inverse-CDF samplers of max statistics
-  whose coordinates factor, and of the one-sided local-means max.
+  and the sampler of scaled sums' max statistics.
+* :mod:`hdclt.maxlaw`: exact CDFs and inverse-CDF samplers of one-sided max
+  statistics whose coordinates factor, and of the local-means max.
 * :mod:`hdclt.smoothing`: smoothed rectangle indicators and exact derivatives.
 * :mod:`hdclt.lowerbound`: the Poisson approximation check, the Gaussian
   reference max statistics and the power-law fit of the rate experiments.

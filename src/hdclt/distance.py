@@ -29,17 +29,11 @@ _PROBE_GRID = 512  # z points of the anticoncentration probe's grid
 FAMILIES = {"one_sided_max": "one_sided", "two_sided_max": "two_sided"}
 
 
-def side_of(family: str) -> str:
-    """The :func:`max_statistic` side of a max family in :data:`FAMILIES`."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    return FAMILIES[family]
-
-
 def max_statistic(draws: np.ndarray, side: str = "one_sided") -> np.ndarray:
     """Per-row max statistic, unsorted: max_j draw_j ("one_sided") or
     max_j |draw_j| ("two_sided")."""
-    maxlaw._check_side(side)
+    if side not in FAMILIES.values():
+        raise ValueError(f"unknown side {side!r}")
     draws = np.atleast_2d(draws)
     return np.max(np.abs(draws), axis=1) if side == "two_sided" else np.max(draws, axis=1)
 
@@ -85,10 +79,11 @@ _LOOK_UP = object()
 
 
 def max_stat_sample(spec: DistributionSpec, n: int, reps: int, seed: int,
-                    side: str = "one_sided", law=_LOOK_UP) -> MaxStatSample:
-    """``reps`` draws of the max statistic of W = n^{-1/2} sum_i X_i.
+                    law=_LOOK_UP) -> MaxStatSample:
+    """``reps`` draws of the max statistic max_j W_j of W = n^{-1/2}
+    sum_i X_i.
 
-    ``law`` is ``maxlaw.law_of(spec, n, side)``, None included, and is
+    ``law`` is ``maxlaw.law_of(spec, n)``, None included, and is
     looked up here when not given; a caller that needs the law itself
     passes it, so it is built once.
 
@@ -102,7 +97,7 @@ def max_stat_sample(spec: DistributionSpec, n: int, reps: int, seed: int,
     whatever ``d`` is.
     """
     if law is _LOOK_UP:
-        law = maxlaw.law_of(spec, n, side)
+        law = maxlaw.law_of(spec, n)
     if hasattr(law, "sample"):
         u = substream(seed, 23).random((law.variates, reps))
         if law.variates == 1:
@@ -112,7 +107,7 @@ def max_stat_sample(spec: DistributionSpec, n: int, reps: int, seed: int,
     for idx, rows in blocks(reps, _DRAW_ARRAYS * spec.dim):
         # one expression, so no block's draw outlives its maxima
         out[rows] = max_statistic(sample_scaled_sums(
-            spec, n, rows.stop - rows.start, derive_seed(seed, 24, idx)), side)
+            spec, n, rows.stop - rows.start, derive_seed(seed, 24, idx)))
     return MaxStatSample(out)
 
 
@@ -180,9 +175,10 @@ def rect_family_distance(draws_a: np.ndarray, draws_b: np.ndarray,
     if isinstance(family, tuple) and family[0] == "random_rects":
         _, count, seed = family
         return _random_rects_distance(draws_a, draws_b, int(count), int(seed))
-    side = side_of(family)
-    return ks_distance(MaxStatSample.from_draws(draws_a, side),
-                       MaxStatSample.from_draws(draws_b, side))
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    return ks_distance(MaxStatSample.from_draws(draws_a, FAMILIES[family]),
+                       MaxStatSample.from_draws(draws_b, FAMILIES[family]))
 
 
 def _random_rects_distance(draws_a, draws_b, count, seed) -> float:

@@ -1,6 +1,7 @@
 """Constructive lower-bound analyses: the Poisson approximation of the max
 statistic of the two-point construction, the rate curves' power-law fit, and
-W's distance to its Gaussian reference, whose law and uniforms serve every n.
+W's distance to its Gaussian reference, whose law and uniforms serve every n
+of a rate curve and every rho of the Gaussian comparison.
 
 The threshold x solves the equation Phi(x)^d = e^{-1}, so the Gaussian max
 statistic lands exactly on e^{-1}; the gap of the data max statistic at that
@@ -81,16 +82,16 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]
     return slope, slope_se, intercept
 
 
-def reference_max_stats(spec: DistributionSpec, reps: int, seed: int,
-                        side: str = "one_sided") -> tuple:
-    """Exact law F of N(0, covariance of spec)'s max statistic, which needs a
-    sigma^2 I, and the sorted uniforms u that ``max_stat_sample`` inverts: the
-    ``ref = (F, u)`` of :func:`reference_distance`, where, as F increases,
+def reference_max_stats(spec: DistributionSpec, reps: int, seed: int) -> tuple:
+    """Exact law F of N(0, covariance of spec)'s max statistic max_j Z_j,
+    which needs a sigma^2 I, and the sorted uniforms u that
+    ``max_stat_sample`` inverts: the ``ref = (F, u)`` of
+    :func:`reference_distance`, where, as F increases,
     KS(MaxStatSample(F.cdf(w)), u) = KS(w, F.sample(u)).  u is sorted once
     and serves every W measured against F, whose CDF is taken only at the
     distinct values of each sorted sample w."""
     cov = spec.population_covariance()
-    law = maxlaw.law_of(DistributionSpec.gaussian(cov), 1, side)
+    law = maxlaw.law_of(DistributionSpec.gaussian(cov), 1)
     if not isinstance(law, maxlaw.IsotropicGaussianMax):
         raise ValueError(f"the {spec.kind} covariance is not sigma^2 I")
     u = substream(derive_seed(seed, 999), 23).random(reps)
@@ -100,12 +101,13 @@ def reference_max_stats(spec: DistributionSpec, reps: int, seed: int,
 
 
 def reference_distance(spec: DistributionSpec, n: int, reps: int, seed: int,
-                       ref: tuple, side: str = "one_sided") -> tuple:
+                       ref: tuple) -> tuple:
     """Measure W = n^{-1/2} sum_i X_i, X_i ~ spec, against ``ref = (F, u)``:
-    the KS distance of F(max W) over ``reps`` draws from ``seed`` to u, its
-    standard error, the 1% two-sample KS critical value (the noise floor a
-    Monte Carlo distance cannot resolve below) and the exact sup distance of
-    the law of max W to F, which the Monte Carlo distance estimates.
+    the KS distance of F(max_j W_j) over ``reps`` draws from ``seed`` to u,
+    its standard error, the 1% two-sample KS critical value (the noise
+    floor a Monte Carlo distance cannot resolve below) and the exact sup
+    distance of the law of max_j W_j to F, which the Monte Carlo distance
+    estimates, or nan where ``maxlaw.law_of`` has no law of max_j W_j.
 
     The law of max W is built once and serves both the draws, which come
     sorted from sorted uniforms where it has a one-variate sampler, and the
@@ -113,10 +115,10 @@ def reference_distance(spec: DistributionSpec, n: int, reps: int, seed: int,
     (at most n + 1 of them on a step law) and repeated over each value's
     run of ties."""
     law, u = ref
-    w_law = maxlaw.law_of(spec, n, side)
-    w = max_stat_sample(spec, n, reps, seed, side, w_law).values
+    w_law = maxlaw.law_of(spec, n)
+    w = max_stat_sample(spec, n, reps, seed, w_law).values
     ends = np.flatnonzero(np.append(w[1:] != w[:-1], True))  # last of each tie
     f = np.repeat(law.cdf(w[ends]), np.diff(ends, prepend=-1))
     dist, se = ks_distance_with_se(MaxStatSample(f), u)
     return (dist, se, ks_two_sample_critical(reps, u.size),
-            maxlaw.sup_distance(w_law, law))
+            math.nan if w_law is None else maxlaw.sup_distance(w_law, law))

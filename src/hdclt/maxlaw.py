@@ -1,12 +1,12 @@
-"""Exact laws of max statistics whose coordinates factor.
+"""Exact laws of max statistics max_j W_j whose coordinates factor.
 
 When the d coordinates of W are i.i.d., P(max_j W_j <= x) is the d-th power
 of one marginal CDF, so the law of the max statistic is closed-form and can
 be sampled by inverting it: one uniform per replication in place of d
 variates.  The equicorrelated Gaussian with rho >= 0 is a one-factor mixture
 of such laws and takes two uniforms per replication.  The local-means
-coordinates are dependent multinomial cell counts, but their one-sided max
-has a closed form too (Levin's Poisson representation) and is inverted the
+coordinates are dependent multinomial cell counts, but their max has a
+closed form too (Levin's Poisson representation) and is inverted the
 same way.
 
 Each law is a small frozen record with ``cdf(x)``.  A law that allows exact
@@ -29,18 +29,12 @@ from .sampler import (DistributionSpec, _count_sums, blocks,
                       local_means_support, two_point_support)
 from .smoothing import _gauss_legendre
 
-SIDES = ("one_sided", "two_sided")
 QUADRATURE_NODES = 64
 # |g| bound of the equicorrelated CDF's window: Phi(-9) is about 1e-19
 _G_MAX = 9.0
 # smallest positive value of Generator.random; u = 0, which the quantiles
 # send to -inf, is read as this grid point
 _U_MIN = 2.0**-53
-
-
-def _check_side(side: str) -> None:
-    if side not in SIDES:
-        raise ValueError(f"unknown side {side!r}")
 
 
 def _open_unit(u) -> np.ndarray:
@@ -70,34 +64,23 @@ def _binom_pmf(k, n: int, p: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IsotropicGaussianMax:
-    """max_j Z_j ("one_sided") or max_j |Z_j| ("two_sided") of
-    Z ~ N(0, sigma^2 I_d)."""
+    """max_j Z_j of Z ~ N(0, sigma^2 I_d)."""
 
     d: int
     sigma: float = 1.0
-    side: str = "one_sided"
     variates: ClassVar[int] = 1
 
     def __post_init__(self):
         if self.d < 1 or not self.sigma > 0:
             raise ValueError("need d >= 1 and sigma > 0")
-        _check_side(self.side)
 
     def cdf(self, x) -> np.ndarray:
         z = np.asarray(x, dtype=float) / self.sigma
-        if self.side == "one_sided":
-            return np.exp(self.d * log_ndtr(z))
-        # P(|Z_1| <= x) = 1 - 2 Phi(-x/sigma) for x >= 0
-        with np.errstate(divide="ignore"):
-            inner = np.log1p(-2.0 * ndtr(-np.abs(z)))
-        return np.where(z > 0, np.exp(self.d * inner), 0.0)
+        return np.exp(self.d * log_ndtr(z))
 
     def sample(self, u) -> np.ndarray:
-        # the draw x has P(one coordinate above x) = 1 - u^(1/d), which is
-        # 2 Phi(-x/sigma) on the two-sided side and Phi(-x/sigma) on the other
+        # P(one coordinate above the draw x) = Phi(-x/sigma) = 1 - u^(1/d)
         t = _upper_tail(u, self.d)
-        if self.side == "two_sided":
-            t *= 0.5
         ndtri(t, out=t)
         t *= -self.sigma
         return t
@@ -177,16 +160,14 @@ class TwoPointMax(_StepLaw):
     """Max statistic of W = n^{-1/2} sum_i X_i with i.i.d. two-point
     coordinates: W_j = (K a + (n - K) b)/sqrt(n), K ~ Binomial(n, 1/B^2).
 
-    ``atoms`` are the n + 1 values of W_j ("one_sided") or |W_j|
-    ("two_sided") in ascending order, and ``table[i]`` is the max
-    statistic's CDF at ``atoms[i]``: the d-th power of the probability that
-    one coordinate takes one of the first i + 1 atoms.
+    ``atoms`` are the n + 1 values of W_j in ascending order, and
+    ``table[i]`` is the max statistic's CDF at ``atoms[i]``, the d-th power
+    of the binomial CDF at i.
     """
 
     B: float
     n: int
     d: int
-    side: str = "one_sided"
     variates: ClassVar[int] = 1
     atoms: np.ndarray = field(init=False, repr=False, compare=False)
     table: np.ndarray = field(init=False, repr=False, compare=False)
@@ -194,24 +175,16 @@ class TwoPointMax(_StepLaw):
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
             raise ValueError("need n >= 1 and d >= 1")
-        _check_side(self.side)
         a, b, p = two_point_support(self.B)
         k = np.arange(self.n + 1)
-        w = _count_sums(k, self.n, a, b)  # as the scaled-sum draw computes it
-        if self.side == "one_sided":
-            atoms = w  # ascending in k, since a > b
-            table = bdtr(k, self.n, p) ** self.d
-        else:
-            order = np.argsort(np.abs(w), kind="stable")
-            atoms = np.abs(w)[order]
-            table = np.cumsum(_binom_pmf(k[order], self.n, p)) ** self.d
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "table", table)
+        # as the scaled-sum draw computes them; ascending in k, since a > b
+        object.__setattr__(self, "atoms", _count_sums(k, self.n, a, b))
+        object.__setattr__(self, "table", bdtr(k, self.n, p) ** self.d)
 
 
 @dataclass(frozen=True)
 class LocalMeansMax(_StepLaw):
-    """One-sided max statistic of the many-local-means scaled sum: each of
+    """Max statistic of the many-local-means scaled sum: each of
     n observations falls in one of d equally likely cells, and
     W_j = (N_j hi + (n - N_j) lo)/sqrt(n) for the cell counts N_j.
 
@@ -290,12 +263,10 @@ class RademacherGaussianMax:
 
     n: int
     d: int
-    side: str = "one_sided"
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be >= 1")
-        _check_side(self.side)
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -307,47 +278,41 @@ class RademacherGaussianMax:
         # x is taken in blocks, so the (points, n + 1) arrays of terms stay
         # within BLOCK_FLOATS however large n is
         for _, rows in blocks(flat.size, 3 * (self.n + 1)):
-            xs = flat[rows, None]
-            inside = ndtr(xs - centers)
-            if self.side == "two_sided":
-                inside = np.where(xs > 0, inside - ndtr(-xs - centers), 0.0)
+            inside = ndtr(flat[rows, None] - centers)
             inside *= pk
             out[rows] = inside.sum(axis=-1)
         return (out ** self.d).reshape(x.shape)
 
 
-def _gaussian_law(cov, side: str):
+def _gaussian_law(cov):
     """The law of N(0, cov)'s max statistic when cov has equal positive
-    variances and is diagonal or nonnegatively equicorrelated (one-sided),
-    if any."""
+    variances and is diagonal or nonnegatively equicorrelated, else None."""
     diag = cov.diagonal
     if not (diag[0] > 0 and np.all(diag == diag[0])):
         return None
     off = cov.entries[~np.eye(cov.dim, dtype=bool)]
     if not np.any(off):
-        return IsotropicGaussianMax(cov.dim, math.sqrt(diag[0]), side)
+        return IsotropicGaussianMax(cov.dim, math.sqrt(diag[0]))
     rho = float(off[0]) / diag[0]
-    if np.all(off == off[0]) and 0.0 < rho < 1.0 and side == "one_sided":
+    if np.all(off == off[0]) and 0.0 < rho < 1.0:
         return EquicorrelatedGaussianMax(cov.dim, rho, math.sqrt(diag[0]))
     return None
 
 
-def law_of(spec: DistributionSpec, n: int, side: str = "one_sided"):
-    """The exact law of the max statistic of W = n^{-1/2} sum_i X_i for
-    ``spec``, or None when it has no law here: the two-sided local-means
-    max, unequal variances, negative or unequal correlation, the two-sided
-    equicorrelated max and the uniform family.  The law of the
+def law_of(spec: DistributionSpec, n: int):
+    """The exact law of the max statistic max_j W_j of W = n^{-1/2} sum_i
+    X_i for ``spec``, or None when it has no law here: unequal variances,
+    negative or unequal correlation and the uniform family.  The law of the
     quasi-Gaussian family, +-1 coordinates plus unit noise, has a CDF but
     no sampler."""
-    _check_side(side)
     if spec.kind == "two_point":
-        return TwoPointMax(spec.B, n, spec.dim, side)
-    if spec.kind == "local_means" and side == "one_sided":
+        return TwoPointMax(spec.B, n, spec.dim)
+    if spec.kind == "local_means":
         return LocalMeansMax(n, spec.dim)
     if spec.kind == "gaussian":
-        return _gaussian_law(spec.cov, side)
+        return _gaussian_law(spec.cov)
     if spec.kind == "quasi_gaussian":
-        return RademacherGaussianMax(n, spec.dim, side)
+        return RademacherGaussianMax(n, spec.dim)
     return None
 
 

@@ -116,8 +116,9 @@ class ExperimentConfig:
     multiplier: Optional[str] = _key(
         str, lambda v, c: v in bootstrap.MULTIPLIER_KINDS,
         " or ".join(bootstrap.MULTIPLIER_KINDS))
-    family: Optional[str] = _key(str, lambda v, c: v in distance.FAMILIES,
-                                 " or ".join(distance.FAMILIES))
+    # the rate experiments measure the one-sided max only
+    family: Optional[str] = _key(str, lambda v, c: v == "one_sided_max",
+                                 "one_sided_max")
     inner_replications: Optional[int] = _key(
         int, *_at_least(bootstrap.MIN_QUANTILE_DRAWS))
     outer_replications: Optional[int] = _key(int, *_at_least(1))
@@ -247,14 +248,13 @@ def _rate_result(cfg: ExperimentConfig, spec: DistributionSpec,
     second order, and is shared across n, since the covariance of W does not
     depend on n for i.i.d. rows; each distance is taken in its uniform space.
     """
-    side = distance.side_of(cfg.family)
     ref = lowerbound.reference_max_stats(
-        spec, cfg.replications * cfg.ref_factor, cfg.seed, side)
+        spec, cfg.replications * cfg.ref_factor, cfg.seed)
 
     def point(item):
         i, n = item
         return lowerbound.reference_distance(
-            spec, n, cfg.replications, derive_seed(cfg.seed, 1, i), ref, side)
+            spec, n, cfg.replications, derive_seed(cfg.seed, 1, i), ref)
 
     # every n has the same noise floor: same replications, same reference
     dists, ses, (floor, *_), exact = zip(*pmap(point, enumerate(cfg.n_list)))
@@ -420,28 +420,23 @@ def _run_smoothing_verify(cfg, pmap):
 
 def _run_gaussian_comparison(cfg, pmap):
     identity = CovarianceModel.identity(cfg.d)
+    # the isotropic reference, with as many draws as each equicorrelated
+    # side, is shared across rho
+    ref = lowerbound.reference_max_stats(DistributionSpec.gaussian(identity),
+                                         cfg.replications,
+                                         derive_seed(cfg.seed, 60))
 
     def point(i):
         rho = cfg.rho_list[i]
         other = CovarianceModel.equicorrelation(cfg.d, rho)
         gap = sup_norm_diff(identity, other)
-        # each side's law is looked up once, to draw and for the exact distance
-        specs = [DistributionSpec.gaussian(sigma) for sigma in (identity, other)]
-        ref, law = laws = [maxlaw.law_of(spec, 1) for spec in specs]
-        a, b = (distance.max_stat_sample(spec, 1, cfg.replications,
-                                         derive_seed(cfg.seed, key, i),
-                                         law=spec_law)
-                for spec, spec_law, key in zip(specs, laws, (60, 61)))
-        measured, se = distance.ks_distance_with_se(a, b)
+        # exact is nan for rho < 0, where the max has no exact law here
+        measured, se, floor, exact = lowerbound.reference_distance(
+            DistributionSpec.gaussian(other), 1, cfg.replications,
+            derive_seed(cfg.seed, 61, i), ref)
         return {"rho": rho, "D": gap, "measured": measured,
                 "bound": bounds.bound_gaussian_comparison(gap, cfg.d),
-                "se": se,
-                # the 1% two-sample KS critical value, and the exact distance
-                # the Monte Carlo one estimates (nan for rho < 0: no exact law)
-                "noise_floor": distance.ks_two_sample_critical(
-                    cfg.replications, cfg.replications),
-                "exact_distance": math.nan if law is None else
-                maxlaw.sup_distance(law, ref)}
+                "se": se, "noise_floor": floor, "exact_distance": exact}
 
     rows = list(pmap(point, range(len(cfg.rho_list))))
     checks = {"measured_below_bound": all(row["measured"] <= row["bound"]

@@ -76,40 +76,36 @@ class TestMaxStatHelper:
         for sigma in (CovarianceModel.identity(4),
                       CovarianceModel.equicorrelation(4, -0.2)):
             spec = DistributionSpec.gaussian(sigma)
-            for side in ("one_sided", "two_sided"):
-                s = max_stat_sample(spec, 1, 1000, seed=4, side=side)
-                assert s.size == 1000
-                assert np.all(np.isfinite(s.values))
-                assert side == "one_sided" or np.all(s.values >= 0)
+            s = max_stat_sample(spec, 1, 1000, seed=4)
+            assert s.size == 1000
+            assert np.all(np.isfinite(s.values))
 
 
 class TestSortedInversion:
     """A one-variate law inverts sorted uniforms: the draws must be those of
     the unsorted uniforms, sorted, and must come out sorted."""
 
-    CASES = ([(DistributionSpec.two_point(2.0, 50), 250, side)
-              for side in ("one_sided", "two_sided")]
-             + [(DistributionSpec.local_means(10), 500, "one_sided")]
-             + [(DistributionSpec.gaussian(CovarianceModel.identity(d)), 1,
-                 side) for d in (1, 10, 50)
-                for side in ("one_sided", "two_sided")])
-    IDS = [f"{spec.kind}-{spec.dim}-{n}-{side}" for spec, n, side in CASES]
+    CASES = ([(DistributionSpec.two_point(2.0, 50), 250),
+              (DistributionSpec.local_means(10), 500)]
+             + [(DistributionSpec.gaussian(CovarianceModel.identity(d)), 1)
+                for d in (1, 10, 50)])
+    IDS = [f"{spec.kind}-{spec.dim}-{n}-one_sided" for spec, n in CASES]
 
-    @pytest.mark.parametrize("spec, n, side", CASES, ids=IDS)
-    def test_draws_are_the_unsorted_draws_sorted(self, spec, n, side):
-        law = law_of(spec, n, side)
+    @pytest.mark.parametrize("spec, n", CASES, ids=IDS)
+    def test_draws_are_the_unsorted_draws_sorted(self, spec, n):
+        law = law_of(spec, n)
         assert law.variates == 1
         u = substream(17, 23).random((1, 20_000))[0]
         np.testing.assert_array_equal(
-            max_stat_sample(spec, n, 20_000, seed=17, side=side).values,
+            max_stat_sample(spec, n, 20_000, seed=17).values,
             np.sort(law.sample(u)))
 
-    @pytest.mark.parametrize("spec, n, side", CASES, ids=IDS)
-    def test_inversion_does_not_decrease(self, spec, n, side):
+    @pytest.mark.parametrize("spec, n", CASES, ids=IDS)
+    def test_inversion_does_not_decrease(self, spec, n):
         # MaxStatSample keeps a sorted input as it is, so no draw is re-sorted
         u = np.sort(np.concatenate([[0.0, 1.0 - 2.0**-53],
                                     substream(18, 23).random(200_000)]))
-        x = law_of(spec, n, side).sample(u)
+        x = law_of(spec, n).sample(u)
         assert np.all(x[:-1] <= x[1:])
         assert MaxStatSample(x).values is x
 

@@ -110,14 +110,13 @@ class TestPoissonApprox:
 
 
 class TestReferenceMaxStats:
-    @pytest.mark.parametrize("side", ["one_sided", "two_sided"])
-    def test_uniforms_are_the_inverted_stream(self, side):
+    def test_uniforms_are_the_inverted_stream(self):
         spec = DistributionSpec.quasi_gaussian(20)
-        law, u = reference_max_stats(spec, 5000, seed=7, side=side)
-        assert law == IsotropicGaussianMax(20, math.sqrt(2.0), side)
+        law, u = reference_max_stats(spec, 5000, seed=7)
+        assert law == IsotropicGaussianMax(20, math.sqrt(2.0))
         assert np.all(np.diff(u.values) >= 0) and u.values[0] > 0
         drawn = max_stat_sample(DistributionSpec.gaussian(
-            spec.population_covariance()), 1, 5000, derive_seed(7, 999), side)
+            spec.population_covariance()), 1, 5000, derive_seed(7, 999))
         np.testing.assert_array_equal(np.sort(law.sample(u.values)),
                                       drawn.values)
 
@@ -132,33 +131,32 @@ class TestReferenceMaxStats:
 
     @staticmethod
     def _w_samples():
-        """(label, W sample, reference spec, side) cases: two-point W with
-        every atom of its law added, so that atoms whose reference CDF
-        rounds to 0 or 1 are in the sample, local-means W against the
-        identity, and the continuous quasi-Gaussian W."""
-        for seed, (n, B, side) in enumerate(itertools.product(
-                (50, 400, 2000), (2.0, 4.0), ("one_sided", "two_sided"))):
+        """(label, W sample, reference spec) cases: two-point W with every
+        atom of its law added, so that atoms whose reference CDF rounds to
+        0 or 1 are in the sample, local-means W against the identity, and
+        the continuous quasi-Gaussian W."""
+        for seed, (n, B) in zip(itertools.count(0, 2), itertools.product(
+                (50, 400, 2000), (2.0, 4.0))):
             spec = DistributionSpec.two_point(B, 20)
-            w = max_stat_sample(spec, n, 2000, seed, side).values
-            atoms = law_of(spec, n, side).atoms
-            yield (f"two_point-{n}-{B}-{side}",
-                   np.concatenate([w, atoms]), spec, side)
+            w = max_stat_sample(spec, n, 2000, seed).values
+            atoms = law_of(spec, n).atoms
+            yield (f"two_point-{n}-{B}",
+                   np.concatenate([w, atoms]), spec)
         for d in (10, 40):
             w = max_stat_sample(DistributionSpec.local_means(d), 50 * d, 2000,
                                 d)
             yield (f"local_means-{d}", w.values, DistributionSpec.gaussian(
-                CovarianceModel.identity(d)), "one_sided")
+                CovarianceModel.identity(d)))
         for seed, n in enumerate((100, 400)):
             spec = DistributionSpec.quasi_gaussian(20)
             yield (f"quasi_gaussian-{n}",
-                   max_stat_sample(spec, n, 2000, seed).values, spec,
-                   "one_sided")
+                   max_stat_sample(spec, n, 2000, seed).values, spec)
 
     def test_uniform_space_distance_is_the_drawn_reference_distance(self):
         tails = set()
-        for label, w, ref_spec, side in self._w_samples():
+        for label, w, ref_spec in self._w_samples():
             for seed in range(10):
-                law, u = reference_max_stats(ref_spec, 6000, seed, side)
+                law, u = reference_max_stats(ref_spec, 6000, seed)
                 f = law.cdf(w)
                 tails |= {v for v in (0.0, 1.0) if v in f}
                 assert ks_distance_with_se(MaxStatSample(f), u) == \

@@ -24,13 +24,8 @@ from hdclt.sampler import (BLOCK_FLOATS, DistributionSpec, sample_scaled_sums,
 
 ROOT = Path(__file__).resolve().parents[1]
 GATES = ROOT / "perfbench" / "gates.py"
-SIDES = ("one_sided", "two_sided")
 # the extremes of Generator.random: 0 and the largest double below 1
 U_EXTREMES = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
-
-
-def _max_stat(draws, side):
-    return (np.abs(draws) if side == "two_sided" else draws).max(axis=1)
 
 
 def _two_point_values(B, n):
@@ -66,23 +61,17 @@ class TestCdf:
         B, n, d = 2.0, 30, 7
         values = _two_point_values(B, n)
         xs = np.linspace(-3.0, 5.0, 97)
-        for side in SIDES:
-            law = TwoPointMax(B, n, d, side)
-            key = abs if side == "two_sided" else (lambda w: w)
-            want = [sum(pk for w, pk in values if key(w) <= x) ** d
-                    for x in xs]
-            np.testing.assert_allclose(law.cdf(xs), want, rtol=1e-12,
-                                       atol=1e-300)
+        law = TwoPointMax(B, n, d)
+        want = [sum(pk for w, pk in values if w <= x) ** d for x in xs]
+        np.testing.assert_allclose(law.cdf(xs), want, rtol=1e-12,
+                                   atol=1e-300)
 
     def test_isotropic_against_ndtr_product(self):
         xs = np.linspace(-4.0, 9.0, 131)
         for d, sigma in ((1, 1.0), (20, math.sqrt(2.0)), (500, 3.0)):
             one = IsotropicGaussianMax(d, sigma).cdf(xs)
-            two = IsotropicGaussianMax(d, sigma, "two_sided").cdf(xs)
             np.testing.assert_allclose(one, ndtr(xs / sigma) ** d,
                                        rtol=1e-12, atol=1e-300)
-            inner = np.clip(ndtr(xs / sigma) - ndtr(-xs / sigma), 0.0, None)
-            np.testing.assert_allclose(two, inner ** d, rtol=1e-9, atol=1e-15)
 
     def test_equicorrelated_against_adaptive_quadrature(self):
         for d, rho, sigma in ((10, 0.05, 1.0), (10, 0.2, 1.0), (5, 0.9, 2.0),
@@ -101,20 +90,16 @@ class TestCdf:
     def test_rademacher_gaussian_against_enumeration(self):
         n, d = 12, 5
         xs = np.linspace(-2.0, 5.0, 29)
-        for side in SIDES:
-            law = RademacherGaussianMax(n, d, side)
-            want = []
-            for x in xs:
-                f = 0.0
-                for k in range(n + 1):
-                    c = (2 * k - n) / math.sqrt(n)
-                    inside = ndtr(x - c)
-                    if side == "two_sided":
-                        inside -= ndtr(-x - c)
-                    f += math.comb(n, k) / 2**n * max(inside, 0.0)
-                want.append(f**d)
-            np.testing.assert_allclose(law.cdf(xs), want, rtol=1e-10,
-                                       atol=1e-300)
+        law = RademacherGaussianMax(n, d)
+        want = []
+        for x in xs:
+            f = 0.0
+            for k in range(n + 1):
+                c = (2 * k - n) / math.sqrt(n)
+                f += math.comb(n, k) / 2**n * ndtr(x - c)
+            want.append(f**d)
+        np.testing.assert_allclose(law.cdf(xs), want, rtol=1e-10,
+                                   atol=1e-300)
 
     def test_rademacher_gaussian_memory_bounded_in_n(self):
         # the (points, n + 1) terms are taken in blocks of x; unblocked,
@@ -146,15 +131,10 @@ class TestBinomialLaw:
 
     @pytest.mark.parametrize("n", [250, 500, 1000, 2000])
     def test_two_point_tables(self, n):
-        a, b, p = two_point_support(2.0)
+        p = two_point_support(2.0)[2]
         k = np.arange(n + 1)
-        w = (k * a + (n - k) * b) / math.sqrt(n)
-        order = np.argsort(np.abs(w), kind="stable")
-        want = {"one_sided": binom.cdf(k, n, p) ** 50,
-                "two_sided": np.cumsum(binom.pmf(k[order], n, p)) ** 50}
-        for side in SIDES:
-            np.testing.assert_allclose(TwoPointMax(2.0, n, 50, side).table,
-                                       want[side], rtol=1e-9, atol=0)
+        np.testing.assert_allclose(TwoPointMax(2.0, n, 50).table,
+                                   binom.cdf(k, n, p) ** 50, rtol=1e-9, atol=0)
 
     def test_poisson_check_marginal_tail(self):
         a, b, p = two_point_support(2.0)
@@ -175,16 +155,14 @@ class TestBinomialLaw:
                                    rtol=1e-9, atol=0)
 
     def test_large_n_table_builds_without_warnings(self):
-        # far in the lower tail the one-sided table underflows to 0; it
-        # must carry those zeros without a log-of-zero warning
+        # far in the lower tail the table underflows to 0; it must carry
+        # those zeros without a log-of-zero warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tables = {side: TwoPointMax(2.0, 5000, 50, side).table
-                      for side in SIDES}
-        assert tables["one_sided"][0] == 0.0
-        for table in tables.values():
-            assert table[-1] == pytest.approx(1.0)
-            assert np.all(np.diff(table) >= 0)
+            table = TwoPointMax(2.0, 5000, 50).table
+        assert table[0] == 0.0
+        assert table[-1] == pytest.approx(1.0)
+        assert np.all(np.diff(table) >= 0)
 
 
 def _compositions(n, d):
@@ -238,30 +216,27 @@ class TestSample:
     # the alpha = 0.001 two-sample KS critical value at 200k draws a side
     CRIT = ks_two_sample_critical(REPS, REPS, alpha=0.001)
 
-    def _check(self, law, full, side, seed):
+    def _check(self, law, full, seed):
         u = substream(seed, 0).random((law.variates, self.REPS))
         inverted = MaxStatSample(law.sample(*u))
-        drawn = MaxStatSample(_max_stat(full, side))
+        drawn = MaxStatSample(full.max(axis=1))
         assert ks_distance(inverted, drawn) <= self.CRIT
 
     def test_two_point_against_full_draw(self):
         full = sample_scaled_sums(DistributionSpec.two_point(2.0, 20), 100,
                                   self.REPS, seed=11)
-        for side in SIDES:
-            self._check(TwoPointMax(2.0, 100, 20, side), full, side, 12)
+        self._check(TwoPointMax(2.0, 100, 20), full, 12)
 
     def test_isotropic_against_full_draw(self):
         full = math.sqrt(2.0) * substream(13, 0).standard_normal(
             (self.REPS, 20))
-        for side in SIDES:
-            self._check(IsotropicGaussianMax(20, math.sqrt(2.0), side), full,
-                        side, 14)
+        self._check(IsotropicGaussianMax(20, math.sqrt(2.0)), full, 14)
 
     def test_equicorrelated_against_full_draw(self):
         spec = DistributionSpec.gaussian(
             CovarianceModel.equicorrelation(10, 0.2))
         full = sample_scaled_sums(spec, 1, self.REPS, seed=15)
-        self._check(EquicorrelatedGaussianMax(10, 0.2), full, "one_sided", 16)
+        self._check(EquicorrelatedGaussianMax(10, 0.2), full, 16)
 
     def test_two_point_atoms_are_the_drawn_values(self):
         # inversion returns exactly the values the count transform produces
@@ -270,9 +245,8 @@ class TestSample:
         assert set(np.unique(full)) <= set(TwoPointMax(2.0, 50, 4).atoms)
 
     def test_extreme_uniforms_give_finite_ordered_draws(self):
-        laws = [TwoPointMax(2.0, 10, 3, side) for side in SIDES]
-        laws += [IsotropicGaussianMax(d, 2.0, side)
-                 for d in (1, 50, 10**6) for side in SIDES]
+        laws = [TwoPointMax(2.0, 10, 3)]
+        laws += [IsotropicGaussianMax(d, 2.0) for d in (1, 50, 10**6)]
         for law in laws:
             x = law.sample(U_EXTREMES)
             assert np.all(np.isfinite(x)) and np.all(np.diff(x) >= 0)
@@ -286,35 +260,26 @@ class TestLawOf:
     def test_dispatch(self):
         identity = DistributionSpec.gaussian(CovarianceModel.identity(5))
         assert law_of(identity, 1) == IsotropicGaussianMax(5)
-        assert law_of(identity, 1, "two_sided") == IsotropicGaussianMax(
-            5, 1.0, "two_sided")
         scaled = DistributionSpec.gaussian(CovarianceModel(2.0 * np.eye(3)))
         assert law_of(scaled, 1) == IsotropicGaussianMax(3, math.sqrt(2.0))
         equi = DistributionSpec.gaussian(
             CovarianceModel.equicorrelation(5, 0.3))
         assert law_of(equi, 1) == EquicorrelatedGaussianMax(5, 0.3)
-        assert law_of(DistributionSpec.two_point(2.0, 4), 9, "two_sided") == \
-            TwoPointMax(2.0, 9, 4, "two_sided")
+        assert law_of(DistributionSpec.two_point(2.0, 4), 9) == \
+            TwoPointMax(2.0, 9, 4)
         quasi = DistributionSpec.quasi_gaussian(4)
         assert law_of(quasi, 7) == RademacherGaussianMax(7, 4)
         diagonal = DistributionSpec.gaussian(
             CovarianceModel(np.diag([1.0, 4.0])))
         assert law_of(diagonal, 1) is None
-        assert law_of(diagonal, 1, "two_sided") is None
         local = DistributionSpec.local_means(5)
         assert law_of(local, 10) == LocalMeansMax(10, 5)
-        assert law_of(local, 10, "two_sided") is None
 
     def test_no_law_where_coordinates_do_not_factor(self):
-        equi = DistributionSpec.gaussian(
-            CovarianceModel.equicorrelation(5, 0.3))
         negative = DistributionSpec.gaussian(
             CovarianceModel.equicorrelation(5, -0.1))
-        assert law_of(equi, 1, "two_sided") is None
         assert law_of(negative, 1) is None
         assert law_of(DistributionSpec.uniform_bounded(1.0, 5), 10) is None
-        with pytest.raises(ValueError):
-            law_of(equi, 1, "sideways")
 
 
 class TestExactDistances:

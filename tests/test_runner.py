@@ -263,8 +263,9 @@ class TestRun:
 
     def test_gaussian_comparison_looks_up_each_law_once(self, tmp_path,
                                                         monkeypatch):
-        # one law per side of each rho, both to draw and for the exact
-        # distance; a negative rho's lookup gives None and still counts once
+        # one lookup for the shared isotropic reference, and one per rho,
+        # both to draw and for the exact distance; a negative rho's lookup
+        # gives None and still counts once
         calls = []
         real = maxlaw.law_of
         monkeypatch.setattr(maxlaw, "law_of",
@@ -273,7 +274,7 @@ class TestRun:
             {"experiment": "gaussian_comparison", "d": 3,
              "rho_list": [0.1, -0.1], "replications": 100}),
             out_dir=str(tmp_path))
-        assert len(calls) == 4
+        assert len(calls) == 3
 
     def test_anticoncentration_reports_se_and_exact(self, tmp_path):
         cfg = ExperimentConfig.from_mapping(
@@ -314,9 +315,22 @@ class TestRun:
         assert set(manifest.summary["checks"]) == {"residual_within_bound",
                                                    "lambda_le_10"}
 
-    def test_poisson_check_same_at_one_and_two_threads(self, tmp_path):
-        cfg = ExperimentConfig.from_mapping(
-            {"experiment": "poisson_check", "replications": 5000, "seed": 3})
+    # a config of each experiment that maps over two points or more (but
+    # poisson_check, which has one), small enough to run in about a second
+    @pytest.mark.parametrize("mapping", [
+        {"experiment": "rate_vs_n", "replications": 2000, "ref_factor": 1},
+        {"experiment": "zero_skew_rate", "n_list": [1, 2],
+         "replications": 2000, "ref_factor": 1},
+        {"experiment": "local_means", "d_list": [2, 3], "replications": 2000,
+         "ref_factor": 1},
+        {"experiment": "gaussian_comparison", "rho_list": [0.05, 0.1, -0.05],
+         "replications": 2000},
+        {"experiment": "anticoncentration", "eps_list": [0.1, 0.2],
+         "replications": 2000},
+        {"experiment": "poisson_check", "replications": 5000}],
+        ids=lambda mapping: mapping["experiment"])
+    def test_same_at_one_and_two_threads(self, tmp_path, mapping):
+        cfg = ExperimentConfig.from_mapping({**mapping, "seed": 3})
         csvs = [open(run(cfg, out_dir=str(tmp_path / f"t{t}"),
                          threads=t).csv_paths[0], "rb").read()
                 for t in (1, 2)]
@@ -720,6 +734,29 @@ class TestCli:
         assert cli_main(["run", cfg, "--out", str(out)]) == 2
         assert not out.exists()
         assert re.search(rf"(^|\W){key}(\W|$)", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("experiment", ["rate_vs_n", "zero_skew_rate"])
+    def test_two_sided_family_exit_2(self, tmp_path, capsys, experiment):
+        # the rate experiments measure the one-sided max only; a two-sided
+        # family must not run and label one-sided distances two-sided
+        cfg = self._write(tmp_path, f"experiment = {experiment}\n"
+                                    "family = two_sided_max\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert re.search(r"\bfamily\b", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("experiment, grid", [
+        ("rate_vs_n", "replications = 100\nref_factor = 1"),
+        ("zero_skew_rate", "n_list = 1 2\nreplications = 100\nref_factor = 1")])
+    def test_one_sided_family_runs(self, tmp_path, experiment, grid):
+        cfg = self._write(tmp_path, f"experiment = {experiment}\n{grid}\n"
+                                    "family = one_sided_max\n")
+        out = tmp_path / "out"
+        assert cli_main(["run", cfg, "--out", str(out)]) == 0
+        with open(out / f"{experiment}.csv", newline="") as fh:
+            assert {row["family"] for row in csv.DictReader(fh)} == \
+                {"one_sided_max"}
 
     def test_decay_without_measured_far_sum_fails(self, tmp_path):
         # at d = 30 each of the d - 1 undifferentiated factors of a far-point
