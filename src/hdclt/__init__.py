@@ -40,8 +40,8 @@ from .matcore import CovarianceModel, RectangleSpec
 from .runner import ExperimentConfig, RunManifest, emit_plot, run
 from .sampler import (DataMatrix, DistributionSpec, sample,
                       sample_scaled_sums, scaled_sum, substream)
-from .smoothing import (SmoothingParams, derivative_sum, h_nu, m_indicator,
-                        rho_eval, rho_partial, verify_lemmas)
+from .smoothing import (SmoothingParams, derivative_sum, h_nu, rho_eval,
+                        rho_partial, verify_lemmas)
 
 __all__ = [
     "__version__", "HdcltError",
@@ -53,7 +53,7 @@ __all__ = [
     "multiplier_draws", "empirical_cov_centered", "simultaneous_quantile",
     "MaxStatSample", "ks_distance", "ks_two_sample_critical",
     "rect_family_distance", "max_stat_sample", "anticoncentration_probe",
-    "SmoothingParams", "m_indicator", "rho_eval", "rho_partial",
+    "SmoothingParams", "rho_eval", "rho_partial",
     "derivative_sum", "h_nu", "verify_lemmas",
     "poisson_approx_check", "threshold_xn",
     "IsotropicGaussianMax", "EquicorrelatedGaussianMax", "TwoPointMax",

@@ -14,9 +14,16 @@ per-coordinate derivative-order profiles, it returns one integrand row per
 together.  A cell of :func:`verify_lemmas` is thus one quadrature whose
 points are all its (w, perturbation) pairs and whose profiles are the index
 profiles of all its orders v; :func:`derivative_sum` is the one-(v, w) case
-and ``rho_eval``/``rho_partial`` the one-row case.  Gauss-Legendre nodes and
-weights, and Hermite coefficients, are computed once per order and cached as
-read-only arrays.
+and ``rho_eval``/``rho_partial`` the one-row case.  Coordinate factors are
+evaluated once per distinct value: a factor depends on its coordinate only
+through (lower_j, upper_j, w_pj), so each node's CDF differences and Hermite
+terms (one Gaussian density per argument, shared by every order nu) are
+taken on the distinct triples and gathered into the rows, and the product
+over a set of plain coordinates is taken once per distinct set.  A cell's
+54 (point, coordinate) pairs at d = 3 take 9 distinct values.  The
+quadrature's first two orders come from one integrand call.  Gauss-Legendre
+nodes and weights, and Hermite coefficients, are computed once per order and
+cached as read-only arrays.
 
 The lemma constants are fixed: ``K`` (the perturbation ball's radius is
 eps * K / sqrt(log d)), ``KAPPA`` (the far point's distance outside the
@@ -50,7 +57,7 @@ from scipy.special import ndtr
 
 from .errors import QuadratureNotConverged
 from .matcore import RectangleSpec
-from .sampler import blocks, substream
+from .sampler import blocks
 
 MAX_DERIVATIVE_ORDER = 6
 MAX_SUM_ORDER = 4
@@ -85,28 +92,23 @@ def gaussian_pdf(t: np.ndarray) -> np.ndarray:
     return _INV_SQRT_2PI * np.exp(-0.5 * np.square(t))
 
 
+def _hermite_terms(nus, t: np.ndarray) -> dict:
+    """{nu: h_nu(t)} for every order in ``nus``, sharing one density
+    evaluation of ``t``; 0 at infinite t, NaN at NaN t."""
+    infinite = np.isinf(t)
+    tt = np.where(infinite, 0.0, t)
+    pdf = gaussian_pdf(tt)
+    return {nu: np.where(infinite, 0.0,
+                         npoly.polyval(tt, hermite_coefficients(nu - 1)) * pdf)
+            for nu in nus}
+
+
 def h_nu(nu: int, t) -> np.ndarray:
-    """h_nu(t) = H_{nu-1}(t) * standard normal pdf(t); 0 at infinite t."""
+    """h_nu(t) = H_{nu-1}(t) * standard normal pdf(t); 0 at infinite t and
+    NaN at NaN t."""
     if nu < 1:
         raise ValueError("nu must be >= 1")
-    t = np.asarray(t, dtype=float)
-    finite = np.isfinite(t)
-    tt = np.where(finite, t, 0.0)
-    vals = npoly.polyval(tt, hermite_coefficients(nu - 1)) * gaussian_pdf(tt)
-    return np.where(finite, vals, 0.0)
-
-
-def h_derivative_coefficient_check(nu: int) -> bool:
-    """Exact coefficient check of d/dt h_nu = -h_{nu+1}.
-
-    Equivalent polynomial identity: H'_{nu-1}(t) - t H_{nu-1}(t) = -H_nu(t).
-    """
-    c = hermite_coefficients(nu - 1)
-    lhs = npoly.polysub(npoly.polyder(c), npoly.polymul([0.0, 1.0], c))
-    rhs = -hermite_coefficients(nu)
-    lhs = np.trim_zeros(lhs, "b")
-    rhs = np.trim_zeros(rhs, "b")
-    return len(lhs) == len(rhs) and np.allclose(lhs, rhs, rtol=0, atol=1e-12)
+    return _hermite_terms((nu,), np.asarray(t, dtype=float))[nu]
 
 
 # -- smoothing functions -----------------------------------------------------
@@ -151,23 +153,6 @@ class SmoothingParams:
         return np.vstack([np.zeros(d), corners])
 
 
-def m_indicator(w, params: SmoothingParams):
-    """Smoothed rectangle indicator: the ramp of slope phi at the margin
-    max_j[(w_j-b_j) v (a_j-w_j)].
-
-    The margin is taken over the last axis of ``w``, so one point gives one
-    value and a (reps, d) array one value per row.  The ramp is
-    clip(1 - phi*margin, 0, 1), and the indicator 1{margin <= 0} at
-    phi = inf, where inf * 0 would be NaN.
-    """
-    w = np.asarray(w, dtype=float)
-    margin = np.max(np.maximum(w - params.rect.upper, params.rect.lower - w),
-                    axis=-1)
-    if math.isinf(params.phi):
-        return (margin <= 0).astype(float)
-    return np.clip(1.0 - params.phi * margin, 0.0, 1.0)
-
-
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
@@ -181,16 +166,14 @@ def _quadrature(f, upper: float, order: int, tol: float = 1e-10,
                 max_order: int = MAX_QUAD_ORDER) -> np.ndarray:
     """Row-wise Gauss-Legendre on [0, upper] with order doubling to tolerance.
 
-    ``f`` maps the node vector s to a C-contiguous (rows, len(s)) array.
-    Each row keeps its value from the first order at which it agrees with
-    the previous order; a row that still disagrees at ``max_order`` raises
+    ``f`` maps the node vector s to a C-contiguous (rows, len(s)) array;
+    :func:`_row_values` says at which orders it is called.  Each row keeps
+    its value from the first order at which it agrees with the previous
+    order; a row that still disagrees at ``max_order`` raises
     :class:`QuadratureNotConverged`.
     """
     prev = result = pending = None
-    while True:
-        nodes, weights = _gauss_legendre(order)
-        s = 0.5 * upper * (nodes + 1.0)
-        vals = 0.5 * upper * np.vecdot(f(s), weights)
+    for order, vals in _row_values(f, upper, order, max_order):
         if prev is None:
             result, pending = vals.copy(), np.ones(vals.shape, dtype=bool)
         else:
@@ -199,12 +182,30 @@ def _quadrature(f, upper: float, order: int, tol: float = 1e-10,
                          <= tol * np.maximum(1.0, np.abs(vals)))
         if not pending.any():
             return result
-        if order >= max_order:
-            raise QuadratureNotConverged(
-                f"{int(pending.sum())} of {pending.size} quadrature rows did "
-                f"not converge to {tol:g} by {order} nodes")
         prev = vals
-        order *= 2
+    raise QuadratureNotConverged(
+        f"{int(pending.sum())} of {pending.size} quadrature rows did "
+        f"not converge to {tol:g} by {order} nodes")
+
+
+def _row_values(f, upper: float, order: int, max_order: int):
+    """(order, row values) at order, 2 * order, ... for :func:`_quadrature`,
+    doubling while the last order is below ``max_order``.  The first two
+    orders come from one call of ``f`` on both node sets; each order's
+    columns are copied out contiguous, so its rows are still their own dot
+    products over a C-contiguous array (``np.vecdot`` over a strided slice
+    is slower)."""
+    batch = [order, 2 * order] if order < max_order else [order]
+    while batch:
+        rules = [_gauss_legendre(n) for n in batch]
+        table = f(np.concatenate([0.5 * upper * (nodes + 1.0)
+                                  for nodes, _ in rules]))
+        first = 0
+        for n, (_, weights) in zip(batch, rules):
+            rows = np.ascontiguousarray(table[:, first:first + n])
+            first += n
+            yield n, 0.5 * upper * np.vecdot(rows, weights)
+        batch = [2 * n] if n < max_order else []
 
 
 def _orders_from_index(multi_index: Sequence[int], d: int) -> dict:
@@ -227,30 +228,63 @@ def _integrand(points: np.ndarray, profiles: Sequence[dict],
     ``-(1/eps)^nu * [h_nu(upper arg) - h_nu(lower arg)]`` (multiplied in
     ascending j), and every other coordinate its CDF difference over the
     s-enlarged rectangle.
+
+    A factor depends on its coordinate only through the triple (lower_j,
+    upper_j, w_pj), so the CDF differences and Hermite terms are taken once
+    per distinct triple (equal bit patterns) and gathered into each row, and
+    the product over a set of plain coordinates once per distinct set.  Each
+    row value is the same sequence of floating-point operations as a
+    per-(point, coordinate) evaluation, so it is the same bit for bit.
     """
     eps = params.eps
-    upper = params.rect.upper[:, None]
-    lower = params.rect.lower[:, None]
-    w = points[:, :, None]
+    triples = np.empty(points.shape + (3,))
+    triples[..., 0] = params.rect.lower
+    triples[..., 1] = params.rect.upper
+    triples[..., 2] = points
+    # a void view compares whole triples bytewise: exact, and faster to
+    # sort than np.unique(..., axis=0)
+    distinct, index = np.unique(triples.view(np.dtype((np.void, 24))),
+                                return_inverse=True)
+    lower, upper, w = distinct.view(float).reshape(-1, 3).T[:, :, None]
+    index = index.reshape(points.shape)
+    n = len(distinct)
     # each derivative in w_j pulls out -1/eps and steps h_nu -> h_{nu+1}
     # via h' = -h_{nu+1}, so the net sign is -1 for every order nu
     nus = {nu for orders in profiles for nu in orders.values()}
     scale = {nu: -(1.0 / eps) ** nu for nu in nus}
-    plains = [[j for j in range(params.d) if j not in orders]
-              for orders in profiles]
+    # per profile: (order, factor indices) of each differentiated
+    # coordinate in ascending j, and which distinct plain set it multiplies
+    plain_sets: dict = {}
+    terms = []
+    for orders in profiles:
+        plain = tuple(j for j in range(params.d) if j not in orders)
+        terms.append(([(nu, index[:, j]) for j, nu in orders.items()],
+                      plain_sets.setdefault(plain, len(plain_sets))
+                      if plain else None))
+    # a plain set's (coordinate, point) factor indices: its product runs
+    # over the leading axis, in ascending j
+    plain_index = [np.ascontiguousarray(index[:, plain].T)
+                   for plain in plain_sets]
 
     def f(s):
-        t_up = (upper + s - w) / eps
-        t_lo = (lower - s - w) / eps
-        cdf = ndtr(t_up) - ndtr(t_lo)
-        hermite = {nu: h_nu(nu, t_up) - h_nu(nu, t_lo) for nu in nus}
+        # the upper arguments of the n distinct factors above their lower
+        # ones, so each function runs once per node on one table
+        t = np.concatenate([(upper + s - w) / eps, (lower - s - w) / eps])
+        cdf = ndtr(t)
+        cdf = cdf[:n] - cdf[n:]
+        h = _hermite_terms(nus, t)
+        hermite = {nu: h[nu][:n] - h[nu][n:] for nu in nus}
+        products = [np.prod(cdf[factors], axis=0) for factors in plain_index]
         blocks = []
-        for orders, plain in zip(profiles, plains):
-            out = np.ones((len(points), len(s)))
-            for j, nu in orders.items():
-                out = out * scale[nu] * hermite[nu][:, j]
-            if plain:
-                out = out * np.prod(cdf[:, plain], axis=1)
+        for diffs, plain in terms:
+            # (out * scale) * H per differentiated coordinate in ascending
+            # j, then the plain product; starting from the scalar 1.0 only
+            # drops multiplications by one, which are exact
+            out = 1.0
+            for nu, factors in diffs:
+                out = out * scale[nu] * hermite[nu][factors]
+            if plain is not None:
+                out = out * products[plain]
             blocks.append(out)
         return np.concatenate(blocks)
     return f
@@ -264,6 +298,8 @@ def _integrate(points, profiles: Sequence[dict],
     the integrand at s = 0 (plain Gaussian convolution of the indicator).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if np.isnan(points).any():
+        raise ValueError("evaluation points must not be NaN")
     f = _integrand(points, profiles, params)
     if math.isinf(params.phi):
         vals = f(np.zeros(1))[:, 0]
@@ -280,16 +316,6 @@ def rho_eval(w, params: SmoothingParams) -> float:
     s = 0 (plain Gaussian convolution of the indicator).
     """
     return float(_integrate(w, [{}], params)[0, 0])
-
-
-def rho_eval_mc(w, params: SmoothingParams, reps: int, seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo cross-check of :func:`rho_eval`: the mean of the smoothed
-    indicator at w + eps*Z over ``reps`` standard normal Z; returns
-    (estimate, standard error)."""
-    rng = substream(seed, 30)
-    z = rng.standard_normal((reps, params.d))
-    vals = m_indicator(w + params.eps * z, params)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(reps))
 
 
 def rho_partial(w, multi_index: Sequence[int],

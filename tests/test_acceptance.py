@@ -16,6 +16,7 @@ from hdclt.matcore import RectangleSpec
 from hdclt.runner import ExperimentConfig, run
 from hdclt.sampler import substream
 from hdclt.smoothing import SmoothingParams
+from smoothing_oracles import h_derivative_coefficient_check
 
 SEED = 101
 
@@ -119,7 +120,7 @@ def test_c6_smoothing_scaling(smoothing_runs):
 
 def test_c7_derivative_correctness():
     for nu in range(1, 6):
-        assert smoothing.h_derivative_coefficient_check(nu)
+        assert h_derivative_coefficient_check(nu)
     params = SmoothingParams(rect=RectangleSpec([-1.2] * 3, [1.2] * 3),
                              phi=6.0, eps=0.8)
     rng = np.random.default_rng(17)

@@ -12,9 +12,10 @@ from hdclt.errors import QuadratureNotConverged
 from hdclt.matcore import RectangleSpec
 from hdclt.runner import ExperimentConfig, run
 from hdclt.smoothing import (SmoothingParams, derivative_sum, gaussian_pdf,
-                             h_derivative_coefficient_check,
-                             h_nu, hermite_coefficients, m_indicator,
-                             rho_eval, rho_eval_mc, rho_partial, verify_lemmas)
+                             h_nu, hermite_coefficients, rho_eval, rho_partial,
+                             verify_lemmas)
+from smoothing_oracles import (h_derivative_coefficient_check, m_indicator,
+                               rho_eval_mc)
 
 REFERENCE_CSV = (Path(__file__).resolve().parents[1] / "perfbench"
                  / "reference" / "smoothing_verify.csv")
@@ -377,3 +378,169 @@ class TestBatchedQuadrature:
         manifest = run(cfg, out_dir=str(tmp_path))
         assert (Path(manifest.csv_paths[0]).read_bytes()
                 == REFERENCE_CSV.read_bytes())
+
+
+class TestNanPoints:
+    # a NaN coordinate must raise, not read as a point far outside the
+    # rectangle, which is what h_nu mapping NaN to 0 like +-inf would make it
+    @pytest.mark.parametrize("phi", [4.0, math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda p: rho_partial([math.nan], (0,), p(1)),
+        lambda p: derivative_sum(1, [math.nan], p(1)),
+        lambda p: rho_partial([math.nan, 0.0], (0, 1), p(2)),
+        lambda p: rho_eval([math.nan, 0.0], p(2))],
+        ids=["rho_partial_1d", "derivative_sum", "rho_partial_2d", "rho_eval"])
+    def test_nan_point_raises_before_quadrature(self, monkeypatch, phi, call):
+        monkeypatch.setattr(smoothing, "ndtr", None)  # never reached
+        with pytest.raises(ValueError, match="must not be NaN"):
+            call(lambda d: _params(d=d, phi=phi))
+
+    def test_h_nu_propagates_nan(self):
+        vals = h_nu(2, np.array([math.nan, np.inf, -np.inf]))
+        assert math.isnan(vals[0]) and vals[1:].tolist() == [0.0, 0.0]
+        assert math.isnan(h_nu(2, math.nan))
+
+
+# -- oracle: the integrand evaluated per (point, coordinate) pair, sharing
+# nothing, with one Gauss-Legendre order per integrand call; the batched rows
+# must equal it bit for bit
+
+def _oracle_h_nu(nu, t):
+    t = np.asarray(t, dtype=float)
+    finite = np.isfinite(t)
+    tt = np.where(finite, t, 0.0)
+    vals = (np.polynomial.polynomial.polyval(tt, hermite_coefficients(nu - 1))
+            * gaussian_pdf(tt))
+    return np.where(finite, vals, 0.0)
+
+
+def _oracle_integrand(points, profiles, params):
+    eps = params.eps
+    upper = params.rect.upper[:, None]
+    lower = params.rect.lower[:, None]
+    w = points[:, :, None]
+    nus = {nu for orders in profiles for nu in orders.values()}
+    scale = {nu: -(1.0 / eps) ** nu for nu in nus}
+    plains = [[j for j in range(params.d) if j not in orders]
+              for orders in profiles]
+
+    def f(s):
+        t_up = (upper + s - w) / eps
+        t_lo = (lower - s - w) / eps
+        cdf = smoothing.ndtr(t_up) - smoothing.ndtr(t_lo)
+        hermite = {nu: _oracle_h_nu(nu, t_up) - _oracle_h_nu(nu, t_lo)
+                   for nu in nus}
+        blocks = []
+        for orders, plain in zip(profiles, plains):
+            out = np.ones((len(points), len(s)))
+            for j, nu in orders.items():
+                out = out * scale[nu] * hermite[nu][:, j]
+            if plain:
+                out = out * np.prod(cdf[:, plain], axis=1)
+            blocks.append(out)
+        return np.concatenate(blocks)
+    return f
+
+
+def _oracle_quadrature(f, upper, order, tol=1e-10,
+                       max_order=smoothing.MAX_QUAD_ORDER):
+    prev = result = pending = None
+    while True:
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        s = 0.5 * upper * (nodes + 1.0)
+        vals = 0.5 * upper * np.vecdot(f(s), weights)
+        if prev is None:
+            result, pending = vals.copy(), np.ones(vals.shape, dtype=bool)
+        else:
+            result[pending] = vals[pending]
+            pending &= ~(np.abs(vals - prev)
+                         <= tol * np.maximum(1.0, np.abs(vals)))
+        if not pending.any():
+            return result
+        if order >= max_order:
+            raise QuadratureNotConverged("oracle did not converge")
+        prev = vals
+        order *= 2
+
+
+def _oracle_integrate(points, profiles, params):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    f = _oracle_integrand(points, profiles, params)
+    if math.isinf(params.phi):
+        vals = f(np.zeros(1))[:, 0]
+    else:
+        vals = params.phi * _oracle_quadrature(f, 1.0 / params.phi,
+                                               smoothing.QUAD_ORDER)
+    return vals.reshape(len(profiles), len(points))
+
+
+def _cell_points(params):
+    """A verify_lemmas cell's points: every (boundary or far w,
+    perturbation) pair."""
+    rect = params.rect
+    margin = (2.0 * params.eps * smoothing.KAPPA
+              + (0.0 if math.isinf(params.phi) else 1.0 / params.phi))
+    ws = np.vstack([smoothing._boundary_w_grid(rect),
+                    np.asarray(rect.upper) + margin + 1e-9])
+    return (ws[:, None, :] + params.perturbations()[None]).reshape(-1, rect.dim)
+
+
+def _profiles(d, v_list):
+    return [smoothing._orders_from_index(combo, d) for v in v_list
+            for combo in itertools.combinations_with_replacement(range(d), v)]
+
+
+def _cube(d, phi, eps):
+    return _params(d=d, lower=[-1.5] * d, upper=[1.5] * d, phi=phi, eps=eps)
+
+
+class TestDistinctFactors:
+    @pytest.mark.parametrize("params, points, v_list", [
+        # the default cube at d = 3, v = 1..3
+        (_cube(3, 4.0, 1.0), None, (1, 2, 3)),
+        (_cube(3, 32.0, 0.25), None, (1, 2, 3)),
+        # d = 8: axis perturbations, and -0.0 among their entries
+        (_cube(8, 8.0, 0.5), None, (1, 2)),
+        # infinite endpoints, with C7's slope and scale
+        (_params(d=3, lower=[-np.inf, -1.2, -1.2], upper=[1.2, np.inf, 1.2],
+                 phi=6.0, eps=0.8),
+         np.random.default_rng(17).uniform(-1.5, 1.5, size=(12, 3)), (1, 2)),
+        # repeated identical points
+        (_cube(3, 16.0, 0.5), np.repeat([[0.0, 1.5, -0.4], [1.5, 1.5, 1.5]],
+                                        3, axis=0), (1, 2)),
+        # phi = inf, and an eps that is not a power of two
+        (_cube(3, math.inf, 0.5), None, (1, 2, 3)),
+        (_cube(3, 4.0, 0.3), None, (1, 2)),
+        (_cube(4, math.inf, 0.3), None, (1, 2))],
+        ids=["d3_phi4_eps1", "d3_phi32_eps0.25", "d8_axis", "infinite_ends",
+             "repeated_points", "d3_phi_inf", "d3_eps0.3", "d4_phi_inf_eps0.3"])
+    def test_rows_equal_the_per_pair_integrand(self, params, points, v_list):
+        points = _cell_points(params) if points is None else points
+        profiles = [{}] + _profiles(params.d, v_list)
+        got = smoothing._integrate(points, profiles, params)
+        assert np.array_equal(got, _oracle_integrate(points, profiles, params))
+
+    def test_ndtr_sees_each_distinct_factor_once_per_node(self, monkeypatch):
+        # a default cell's 54 points x 3 coordinates take 9 distinct values
+        # (w in {0, 1.5, far}, offsets in {0, +-r}), so the normal CDF takes
+        # 2 x 9 arguments per node (upper and lower), not 2 x 162
+        seen = {"ndtr": 0, "nodes": 0}
+        ndtr, quadrature = smoothing.ndtr, smoothing._quadrature
+
+        def counting_ndtr(t):
+            seen["ndtr"] += np.size(t)
+            return ndtr(t)
+
+        def counting_quadrature(f, *args, **kwargs):
+            def counted(s):
+                seen["nodes"] += np.size(s)
+                return f(s)
+            return quadrature(counted, *args, **kwargs)
+
+        monkeypatch.setattr(smoothing, "ndtr", counting_ndtr)
+        monkeypatch.setattr(smoothing, "_quadrature", counting_quadrature)
+        verify_lemmas([3], [1, 2], [4.0], [1.0])
+        points = _cell_points(_cube(3, 4.0, 1.0))
+        distinct = len(np.unique(points))  # the cube's bounds are shared
+        assert points.shape == (54, 3) and distinct == 9
+        assert 0 < seen["ndtr"] <= 2 * distinct * seen["nodes"]
