@@ -9,13 +9,14 @@ Modules:
   floats at unit constants (shapes, not certified bounds).
 * :mod:`hdclt.bootstrap`: multiplier bootstrap draws, the empirical
   bootstrap among them as resample-count multipliers, and quantiles.
-* :mod:`hdclt.distance`: Kolmogorov distances over rectangle sub-families
-  and the sampler of scaled sums' max statistics.
+* :mod:`hdclt.distance`: Kolmogorov distances of max statistics, one-sample
+  against an exact law or two-sample, and the sampler of scaled sums' max
+  statistics.
 * :mod:`hdclt.maxlaw`: exact CDFs and inverse-CDF samplers of one-sided max
   statistics whose coordinates factor, and of the local-means max.
 * :mod:`hdclt.smoothing`: smoothed rectangle indicators and exact derivatives.
-* :mod:`hdclt.lowerbound`: the Poisson approximation check, the Gaussian
-  reference max statistics and the power-law fit of the rate experiments.
+* :mod:`hdclt.lowerbound`: the Poisson approximation check, the exact
+  Gaussian reference law and the power-law fit of the rate experiments.
 * :mod:`hdclt.runner`: config-driven experiments (the rate curves are
   assembled here), CSV/JSON/SVG artifacts.
 * :mod:`hdclt.errors`: :class:`HdcltError` and its subclasses, kept for what
@@ -29,8 +30,7 @@ from .bootstrap import (empirical_cov_centered, multiplier_draws,
 from .bounds import (bound_bounded, bound_gaussian_comparison,
                      bounds_local_means, delta0, xlog_factor)
 from .distance import (MaxStatSample, anticoncentration_probe, ks_distance,
-                       ks_two_sample_critical, max_stat_sample,
-                       rect_family_distance)
+                       ks_two_sample_critical, max_stat_sample)
 from .errors import HdcltError
 from .lowerbound import poisson_approx_check, threshold_xn
 from .maxlaw import (EquicorrelatedGaussianMax, IsotropicGaussianMax,
@@ -52,7 +52,7 @@ __all__ = [
     "bounds_local_means",
     "multiplier_draws", "empirical_cov_centered", "simultaneous_quantile",
     "MaxStatSample", "ks_distance", "ks_two_sample_critical",
-    "rect_family_distance", "max_stat_sample", "anticoncentration_probe",
+    "max_stat_sample", "anticoncentration_probe",
     "SmoothingParams", "rho_eval", "rho_partial",
     "derivative_sum", "h_nu", "verify_lemmas",
     "poisson_approx_check", "threshold_xn",

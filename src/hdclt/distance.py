@@ -1,10 +1,10 @@
-"""Kolmogorov-type distances over tractable rectangle families.
+"""Kolmogorov distances of max statistics, and the samples they are taken on.
 
 The sup over all rectangles is not Monte-Carlo estimable uniformly, so
-distances are taken over explicit sub-families: the one-sided max family
-(which the lower-bound constructions use), the two-sided max family, and a
-seeded random rectangle family.  Every estimate therefore lower-bounds the
-full rectangle-class distance.
+distances are taken over the max rectangle families, on which they reduce
+to Kolmogorov distances of the max statistic: one-sample against an exact
+law where the reference has one, two-sample otherwise.  Every estimate
+therefore lower-bounds the full rectangle-class distance.
 """
 
 from __future__ import annotations
@@ -68,11 +68,6 @@ class MaxStatSample:
     def from_draws(draws: np.ndarray, side: str = "one_sided") -> "MaxStatSample":
         return MaxStatSample(max_statistic(draws, side))
 
-    def cdf(self, x) -> np.ndarray:
-        """Right-continuous empirical CDF at the points x."""
-        return np.searchsorted(self.values, np.asarray(x, dtype=float),
-                               side="right") / self.size
-
 
 # max_stat_sample's default law: look it up, since None means "no law"
 _LOOK_UP = object()
@@ -111,22 +106,31 @@ def max_stat_sample(spec: DistributionSpec, n: int, reps: int, seed: int,
     return MaxStatSample(out)
 
 
-def ks_distance(a: MaxStatSample, b: MaxStatSample) -> float:
-    """Two-sample Kolmogorov distance: sup over pooled jump points."""
+def ks_distance(a: MaxStatSample, b) -> float:
+    """Kolmogorov distance of ``a`` to a sample or a law ``b``: the first
+    value of :func:`ks_distance_with_se`."""
     return ks_distance_with_se(a, b)[0]
 
 
-def ks_distance_with_se(a: MaxStatSample, b: MaxStatSample) -> tuple[float, float]:
-    """Two-sample Kolmogorov distance plus the binomial standard error of
-    the CDF difference at the pooled point where the sup is attained.
+def ks_distance_with_se(a: MaxStatSample, b) -> tuple[float, float]:
+    """Kolmogorov distance of the empirical CDF of ``a`` to that of a second
+    sample ``b``, or to the CDF of a continuous law ``b`` (any object with
+    ``cdf``), plus the binomial standard error of the CDF difference at the
+    point where the sup is attained.
 
-    Between consecutive distinct values v_(k-1) < v_k of the smaller sample
-    s, F_s is constant and F_L of the other sample L does not decrease, so
-    |F_a - F_b| there peaks at v_(k-1) or at L's last point below v_k; past
-    the last v it only falls.  So binary searches in L for the m values v_k
-    give the sup in O(m log |L|) with no pooled array, and equal gaps go to
-    the first in pooled order, as in a merge: the result is the merge's.
+    Against a law F the distance is one-sample, taken by
+    :func:`_ks_to_law`, and the standard error is sqrt(F (1 - F) / m).
+
+    Against a sample: between consecutive distinct values v_(k-1) < v_k of
+    the smaller sample s, F_s is constant and F_L of the other sample L
+    does not decrease, so |F_a - F_b| there peaks at v_(k-1) or at L's last
+    point below v_k; past the last v it only falls.  So binary searches in
+    L for the m values v_k give the sup in O(m log |L|) with no pooled
+    array, and equal gaps go to the first in pooled order, as in a merge:
+    the result is the merge's.
     """
+    if not isinstance(b, MaxStatSample):
+        return _ks_to_law(a, b)
     s, big = (a, b) if a.size <= b.size else (b, a)
     sv, lv = s.values, big.values
     count = np.flatnonzero(np.append(sv[1:] != sv[:-1], True))
@@ -152,63 +156,43 @@ def ks_distance_with_se(a: MaxStatSample, b: MaxStatSample) -> tuple[float, floa
     return float(dist), se
 
 
-def ks_two_sample_critical(ra: int, rb: int, alpha: float = 0.01) -> float:
-    """Asymptotic two-sample KS critical value at level alpha."""
-    c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
-    return c * math.sqrt((ra + rb) / (ra * rb))
+def _ks_to_law(a: MaxStatSample, law) -> tuple[float, float]:
+    """One-sample Kolmogorov distance sup_x |F_a(x) - F(x)| of the m draws
+    of ``a`` to a continuous law F.
 
-
-def rect_family_distance(draws_a: np.ndarray, draws_b: np.ndarray,
-                         family: str | tuple = "one_sided_max") -> float:
-    """Max over a rectangle family of |P_hat_A(rect) - P_hat_B(rect)|.
-
-    ``family`` is one of :data:`FAMILIES` or ``("random_rects", count,
-    seed)``.  The max families reduce exactly to the two-sample KS distance
-    on the corresponding max statistics.  The random family mixes
-    equal-threshold one-sided rectangles with general product rectangles
-    whose endpoints are drawn from the pooled central 99.8% range, so it
-    contains (a grid of) the one-sided family.
+    With C_k the count of draws <= v_k at the distinct values v_1 < ... <
+    v_K of ``a``, the gap peaks at some v_k, as C_k/m - F(v_k), or just
+    below it, as F(v_k) - C_(k-1)/m; as F does not decrease, the opposite
+    signs are bounded by the neighbouring candidates.  So F is taken once
+    per v_k (at most n + 1 times on a step law of W).  Equal gaps go to the
+    first point in x order, the one below v_k before v_k itself.
     """
-    draws_a, draws_b = np.atleast_2d(draws_a, draws_b)
-    if draws_a.shape[1] != draws_b.shape[1]:
-        raise ValueError("draw dimensions differ")
-    if isinstance(family, tuple) and family[0] == "random_rects":
-        _, count, seed = family
-        return _random_rects_distance(draws_a, draws_b, int(count), int(seed))
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    return ks_distance(MaxStatSample.from_draws(draws_a, FAMILIES[family]),
-                       MaxStatSample.from_draws(draws_b, FAMILIES[family]))
+    v, m = a.values, a.size
+    count = np.flatnonzero(np.append(v[1:] != v[:-1], True))  # tie run ends
+    f = law.cdf(v[count])
+    count += 1                                    # C_k
+    gaps = count / m
+    gaps -= f                                     # C_k/m - F(v_k)
+    # the candidate at v_k is point 2k + 1 in x order, the one below it 2k
+    k = int(np.argmax(gaps))
+    at = (gaps[k], -2 * k - 1, f[k])
+    np.divide(count[:-1], m, out=gaps[1:])
+    gaps[0] = 0.0
+    np.subtract(f, gaps, out=gaps)                # F(v_k) - C_(k-1)/m
+    k = int(np.argmax(gaps))
+    below = (gaps[k], -2 * k, f[k])
+    dist, _, fk = max(at, below)  # equal gaps: the earlier point wins
+    return float(dist), math.sqrt(fk * (1 - fk) / m)
 
 
-def _random_rects_distance(draws_a, draws_b, count, seed) -> float:
-    d = draws_a.shape[1]
-    rng = substream(seed, 21)
-    pooled = np.concatenate([draws_a, draws_b], axis=0)
-    lo = np.quantile(pooled, 0.001, axis=0)
-    hi = np.quantile(pooled, 0.999, axis=0)
-    n_one = count // 2
-    max_pool = max_statistic(pooled)
-    thresholds = rng.uniform(max_pool.min(), max_pool.max(), size=n_one)
-    n_gen = count - n_one
-    u = rng.uniform(lo, hi, size=(n_gen, 2, d))
-    lowers = np.minimum(u[:, 0], u[:, 1])
-    uppers = np.maximum(u[:, 0], u[:, 1])
-    # one-sided coordinates: drop the lower constraint with probability 1/3
-    lowers[rng.random((n_gen, d)) < 1.0 / 3.0] = -np.inf
-
-    # one-sided equal-threshold rectangles reduce to the max statistic
-    fa, fb = (MaxStatSample.from_draws(x).cdf(thresholds)
-              for x in (draws_a, draws_b))
-    best = float(np.max(np.abs(fa - fb), initial=0.0))
-    # a block of rectangles broadcasts against every draw of both samples
-    for _, sl in blocks(n_gen, len(pooled) * d):
-        in_a, in_b = (np.all((x[:, None, :] > lowers[sl])
-                             & (x[:, None, :] <= uppers[sl]), axis=2).mean(axis=0)
-                      for x in (draws_a, draws_b))
-        diff = np.abs(in_a - in_b)
-        best = max(best, float(diff.max(initial=0.0)))
-    return best
+def ks_two_sample_critical(ra: int, rb: int, alpha: float = 0.01) -> float:
+    """Asymptotic two-sample KS critical value at level alpha; at
+    ``rb = math.inf`` (a law in place of the second sample) it is the
+    one-sample value c(alpha) / sqrt(ra)."""
+    c = math.sqrt(-math.log(alpha / 2.0) / 2.0)
+    if math.isinf(rb):
+        return c / math.sqrt(ra)
+    return c * math.sqrt((ra + rb) / (ra * rb))
 
 
 def anticoncentration_probe(d: int, eps: float, reps: int,

@@ -1,7 +1,7 @@
 """Constructive lower-bound analyses: the Poisson approximation of the max
 statistic of the two-point construction, the rate curves' power-law fit, and
-W's distance to its Gaussian reference, whose law and uniforms serve every n
-of a rate curve and every rho of the Gaussian comparison.
+W's distance to its Gaussian reference, whose exact law serves every n of a
+rate curve and every rho of the Gaussian comparison.
 
 The threshold x solves the equation Phi(x)^d = e^{-1}, so the Gaussian max
 statistic lands exactly on e^{-1}; the gap of the data max statistic at that
@@ -17,9 +17,9 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import maxlaw
-from .distance import (MaxStatSample, ks_distance_with_se,
-                       ks_two_sample_critical, max_stat_sample)
-from .sampler import DistributionSpec, derive_seed, substream
+from .distance import (ks_distance_with_se, ks_two_sample_critical,
+                       max_stat_sample)
+from .sampler import DistributionSpec, substream
 
 
 def threshold_xn(d: float) -> float:
@@ -82,43 +82,34 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]
     return slope, slope_se, intercept
 
 
-def reference_max_stats(spec: DistributionSpec, reps: int, seed: int) -> tuple:
+def reference_max_stats(spec: DistributionSpec) -> maxlaw.IsotropicGaussianMax:
     """Exact law F of N(0, covariance of spec)'s max statistic max_j Z_j,
-    which needs a sigma^2 I, and the sorted uniforms u that
-    ``max_stat_sample`` inverts: the ``ref = (F, u)`` of
-    :func:`reference_distance`, where, as F increases,
-    KS(MaxStatSample(F.cdf(w)), u) = KS(w, F.sample(u)).  u is sorted once
-    and serves every W measured against F, whose CDF is taken only at the
-    distinct values of each sorted sample w."""
+    the reference of :func:`reference_distance`; a covariance other than
+    sigma^2 I raises ValueError.  One F serves every W measured against
+    it."""
     cov = spec.population_covariance()
     law = maxlaw.law_of(DistributionSpec.gaussian(cov), 1)
     if not isinstance(law, maxlaw.IsotropicGaussianMax):
         raise ValueError(f"the {spec.kind} covariance is not sigma^2 I")
-    u = substream(derive_seed(seed, 999), 23).random(reps)
-    np.maximum(u, maxlaw._U_MIN, out=u)
-    u.sort()
-    return law, MaxStatSample(u)
+    return law
 
 
 def reference_distance(spec: DistributionSpec, n: int, reps: int, seed: int,
-                       ref: tuple) -> tuple:
-    """Measure W = n^{-1/2} sum_i X_i, X_i ~ spec, against ``ref = (F, u)``:
-    the KS distance of F(max_j W_j) over ``reps`` draws from ``seed`` to u,
-    its standard error, the 1% two-sample KS critical value (the noise
-    floor a Monte Carlo distance cannot resolve below) and the exact sup
-    distance of the law of max_j W_j to F, which the Monte Carlo distance
-    estimates, or nan where ``maxlaw.law_of`` has no law of max_j W_j.
+                       ref: maxlaw.IsotropicGaussianMax) -> tuple:
+    """Measure W = n^{-1/2} sum_i X_i, X_i ~ spec, against the reference
+    law ``ref``: the one-sample KS distance of max_j W_j over ``reps``
+    draws from ``seed`` to ``ref``, its standard error, the 1% one-sample
+    KS critical value c(alpha) / sqrt(reps) (the noise floor a Monte Carlo
+    distance cannot resolve below) and the exact sup distance of the law of
+    max_j W_j to ``ref``, which the Monte Carlo distance estimates, or nan
+    where ``maxlaw.law_of`` has no law of max_j W_j.
 
     The law of max W is built once and serves both the draws, which come
     sorted from sorted uniforms where it has a one-variate sampler, and the
-    exact distance.  F is taken once per distinct value of the sorted draws
-    (at most n + 1 of them on a step law) and repeated over each value's
-    run of ties."""
-    law, u = ref
+    exact distance.  ``ref``'s CDF is taken once per distinct value of the
+    draws (at most n + 1 of them on a step law)."""
     w_law = maxlaw.law_of(spec, n)
-    w = max_stat_sample(spec, n, reps, seed, w_law).values
-    ends = np.flatnonzero(np.append(w[1:] != w[:-1], True))  # last of each tie
-    f = np.repeat(law.cdf(w[ends]), np.diff(ends, prepend=-1))
-    dist, se = ks_distance_with_se(MaxStatSample(f), u)
-    return (dist, se, ks_two_sample_critical(reps, u.size),
-            math.nan if w_law is None else maxlaw.sup_distance(w_law, law))
+    w = max_stat_sample(spec, n, reps, seed, w_law)
+    dist, se = ks_distance_with_se(w, ref)
+    return (dist, se, ks_two_sample_critical(reps, math.inf),
+            math.nan if w_law is None else maxlaw.sup_distance(w_law, ref))

@@ -298,8 +298,9 @@ def _integrate(points, profiles: Sequence[dict],
     the integrand at s = 0 (plain Gaussian convolution of the indicator).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if np.isnan(points).any():
-        raise ValueError("evaluation points must not be NaN")
+    # an infinite coordinate on an infinite side would read inf - inf
+    if not np.isfinite(points).all():
+        raise ValueError("evaluation points must not be NaN or infinite")
     f = _integrand(points, profiles, params)
     if math.isinf(params.phi):
         vals = f(np.zeros(1))[:, 0]

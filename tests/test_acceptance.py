@@ -16,6 +16,7 @@ from hdclt.matcore import RectangleSpec
 from hdclt.runner import ExperimentConfig, run
 from hdclt.sampler import substream
 from hdclt.smoothing import SmoothingParams
+from distance_oracles import rect_family_distance
 from smoothing_oracles import h_derivative_coefficient_check
 
 SEED = 101
@@ -67,7 +68,7 @@ def test_c2_poisson_residual(tmp_path_factory):
 
 def test_c3_zero_skew_rate(tmp_path_factory):
     # exact enumeration puts the true distances near 5e-4, below the
-    # two-sample Monte Carlo noise floor at the pinned 1e6 replications,
+    # one-sample Monte Carlo noise floor at the pinned 1e6 replications,
     # so the fitted slope is noise-dominated; kept at full scale and
     # allowed to fail honestly (the n^{-1} law itself is verified on the
     # exact oracle in test_lowerbound.py)
@@ -175,12 +176,10 @@ def test_c9_null_calibration():
             "ks_max": distance.ks_distance(
                 distance.MaxStatSample.from_draws(a, "one_sided"),
                 distance.MaxStatSample.from_draws(b, "one_sided")),
-            "one_sided_max": distance.rect_family_distance(a, b,
-                                                           "one_sided_max"),
-            "two_sided_max": distance.rect_family_distance(a, b,
-                                                           "two_sided_max"),
-            "random_rects": distance.rect_family_distance(
-                a, b, ("random_rects", 64, t)),
+            "one_sided_max": rect_family_distance(a, b, "one_sided_max"),
+            "two_sided_max": rect_family_distance(a, b, "two_sided_max"),
+            "random_rects": rect_family_distance(a, b,
+                                                 ("random_rects", 64, t)),
         }
         for name in names:
             below[name] += vals[name] <= crit

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from distance_oracles import (brute_force_ks_to_law, empirical_cdf,
+                              rect_family_distance)
 from hdclt.distance import (MaxStatSample, anticoncentration_probe,
                             ks_distance, ks_distance_with_se,
                             ks_two_sample_critical, max_stat_sample,
-                            max_statistic, rect_family_distance)
+                            max_statistic)
 from hdclt.lowerbound import threshold_xn
 from hdclt.matcore import CovarianceModel
 from hdclt.maxlaw import IsotropicGaussianMax, TwoPointMax, law_of
@@ -140,7 +142,7 @@ class TestKsDistance:
     def _searchsorted_ks(a, b):
         # oracle: both empirical CDFs at every pooled point by binary search
         pooled = np.sort(np.concatenate([a.values, b.values]), kind="mergesort")
-        fa, fb = a.cdf(pooled), b.cdf(pooled)
+        fa, fb = empirical_cdf(a, pooled), empirical_cdf(b, pooled)
         gaps = np.abs(fa - fb)
         k = int(np.argmax(gaps))
         se = math.sqrt(fa[k] * (1 - fa[k]) / a.size + fb[k] * (1 - fb[k]) / b.size)
@@ -230,6 +232,97 @@ class TestKsDistance:
         assert ks_two_sample_critical(r, r, alpha=0.01) == pytest.approx(
             1.6276 * math.sqrt(2.0 / r), abs=1e-5)
 
+    @pytest.mark.parametrize("case, pinned", [
+        ("continuous", (0.021199999999999997, 0.010921158912862682)),
+        ("tied", (0.03600000000000003, 0.00992486145999026))])
+    def test_two_sample_values_pinned(self, case, pinned):
+        # recorded before a law could stand in for the second sample: the
+        # two-sample path, which bootstrap_agreement takes, moves no bit
+        rng = substream(41, 0)
+        samples = {"continuous": (rng.standard_normal(3000),
+                                  rng.standard_normal(5000) + 0.05)}
+        samples["tied"] = (np.round(rng.standard_normal(4000), 1),
+                           np.round(rng.standard_normal(4000) + 0.03, 2))
+        a, b = (MaxStatSample(x) for x in samples[case])
+        assert ks_distance_with_se(a, b) == pinned
+        assert ks_distance(b, a) == pinned[0]
+
+    def test_critical_values_pinned(self):
+        assert [ks_two_sample_critical(100_000, 100_000),
+                ks_two_sample_critical(2000, 4000),
+                ks_two_sample_critical(3, 7, alpha=0.05)] == [
+            0.007278954160144188, 0.04457430888365532, 0.9371790821032497]
+
+    def test_one_sample_critical_value_is_the_limit(self):
+        c = math.sqrt(-math.log(0.005) / 2.0)
+        assert ks_two_sample_critical(2000, math.inf) == c / math.sqrt(2000)
+        assert ks_two_sample_critical(2000, 10**12) == pytest.approx(
+            ks_two_sample_critical(2000, math.inf), rel=1e-9)
+
+
+class _Uniform:
+    """The uniform law on [0, 1], whose CDF at dyadic points is exact."""
+
+    def cdf(self, x):
+        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
+
+
+class TestKsToLaw:
+    @staticmethod
+    def _counted(law):
+        # the law, and the points its CDF was asked for
+        seen = []
+
+        class Counted:
+            def cdf(self, x):
+                seen.append(np.array(x))
+                return law.cdf(x)
+        return Counted(), seen
+
+    @pytest.mark.parametrize("n, seed", [(5, 0), (5, 1), (50, 2), (1000, 3)])
+    def test_step_sample_matches_brute_force(self, n, seed):
+        # a TwoPointMax W takes at most n + 1 values, so its draws tie
+        step = TwoPointMax(2.0, n, 20)
+        values = np.sort(step.sample(substream(seed, 7).random(5000)))
+        ref = IsotropicGaussianMax(20)
+        law, seen = self._counted(ref)
+        assert ks_distance_with_se(MaxStatSample(values), law) == \
+            brute_force_ks_to_law(values, ref.cdf)
+        # the CDF is taken once per distinct value, at most n + 1 of them
+        (points,) = seen
+        np.testing.assert_array_equal(points, np.unique(values))
+        assert points.size <= n + 1
+
+    @pytest.mark.parametrize("shift", [0.0, 0.05, 3.0, -3.0])
+    def test_continuous_sample_matches_brute_force(self, shift):
+        values = substream(42, 0).standard_normal(20_000) + shift
+        law = IsotropicGaussianMax(1)
+        dist, se = ks_distance_with_se(MaxStatSample(values), law)
+        assert (dist, se) == brute_force_ks_to_law(values, law.cdf)
+        assert ks_distance(MaxStatSample(values), law) == dist
+
+    def test_standard_error_at_the_sup_point(self):
+        # draws 0.25 and 0.5 of U(0, 1): the gaps are 0.25 below 0.25,
+        # 0.25 at it, 0 below 0.5 and 0.5 at 0.5, where F = 1/2
+        dist, se = ks_distance_with_se(MaxStatSample(np.array([0.25, 0.5])),
+                                       _Uniform())
+        assert dist == 0.5 and se == math.sqrt(0.5 * 0.5 / 2)
+
+    @pytest.mark.parametrize("values, dist, f", [
+        # at 0.125 (F = 1/8) and at 0.625 (F = 5/8): both 3/8
+        ([0.125, 0.625], 0.375, 0.125),
+        # below 0.375 (F = 3/8) and below 0.875 (F = 7/8): both 3/8
+        ([0.375, 0.875], 0.375, 0.375),
+        # at 1/16 (1/4 - 1/16), then below 11/16 (11/16 - 1/2): both 3/16
+        ([0.0625, 0.3125, 0.6875, 0.8125], 0.1875, 0.0625),
+        # below 1/2 (1/2 - 1/4), then at 3/4 (1 - 3/4): both 1/4
+        ([0.0625, 0.5, 0.5625, 0.75], 0.25, 0.5)])
+    def test_equal_gaps_take_the_earlier_point(self, values, dist, f):
+        values = np.array(values)
+        got = ks_distance_with_se(MaxStatSample(values), _Uniform())
+        assert got == (dist, math.sqrt(f * (1 - f) / values.size))
+        assert got == brute_force_ks_to_law(values, _Uniform().cdf)
+
 
 class TestRectFamilies:
     def _draws(self, seed, reps=2000, d=3, shift=0.0):
@@ -281,7 +374,7 @@ class TestMaxStatSample:
     def test_sorted_and_sided(self):
         s = MaxStatSample(np.array([3.0, 1.0, 2.0]))
         np.testing.assert_array_equal(s.values, [1.0, 2.0, 3.0])
-        assert s.cdf(2.0) == pytest.approx(2.0 / 3.0)
+        assert empirical_cdf(s, 2.0) == pytest.approx(2.0 / 3.0)
 
     def test_two_sided_uses_absolute_values(self):
         draws = np.array([[-5.0, 1.0], [0.5, -0.2]])

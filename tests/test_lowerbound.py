@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from hdclt import lowerbound, maxlaw
+from distance_oracles import brute_force_ks_to_law
+from hdclt import maxlaw
 from hdclt.distance import MaxStatSample, ks_distance_with_se, max_stat_sample
 from hdclt.lowerbound import (fit_power_law, poisson_approx_check,
                               reference_distance, reference_max_stats,
@@ -14,8 +15,8 @@ from hdclt.lowerbound import (fit_power_law, poisson_approx_check,
 from hdclt.matcore import CovarianceModel
 from hdclt.maxlaw import (IsotropicGaussianMax, RademacherGaussianMax,
                           law_of, two_point_marginal_tail)
-from hdclt.sampler import (BLOCK_FLOATS, DistributionSpec, derive_seed,
-                           sample_scaled_sums, two_point_support)
+from hdclt.sampler import (BLOCK_FLOATS, DistributionSpec, sample_scaled_sums,
+                           two_point_support)
 
 
 class TestThreshold:
@@ -110,15 +111,12 @@ class TestPoissonApprox:
 
 
 class TestReferenceMaxStats:
-    def test_uniforms_are_the_inverted_stream(self):
-        spec = DistributionSpec.quasi_gaussian(20)
-        law, u = reference_max_stats(spec, 5000, seed=7)
-        assert law == IsotropicGaussianMax(20, math.sqrt(2.0))
-        assert np.all(np.diff(u.values) >= 0) and u.values[0] > 0
-        drawn = max_stat_sample(DistributionSpec.gaussian(
-            spec.population_covariance()), 1, 5000, derive_seed(7, 999))
-        np.testing.assert_array_equal(np.sort(law.sample(u.values)),
-                                      drawn.values)
+    def test_returns_the_exact_isotropic_law(self):
+        # W = n^{-1/2} sum of Rademacher plus N(0, 1) rows has covariance 2 I
+        assert reference_max_stats(DistributionSpec.quasi_gaussian(20)) == \
+            IsotropicGaussianMax(20, math.sqrt(2.0))
+        assert reference_max_stats(DistributionSpec.gaussian(
+            CovarianceModel.identity(10))) == IsotropicGaussianMax(10)
 
     @pytest.mark.parametrize("spec", [
         DistributionSpec.local_means(10),
@@ -127,7 +125,7 @@ class TestReferenceMaxStats:
         ids=["local_means", "equicorrelated", "unequal_variances"])
     def test_refuses_covariance_without_isotropic_law(self, spec):
         with pytest.raises(ValueError, match=f"the {spec.kind} covariance"):
-            reference_max_stats(spec, 100, seed=1)
+            reference_max_stats(spec)
 
     @staticmethod
     def _w_samples():
@@ -152,17 +150,13 @@ class TestReferenceMaxStats:
             yield (f"quasi_gaussian-{n}",
                    max_stat_sample(spec, n, 2000, seed).values, spec)
 
-    def test_uniform_space_distance_is_the_drawn_reference_distance(self):
+    def test_one_sample_distance_is_the_brute_force_sup(self):
         tails = set()
         for label, w, ref_spec in self._w_samples():
-            for seed in range(10):
-                law, u = reference_max_stats(ref_spec, 6000, seed)
-                f = law.cdf(w)
-                tails |= {v for v in (0.0, 1.0) if v in f}
-                assert ks_distance_with_se(MaxStatSample(f), u) == \
-                    ks_distance_with_se(MaxStatSample(w),
-                                        MaxStatSample(law.sample(u.values))), \
-                    (label, seed)
+            law = reference_max_stats(ref_spec)
+            tails |= {v for v in (0.0, 1.0) if v in law.cdf(w)}
+            assert ks_distance_with_se(MaxStatSample(w), law) == \
+                brute_force_ks_to_law(w, law.cdf), label
         assert tails == {0.0, 1.0}  # atoms at both rounded ends were met
 
 
@@ -180,20 +174,29 @@ class TestReferenceDistance:
     @pytest.mark.parametrize("spec, n, ref_spec", CASES, ids=IDS)
     def test_reference_cdf_per_distinct_value_is_taken_per_draw(
             self, monkeypatch, spec, n, ref_spec):
-        ref = reference_max_stats(ref_spec or spec, 20_000, seed=3)
-        seen = []
-        monkeypatch.setattr(lowerbound, "ks_distance_with_se",
-                            lambda a, b: seen.append(a) or
-                            ks_distance_with_se(a, b))
-        reference_distance(spec, n, 20_000, 4, ref)
+        ref = reference_max_stats(ref_spec or spec)
+        seen, real_cdf = [], IsotropicGaussianMax.cdf
+        monkeypatch.setattr(IsotropicGaussianMax, "cdf", lambda self, x:
+                            seen.append(np.array(x)) or real_cdf(self, x))
+        # the exact distance takes the CDF too; here only the KS does
+        monkeypatch.setattr(maxlaw, "sup_distance", lambda law, ref: 0.0)
+        dist, se, floor, _ = reference_distance(spec, n, 20_000, 4, ref)
+        monkeypatch.undo()
         w = max_stat_sample(spec, n, 20_000, 4).values
-        assert np.array_equal(seen[0].values, ref[0].cdf(w))
+        # one CDF call, on the draws' distinct values: at most n + 1 of
+        # them on a step law
+        (points,) = seen
+        assert np.array_equal(points, np.unique(w))
+        if spec.kind != "quasi_gaussian":
+            assert points.size <= n + 1
+        assert (dist, se) == brute_force_ks_to_law(w, ref.cdf)
+        c = math.sqrt(-math.log(0.005) / 2.0)
+        assert floor == c / math.sqrt(20_000)
 
     def test_builds_the_w_law_once(self, monkeypatch):
         spec = DistributionSpec.local_means(10)
         ref = reference_max_stats(
-            DistributionSpec.gaussian(CovarianceModel.identity(10)), 1000,
-            seed=1)
+            DistributionSpec.gaussian(CovarianceModel.identity(10)))
         lookups, builds = [], []
         real_law_of = maxlaw.law_of
         real_build = maxlaw.LocalMeansMax.__post_init__

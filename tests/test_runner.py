@@ -6,21 +6,28 @@ import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from distance_oracles import brute_force_ks_to_law
 from hdclt import maxlaw, sampler
 from hdclt.bootstrap import MULTIPLIER_KINDS
 from hdclt.cli import main as cli_main
-from hdclt.distance import ks_two_sample_critical
+from hdclt.distance import max_stat_sample
 from hdclt.errors import ConfigInvalid, IoFailure
 from hdclt.lowerbound import fit_power_law
-from hdclt.maxlaw import two_point_marginal_tail
+from hdclt.matcore import CovarianceModel
+from hdclt.maxlaw import IsotropicGaussianMax, two_point_marginal_tail
 from hdclt.runner import (EXPERIMENTS, KEYS, RUN_KEYS,
                           ExperimentConfig, emit_plot, load_config,
                           parse_config_text, run)
+from hdclt.sampler import DistributionSpec, derive_seed
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
+
+# the 1% one-sample KS critical value at 2000 draws, c(alpha) / sqrt(2000)
+FLOOR_2000 = math.sqrt(-math.log(0.005) / 2.0) / math.sqrt(2000)
 
 # the benchmark's smoothing gate compares its reference CSV's header too
 with open(ROOT / "perfbench" / "reference" / "smoothing_verify.csv",
@@ -207,10 +214,19 @@ class TestRun:
         records = json.load(open(str(tmp_path / "manifest.json")))
         assert records[-1]["config_hash"] == cfg.digest()
 
-    # at 2000 + 4000 draws the noise floor is 0.0446: above the exact
-    # rate_vs_n distance at n = 2000 (0.0370) and every zero-skew one
+    @pytest.mark.parametrize("experiment", ["rate_vs_n", "local_means"])
+    def test_ref_factor_is_read_by_nothing(self, tmp_path, experiment):
+        # the reference is an exact law, so no draw count of it exists
+        csvs = [open(run(ExperimentConfig.from_mapping(
+            {"experiment": experiment, **TINY[experiment], "ref_factor": k}),
+            out_dir=str(tmp_path / str(k))).csv_paths[0], "rb").read()
+            for k in (1, 7)]
+        assert csvs[0] == csvs[1]
+
+    # at 2000 draws the one-sample noise floor is 0.0364: below the exact
+    # rate_vs_n distance at n = 2000 (0.0370), above every zero-skew one
     @pytest.mark.parametrize("experiment, below", [
-        ("rate_vs_n", [False, False, False, True]),
+        ("rate_vs_n", [False, False, False, False]),
         ("zero_skew_rate", [True, True, True])])
     def test_rate_summary_reports_exact_values(self, tmp_path, experiment,
                                                below):
@@ -219,10 +235,9 @@ class TestRun:
              "ref_factor": 2, "seed": 5})
         summary = run(cfg, out_dir=str(tmp_path)).summary
         exact = summary["exact_distance"]
-        floor = ks_two_sample_critical(2000, 4000)
         assert len(exact) == len(cfg.n_list) and all(e > 0 for e in exact)
         assert summary["exact_slope"] == fit_power_law(cfg.n_list, exact)[0]
-        assert summary["noise_floor"] == floor
+        assert summary["noise_floor"] == FLOOR_2000
         assert summary["distance_below_noise_floor"] == below
         # the headline bounded-case shape B log^{3/2} d log n / sqrt(n) at
         # C = 1 beside each distance; zero_skew_rate has no B, so no bound
@@ -250,8 +265,16 @@ class TestRun:
             {"experiment": "gaussian_comparison", "replications": 2000,
              "rho_list": [0.05, 0.1, 0.2, -0.05], "seed": 5})
         rows = run(cfg, out_dir=str(tmp_path)).summary["rows"]
-        for row in rows:
-            assert row["noise_floor"] == ks_two_sample_critical(2000, 2000)
+        # each row is the one-sample KS of its redrawn equicorrelated max
+        # statistics to the exact isotropic law, by brute force
+        ref = IsotropicGaussianMax(cfg.d)
+        for i, row in enumerate(rows):
+            w = max_stat_sample(DistributionSpec.gaussian(
+                CovarianceModel.equicorrelation(cfg.d, row["rho"])), 1, 2000,
+                derive_seed(5, 61, i)).values
+            assert (row["measured"], row["se"]) == \
+                brute_force_ks_to_law(w, ref.cdf)
+            assert row["noise_floor"] == FLOOR_2000
             assert 0 < row["se"] < 0.02
         # the exact sup distances of the equicorrelated Gaussian max to the
         # isotropic one; a negative rho has no exact law here, and
@@ -389,31 +412,49 @@ class TestCsvHeaders:
 
 
 class TestUniformSpaceDistances:
-    # distance and se recorded, at seed 101, from the implementation that
-    # inverted the reference uniforms into Gaussian draws: taking the KS in
-    # uniform space must reproduce them bit for bit
+    # distance and se at seed 101, checked against a uniform-space oracle:
+    # the KS distance of W's redrawn max statistics to the reference law F
+    # is that of F(max W) to the uniform law on [0, 1], taken by brute force
     @pytest.mark.parametrize("mapping, pinned", [
         ({"experiment": "rate_vs_n", "replications": 2000, "ref_factor": 2},
-         [("0.09574999999999995", "0.013635357874841422"),
-          ("0.07399999999999995", "0.013515296889080906"),
-          ("0.05874999999999997", "0.013485973616131687"),
-          ("0.035500000000000004", "0.011423766344774388")]),
+         [("0.09267872589561071", "0.01111811476460859"),
+          ("0.06723583300761732", "0.011100261939586967"),
+          ("0.05117872589561079", "0.01111811476460859"),
+          ("0.029344763750936698", "0.01082442069672648")]),
         ({"experiment": "zero_skew_rate", "replications": 2000,
           "ref_factor": 2},
-         [("0.040000000000000036", "0.013266847779333266"),
-          ("0.016249999999999987", "0.011092006553144476"),
-          ("0.02124999999999999", "0.012111104795806203")]),
+         [("0.03298855050134175", "0.010679405154794715"),
+          ("0.01913650224251129", "0.009354110983841115"),
+          ("0.011945917167044628", "0.009374785923396007")]),
         ({"experiment": "local_means"},
-         [("0.13818199999999997", "0.001457053051606564"),
-          ("0.14822800000000003", "0.0016138679069973476")])],
+         [("0.13801171564251963", "0.001542423341484018"),
+          ("0.14819472678110202", "0.0015786709905303284")])],
         ids=["rate_vs_n", "zero_skew_rate", "local_means"])
     def test_distances_match_the_inverted_reference(self, tmp_path, mapping,
                                                     pinned):
         cfg = ExperimentConfig.from_mapping({**mapping, "seed": 101})
         with open(run(cfg, out_dir=str(tmp_path)).csv_paths[0],
                   newline="") as fh:
-            assert [(repr(float(row["distance"])), repr(float(row["se"])))
-                    for row in csv.DictReader(fh)] == pinned
+            rows = [(repr(float(row["distance"])), repr(float(row["se"])))
+                    for row in csv.DictReader(fh)]
+        assert rows == pinned
+        if cfg.experiment == "local_means":
+            cases = [(DistributionSpec.local_means(d), 50 * d,
+                      derive_seed(101, 30, d), IsotropicGaussianMax(d))
+                     for d in cfg.d_list]
+        else:
+            spec = (DistributionSpec.two_point(cfg.B, cfg.d)
+                    if cfg.experiment == "rate_vs_n"
+                    else DistributionSpec.quasi_gaussian(cfg.d))
+            ref = maxlaw.law_of(DistributionSpec.gaussian(
+                spec.population_covariance()), 1)
+            cases = [(spec, n, derive_seed(101, 1, i), ref)
+                     for i, n in enumerate(cfg.n_list)]
+        for (spec, n, seed, ref), row in zip(cases, rows):
+            u = ref.cdf(max_stat_sample(spec, n, cfg.replications,
+                                        seed).values)
+            oracle = brute_force_ks_to_law(u, lambda x: np.clip(x, 0.0, 1.0))
+            assert tuple(map(float, row)) == oracle
 
 
 class TestBootstrapAgreement:

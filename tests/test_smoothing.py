@@ -395,6 +395,20 @@ class TestNanPoints:
         with pytest.raises(ValueError, match="must not be NaN"):
             call(lambda d: _params(d=d, phi=phi))
 
+    # on (-inf, inf] an infinite coordinate reads inf - inf, which gave NaN
+    # at phi = inf and an unconverged quadrature at phi = 4; it must raise
+    @pytest.mark.parametrize("phi", [4.0, math.inf])
+    @pytest.mark.parametrize("point", [math.inf, -math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda w, p: rho_eval([w], p),
+        lambda w, p: rho_partial([w], (0,), p)],
+        ids=["rho_eval", "rho_partial"])
+    def test_infinite_point_raises_before_quadrature(self, monkeypatch, phi,
+                                                      point, call):
+        monkeypatch.setattr(smoothing, "ndtr", None)  # never reached
+        with pytest.raises(ValueError, match="must not be NaN or infinite"):
+            call(point, _params(lower=[-math.inf], upper=[math.inf], phi=phi))
+
     def test_h_nu_propagates_nan(self):
         vals = h_nu(2, np.array([math.nan, np.inf, -np.inf]))
         assert math.isnan(vals[0]) and vals[1:].tolist() == [0.0, 0.0]
