@@ -42,8 +42,7 @@ def bound_gaussian_comparison(D: float, d: int) -> float:
     return xlog_factor(D) * math.log(d)
 
 
-def bounds_local_means(n: int, d: int,
-                       kappa_geom: int) -> tuple[float, float, float]:
+def bounds_local_means(n: int, d: int) -> tuple[float, float, float]:
     """The three many-local-means bound shapes: combined, prior-style, coupling.
 
     All three are evaluated with p = 1/d.
@@ -58,6 +57,6 @@ def bounds_local_means(n: int, d: int,
     prior = (ld**2 / d
              + (math.sqrt(d**3 * ld**4 * ln / n)
                 + math.sqrt(ld**7 * math.log(d * n) / n)) * ln)
-    coupling = math.sqrt(ld) * (math.sqrt(ln / (n * p) ** (1.0 / kappa_geom))
+    coupling = math.sqrt(ld) * (math.sqrt(ln / (n * p))
                                 + math.sqrt(ln**2 / (n * p)))
     return combined, prior, coupling

@@ -139,9 +139,3 @@ class RectangleSpec:
 
     def __repr__(self):  # pragma: no cover
         return f"RectangleSpec(lower={self.lower}, upper={self.upper})"
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized membership of rows of ``points`` in the rectangle."""
-        pts = np.atleast_2d(points)
-        return np.all((pts > self.lower) & (pts <= self.upper), axis=1)
-

@@ -177,7 +177,7 @@ class TwoPointMax(_StepLaw):
             raise ValueError("need n >= 1 and d >= 1")
         a, b, p = two_point_support(self.B)
         k = np.arange(self.n + 1)
-        # as the scaled-sum draw computes them; ascending in k, since a > b
+        # by the count transform; ascending in k, since a > b
         object.__setattr__(self, "atoms", _count_sums(k, self.n, a, b))
         object.__setattr__(self, "table", bdtr(k, self.n, p) ** self.d)
 
@@ -198,7 +198,8 @@ class LocalMeansMax(_StepLaw):
     about d m_max, with m_max a few Poisson(n/d) deviations above n/d.
     The table is exactly 0 below ceil(n/d), where some count must exceed
     m, and exactly 1 from the first m with d P(N_1 > m) < 2^-53, a union
-    bound on P(max_j N_j > m).
+    bound on P(max_j N_j > m).  The package draws no multinomial counts:
+    this law is the only sampler of the family's max statistic.
     """
 
     n: int

@@ -215,7 +215,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
     return ExperimentConfig.from_mapping(parse_config_text(text))
 
@@ -365,7 +365,7 @@ def _run_local_means(cfg, pmap):
             lowerbound.reference_max_stats(DistributionSpec.gaussian(identity)))
         sigma_w = CovarianceModel.local_means(d)
         gap = sup_norm_diff(identity, sigma_w)
-        combined, prior, coupling = bounds.bounds_local_means(n, d, 1)
+        combined, prior, coupling = bounds.bounds_local_means(n, d)
         return {"d": d, "n": n, "distance": dist, "se": se,
                 "noise_floor": floor, "exact_distance": exact,
                 "delta0": bounds.delta0(identity, sigma_w, d),
@@ -637,10 +637,11 @@ def run(config: ExperimentConfig, out_dir=None, threads: int = 1) -> RunManifest
 def _read_manifest(path: str) -> list:
     if not os.path.exists(path):
         return []
+    # a ValueError is a JSON or a UTF-8 decode error
     try:
         with open(path, "r", encoding="utf-8") as fh:
             records = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise IoFailure(f"cannot append to {path}: {exc}") from exc
     if not isinstance(records, list):
         raise IoFailure(f"cannot append to {path}: not a JSON array")

@@ -5,13 +5,13 @@ randomness flows through :func:`substream`, which derives an independent
 generator from ``(seed, *key)`` via ``SeedSequence`` spawn keys, so replication
 ``r`` always sees the same stream no matter how work is scheduled.
 
-For families whose coordinates are i.i.d. two-valued, Gaussian or a sum of
-the two (quasi-Gaussian), :func:`sample_scaled_sums` draws the scaled sum
-``W = n^{-1/2} sum_i X_i`` directly through exact distributional transforms
-(binomial counts, multinomial cell counts), which is what makes the large-R
-rate experiments affordable.  Rows are drawn by :func:`sample` only for the
-``gaussian`` and ``uniform_bounded`` data of the bootstrap experiments; a row
-of any other family is its n = 1 scaled sum.
+For the Gaussian and quasi-Gaussian families, :func:`sample_scaled_sums`
+draws the scaled sum ``W = n^{-1/2} sum_i X_i`` directly through exact
+transforms.  The two-point and local-means families are measured only
+through their max statistic, which :mod:`hdclt.maxlaw` draws from its exact
+law, built on the supports and the count transform kept here.  Rows are
+drawn by :func:`sample` only for the ``gaussian`` and ``uniform_bounded``
+data of the bootstrap experiments.
 """
 
 from __future__ import annotations
@@ -25,6 +25,11 @@ from .matcore import CovarianceModel
 
 FAMILIES = ("gaussian", "two_point", "uniform_bounded", "local_means",
             "quasi_gaussian")
+
+# the families drawn only through the exact law of their max statistic
+_EXACT_LAWS = {"two_point": "; draw its max statistic from maxlaw.TwoPointMax",
+               "local_means": "; draw its max statistic from "
+                              "maxlaw.LocalMeansMax"}
 
 # Memory budget of one Monte Carlo block: 2e6 float64 elements (16 MB).
 BLOCK_FLOATS = 2_000_000
@@ -173,7 +178,7 @@ class DistributionSpec:
 def sample(spec: DistributionSpec, n: int, seed: int) -> DataMatrix:
     """Draw an n x d matrix of i.i.d. rows from a ``gaussian`` or
     ``uniform_bounded`` spec, deterministically.  Any other family raises
-    ValueError: its n rows are ``sample_scaled_sums(spec, 1, n, seed)``."""
+    ValueError; a ``quasi_gaussian`` spec's rows are its n = 1 scaled sums."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = substream(seed, 0)
@@ -181,8 +186,9 @@ def sample(spec: DistributionSpec, n: int, seed: int) -> DataMatrix:
         return DataMatrix(rng.standard_normal((n, spec.dim)) @ spec.cov.chol.T)
     if spec.kind == "uniform_bounded":
         return DataMatrix(rng.uniform(-spec.B, spec.B, size=(n, spec.dim)))
-    raise ValueError(f"a {spec.kind!r} spec has no row sampler; its rows are "
-                     "its n = 1 scaled sums")
+    raise ValueError(f"a {spec.kind!r} spec has no row sampler"
+                     + _EXACT_LAWS.get(spec.kind,
+                                       "; its rows are its n = 1 scaled sums"))
 
 
 def scaled_sum(x: DataMatrix) -> np.ndarray:
@@ -206,29 +212,22 @@ def _count_sums(counts: np.ndarray, n: int, hi: float, lo: float) -> np.ndarray:
 
 def sample_scaled_sums(spec: DistributionSpec, n: int, reps: int,
                        seed: int) -> np.ndarray:
-    """reps x d draws of W = n^{-1/2} sum_i X_i, each from fresh data.
+    """reps x d draws of W = n^{-1/2} sum_i X_i, each from fresh data, by
+    exact closed-form transforms:
 
-    Uses exact closed-form transforms where the family admits them:
-
-    * two_point / local-means marginals: binomial counts of the high value,
     * gaussian: W ~ N(0, cov) exactly,
-    * local_means: multinomial cell counts,
     * quasi_gaussian: 2*Binomial(n, 1/2) - n, plus N(0, I) from substream 2.
 
-    A family without a transform (uniform_bounded) raises ValueError.
+    Any other family raises ValueError; the two-point and local-means max
+    statistics are drawn from their exact laws in :mod:`hdclt.maxlaw`.
     """
     rng = substream(seed, 1)
     d = spec.dim
     if spec.kind == "gaussian":
         return rng.standard_normal((reps, d)) @ spec.cov.chol.T
-    if spec.kind == "two_point":
-        a, b, p = two_point_support(spec.B)
-        return _count_sums(rng.binomial(n, p, size=(reps, d)), n, a, b)
     if spec.kind == "quasi_gaussian":
         w = _count_sums(rng.binomial(n, 0.5, size=(reps, d)), n, 1.0, -1.0)
         w += substream(seed, 2).standard_normal((reps, d))
         return w
-    if spec.kind == "local_means":
-        hi, lo, p = local_means_support(d)
-        return _count_sums(rng.multinomial(n, np.full(d, p), size=reps), n, hi, lo)
-    raise ValueError(f"a {spec.kind!r} spec has no scaled-sum transform")
+    raise ValueError(f"a {spec.kind!r} spec has no scaled-sum transform"
+                     + _EXACT_LAWS.get(spec.kind, ""))

@@ -115,12 +115,12 @@ def h_nu(nu: int, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmoothingParams:
-    """Rectangle, ramp slope, Gaussian scale, perturbation ball."""
+    """Rectangle, ramp slope and Gaussian scale; the perturbation ball's
+    radius is eps * eta with eta = K / sqrt(log d), K the module constant."""
 
     rect: RectangleSpec
     phi: float
     eps: float
-    K: float = K  # the module constant
 
     def __post_init__(self):
         if self.phi <= 0:
@@ -134,7 +134,7 @@ class SmoothingParams:
 
     @property
     def eta(self) -> float:
-        return self.K / math.sqrt(math.log(self.d)) if self.d >= 2 else self.K
+        return K / math.sqrt(math.log(self.d)) if self.d >= 2 else K
 
     @property
     def y_radius(self) -> float:

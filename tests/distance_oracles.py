@@ -11,9 +11,11 @@ import math
 
 import numpy as np
 
-from hdclt.distance import (FAMILIES, MaxStatSample, ks_distance,
-                            max_statistic)
+from hdclt.distance import MaxStatSample, ks_distance, max_statistic
 from hdclt.sampler import blocks, substream
+
+# the max rectangle families, each the side of the max statistic it reduces to
+FAMILIES = {"one_sided_max": "one_sided", "two_sided_max": "two_sided"}
 
 
 def empirical_cdf(sample: MaxStatSample, x) -> np.ndarray:

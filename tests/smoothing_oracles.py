@@ -1,8 +1,9 @@
 """Test-only oracles of the smoothing layer.
 
-The exact coefficient check of the Hermite derivative identity (C7), the
-smoothed rectangle indicator and the Monte Carlo estimate of its Gaussian
-convolution that :func:`hdclt.smoothing.rho_eval` is cross-checked against.
+The exact coefficient check of the Hermite derivative identity (C7),
+rectangle membership, the smoothed rectangle indicator and the Monte Carlo
+estimate of its Gaussian convolution that :func:`hdclt.smoothing.rho_eval`
+is cross-checked against.
 No experiment runs them, so they live beside the tests that do.
 """
 
@@ -11,6 +12,7 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from hdclt.matcore import RectangleSpec
 from hdclt.sampler import substream
 from hdclt.smoothing import SmoothingParams, hermite_coefficients
 
@@ -26,6 +28,13 @@ def h_derivative_coefficient_check(nu: int) -> bool:
     lhs = np.trim_zeros(lhs, "b")
     rhs = np.trim_zeros(rhs, "b")
     return len(lhs) == len(rhs) and np.allclose(lhs, rhs, rtol=0, atol=1e-12)
+
+
+def contains(rect: RectangleSpec, points) -> np.ndarray:
+    """Membership of the rows of ``points`` in the half-open rectangle
+    ``rect``, the indicator that :func:`m_indicator` ramps."""
+    pts = np.atleast_2d(points)
+    return np.all((pts > rect.lower) & (pts <= rect.upper), axis=1)
 
 
 def m_indicator(w, params: SmoothingParams):

@@ -14,8 +14,8 @@ class TestInputChecks:
     @pytest.mark.parametrize("call, match", [
         (lambda: xlog_factor(-0.5), "expects x >= 0"),
         (lambda: bound_gaussian_comparison(-0.5, 10), "D must be nonnegative"),
-        (lambda: bounds_local_means(100, 1, 2), "requires d >= 2, n >= 3"),
-        (lambda: bounds_local_means(2, 10, 2), "requires d >= 2, n >= 3"),
+        (lambda: bounds_local_means(100, 1), "requires d >= 2, n >= 3"),
+        (lambda: bounds_local_means(2, 10), "requires d >= 2, n >= 3"),
     ])
     def test_rejected(self, call, match):
         with pytest.raises(ValueError, match=match):
@@ -77,23 +77,17 @@ class TestGaussianComparison:
 class TestLocalMeansBounds:
     def test_combined_vanishes_along_feasible_growth(self):
         # fixed d: the combined bound decays monotonically in n
-        values = [bounds_local_means(n, 50, 1)[0]
+        values = [bounds_local_means(n, 50)[0]
                   for n in (10**6, 10**9, 10**12)]
         assert values[0] > values[1] > values[2]
         # d = n / (log n)^6 keeps d (log n)^5 / n -> 0, so the bound is
         # small at the far end even though d itself grows
         n = 10**12
         d = int(n / math.log(n) ** 6)
-        assert bounds_local_means(n, d, 1)[0] < 0.1
+        assert bounds_local_means(n, d)[0] < 0.1
 
     def test_prior_diverges_along_sqrt_growth(self):
-        values = [bounds_local_means(n, int(math.sqrt(n)), 1)[1]
+        values = [bounds_local_means(n, int(math.sqrt(n)))[1]
                   for n in (10**6, 10**9, 10**12)]
         assert values[0] < values[1] < values[2]
         assert values[-1] > 1.0
-
-    def test_coupling_increases_with_kappa(self):
-        n, d = 10**6, 10**3
-        low = bounds_local_means(n, d, 1)[2]
-        high = bounds_local_means(n, d, 3)[2]
-        assert high > low

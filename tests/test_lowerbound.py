@@ -15,8 +15,8 @@ from hdclt.lowerbound import (fit_power_law, poisson_approx_check,
 from hdclt.matcore import CovarianceModel
 from hdclt.maxlaw import (IsotropicGaussianMax, RademacherGaussianMax,
                           law_of, two_point_marginal_tail)
-from hdclt.sampler import (BLOCK_FLOATS, DistributionSpec, sample_scaled_sums,
-                           two_point_support)
+from hdclt.sampler import BLOCK_FLOATS, DistributionSpec, two_point_support
+from sampler_oracles import count_scaled_sums
 
 
 class TestThreshold:
@@ -52,8 +52,8 @@ class TestMarginalTail:
     def test_enumeration_matches_monte_carlo(self):
         B, n, x = 2.0, 50, 1.5
         exact = two_point_marginal_tail(B, n, x)
-        draws = sample_scaled_sums(DistributionSpec.two_point(B, 1), n,
-                                   200_000, seed=3).ravel()
+        draws = count_scaled_sums(DistributionSpec.two_point(B, 1), n,
+                                  200_000, seed=3).ravel()
         p_hat = float(np.mean(draws > x))
         se = math.sqrt(exact * (1 - exact) / draws.size)
         assert p_hat == pytest.approx(exact, abs=4 * se)

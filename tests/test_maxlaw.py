@@ -22,6 +22,7 @@ from hdclt.maxlaw import (EquicorrelatedGaussianMax, IsotropicGaussianMax,
                           law_of, sup_distance, two_point_marginal_tail)
 from hdclt.sampler import (BLOCK_FLOATS, DistributionSpec, sample_scaled_sums,
                            substream, two_point_support)
+from sampler_oracles import count_scaled_sums
 
 ROOT = Path(__file__).resolve().parents[1]
 GATES = ROOT / "perfbench" / "gates.py"
@@ -190,8 +191,8 @@ class TestLocalMeansLaw:
 
     def test_sample_against_multinomial_max(self):
         n, d, reps = 2000, 40, 100_000
-        full = sample_scaled_sums(DistributionSpec.local_means(d), n, reps,
-                                  seed=18)
+        full = count_scaled_sums(DistributionSpec.local_means(d), n, reps,
+                                 seed=18)
         drawn = MaxStatSample(full.max(axis=1))
         law = LocalMeansMax(n, d)
         inverted = MaxStatSample(law.sample(substream(19, 0).random(reps)))
@@ -225,8 +226,8 @@ class TestSample:
         assert ks_distance(inverted, drawn) <= self.CRIT
 
     def test_two_point_against_full_draw(self):
-        full = sample_scaled_sums(DistributionSpec.two_point(2.0, 20), 100,
-                                  self.REPS, seed=11)
+        full = count_scaled_sums(DistributionSpec.two_point(2.0, 20), 100,
+                                 self.REPS, seed=11)
         self._check(TwoPointMax(2.0, 100, 20), full, 12)
 
     def test_isotropic_against_full_draw(self):
@@ -242,8 +243,8 @@ class TestSample:
 
     def test_two_point_atoms_are_the_drawn_values(self):
         # inversion returns exactly the values the count transform produces
-        full = sample_scaled_sums(DistributionSpec.two_point(2.0, 4), 50, 2000,
-                                  seed=17)
+        full = count_scaled_sums(DistributionSpec.two_point(2.0, 4), 50, 2000,
+                                 seed=17)
         assert set(np.unique(full)) <= set(TwoPointMax(2.0, 50, 4).atoms)
 
     def test_extreme_uniforms_give_finite_ordered_draws(self):

@@ -612,6 +612,13 @@ class TestCli:
     def test_missing_file_exit_2(self):
         assert cli_main(["validate", "/nonexistent/cfg.txt"]) == 2
 
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.txt"
+        path.write_bytes(b"experiment = rate_vs_n\nseed = \xff\xfe1\n")
+        assert cli_main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {path}: ")
+
     def test_run_check_exit_codes(self, tmp_path):
         cfg = self._write(tmp_path,
                           "experiment = poisson_check\nreplications = 5000\n")
@@ -636,6 +643,19 @@ class TestCli:
             assert err.startswith(f"error: cannot append to {manifest}")
             assert manifest.read_text() == text
             assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    def test_non_utf8_manifest_exit_1(self, tmp_path, capsys):
+        cfg = self._write(tmp_path,
+                          "experiment = poisson_check\nreplications = 500\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        manifest = out / "manifest.json"
+        manifest.write_bytes(b"\xff\xfe[]\n")
+        assert cli_main(["run", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot append to {manifest}: ")
+        assert manifest.read_bytes() == b"\xff\xfe[]\n"
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     @pytest.mark.parametrize("artifact", ["anticoncentration.csv",
                                           "summary.json",

@@ -10,6 +10,7 @@ from hdclt.maxlaw import RademacherGaussianMax
 from hdclt.sampler import (DataMatrix, DistributionSpec, _count_sums,
                            derive_seed, sample, sample_scaled_sums, scaled_sum,
                            substream, two_point_support)
+from sampler_oracles import count_scaled_sums
 
 
 class TestSubstream:
@@ -43,15 +44,15 @@ class TestTwoPoint:
             two_point_support(1.5)
 
     def test_empirical_mean_and_variance(self):
-        x = sample_scaled_sums(DistributionSpec.two_point(2.0, 4), 1, 50_000,
-                               seed=3)
+        x = count_scaled_sums(DistributionSpec.two_point(2.0, 4), 1, 50_000,
+                              seed=3)
         assert abs(x.mean()) <= 3.0 / math.sqrt(x.size)
         assert x.var() == pytest.approx(1.0, abs=0.02)
 
     def test_fourth_moment_closed_form(self):
         # p a^4 + (1 - p) b^4 = 9/4 + 3/4 * 1/9 = 7/3 at B = 2
         spec = DistributionSpec.two_point(2.0, 1)
-        x = sample_scaled_sums(spec, 1, 200_000, seed=5)
+        x = count_scaled_sums(spec, 1, 200_000, seed=5)
         assert np.mean(x**4) == pytest.approx(7.0 / 3.0, abs=0.05)
 
 
@@ -65,12 +66,12 @@ class TestGaussianFamily:
 
 class TestLocalMeans:
     def test_rows_sum_to_zero_exactly(self):
-        x = sample_scaled_sums(DistributionSpec.local_means(10), 1, 200, seed=2)
+        x = count_scaled_sums(DistributionSpec.local_means(10), 1, 200, seed=2)
         np.testing.assert_allclose(x.sum(axis=1), 0.0, atol=1e-12)
 
     def test_empirical_covariance_matches_exact(self):
-        x = sample_scaled_sums(DistributionSpec.local_means(10), 1, 100_000,
-                               seed=4)
+        x = count_scaled_sums(DistributionSpec.local_means(10), 1, 100_000,
+                              seed=4)
         emp = np.cov(x.T, bias=True)
         assert np.max(np.abs(np.diag(emp) - 1.0)) < 0.03
         off = emp[~np.eye(10, dtype=bool)]
@@ -145,8 +146,8 @@ class TestScaledSumTransforms:
         # n=5 scaled sum is a monotone map of a Binomial(5, 1/4) count
         a, b, p = two_point_support(2.0)
         n = 5
-        draws = sample_scaled_sums(DistributionSpec.two_point(2.0, 1),
-                                   n, 100_000, seed=19).ravel()
+        draws = count_scaled_sums(DistributionSpec.two_point(2.0, 1),
+                                  n, 100_000, seed=19).ravel()
         support = (np.arange(n + 1) * a + (n - np.arange(n + 1)) * b) / math.sqrt(n)
         for k in (0, 1, 2, 3):
             p_hat = np.mean(np.isclose(draws, support[k]))
@@ -160,8 +161,8 @@ class TestScaledSumTransforms:
         k = substream(31, 1).binomial(n, p, size=(reps, d)).astype(float)
         tracemalloc.start()
         try:
-            draws = sample_scaled_sums(DistributionSpec.two_point(2.0, d), n,
-                                       reps, seed=31)
+            draws = count_scaled_sums(DistributionSpec.two_point(2.0, d), n,
+                                      reps, seed=31)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -173,17 +174,26 @@ class TestScaledSumTransforms:
         with pytest.raises(ValueError, match="'uniform_bounded'"):
             sample_scaled_sums(spec, 7, 100, seed=23)
 
+    @pytest.mark.parametrize("spec, law", [
+        (DistributionSpec.two_point(2.0, 3), "TwoPointMax"),
+        (DistributionSpec.local_means(3), "LocalMeansMax")])
+    def test_exact_law_families_rejected(self, spec, law):
+        # their max statistics are drawn from the exact laws in maxlaw
+        with pytest.raises(ValueError,
+                           match=f"'{spec.kind}'.*maxlaw.{law}"):
+            sample_scaled_sums(spec, 7, 100, seed=23)
+
     def test_local_means_coordinates_match_marginal(self):
         d, n = 8, 40
-        draws = sample_scaled_sums(DistributionSpec.local_means(d), n,
-                                   50_000, seed=25)
+        draws = count_scaled_sums(DistributionSpec.local_means(d), n,
+                                  50_000, seed=25)
         np.testing.assert_allclose(draws.sum(axis=1), 0.0, atol=1e-9)
         assert draws.mean() == pytest.approx(0.0, abs=0.01)
 
     def test_reproducible(self):
         spec = DistributionSpec.two_point(2.0, 3)
-        a = sample_scaled_sums(spec, 10, 100, seed=1)
-        b = sample_scaled_sums(spec, 10, 100, seed=1)
+        a = count_scaled_sums(spec, 10, 100, seed=1)
+        b = count_scaled_sums(spec, 10, 100, seed=1)
         np.testing.assert_array_equal(a, b)
 
 
@@ -192,7 +202,8 @@ class TestRowSampler:
                                       DistributionSpec.local_means(3),
                                       DistributionSpec.quasi_gaussian(3)])
     def test_scaled_sum_families_have_no_rows(self, spec):
-        # their rows are the n = 1 scaled sums
+        # a quasi-Gaussian row is its n = 1 scaled sum; the other two
+        # families are drawn only through the exact laws of their maxima
         with pytest.raises(ValueError, match=f"'{spec.kind}'"):
             sample(spec, 10, seed=1)
 
