@@ -4,7 +4,9 @@ The sup over all rectangles is not Monte-Carlo estimable uniformly, so
 distances are taken over the max rectangle families, on which they reduce
 to Kolmogorov distances of the max statistic: one-sample against an exact
 law where the reference has one, two-sample otherwise.  Every estimate
-therefore lower-bounds the full rectangle-class distance.
+therefore lower-bounds the full rectangle-class distance.  Both are one
+sweep, :func:`maxlaw.step_sup`, of a step CDF against a nondecreasing CDF
+at the step CDF's distinct values.
 """
 
 from __future__ import annotations
@@ -115,71 +117,33 @@ def ks_distance_with_se(a: MaxStatSample, b) -> tuple[float, float]:
     ``cdf``), plus the binomial standard error of the CDF difference at the
     point where the sup is attained.
 
-    Against a law F the distance is one-sample, taken by
-    :func:`_ks_to_law`, and the standard error is sqrt(F (1 - F) / m).
-
-    Against a sample: between consecutive distinct values v_(k-1) < v_k of
-    the smaller sample s, F_s is constant and F_L of the other sample L
-    does not decrease, so |F_a - F_b| there peaks at v_(k-1) or at L's last
-    point below v_k; past the last v it only falls.  So binary searches in
-    L for the m values v_k give the sup in O(m log |L|) with no pooled
-    array, and equal gaps go to the first in pooled order, as in a merge:
-    the result is the merge's.
+    The step CDF is that of ``a``, or of the smaller sample when both are
+    samples, and :func:`maxlaw.step_sup` takes the sup at its distinct
+    values, with the other CDF taken once per value: ``b.cdf`` of a law,
+    or binary searches right and left of it in a sample, so no pooled
+    array is built.  Equal gaps go to the first point in x order, as in a
+    merge of two samples.  The standard error is sqrt(F (1 - F) / m)
+    against a law, with m the size of ``a``, and the root of the sum of
+    both samples' binomial variances between two samples.
     """
-    if not isinstance(b, MaxStatSample):
-        return _ks_to_law(a, b)
-    s, big = (a, b) if a.size <= b.size else (b, a)
-    sv, lv = s.values, big.values
-    count = np.flatnonzero(np.append(sv[1:] != sv[:-1], True))
-    v = sv[count]
-    count += 1                                    # #s <= v_k
-    right = np.searchsorted(lv, v, side="right")  # #L <= v_k
-    tied = lv[right - 1] == v  # v_k is in L (if right = 0, lv[-1] > v_k)
-    left = right.copy()                           # #L < v_k
-    left[tied] = np.searchsorted(lv, v[tied], side="left")
-    gaps, best = v, []  # v is read no more: its buffer takes the gaps
-    # the candidate at v_k is pooled point 2k + 1, the one below it 2k
-    for pos, cs, cl in ((1, count, right), (0, np.append(0, count[:-1]), left)):
-        np.divide(cs, s.size, out=gaps)
-        gaps -= cl / big.size
-        np.abs(gaps, out=gaps)
-        if pos == 0:  # no point of L between v_(k-1) and v_k: no candidate
-            gaps[left == np.append(0, right[:-1])] = -1.0
-        k = int(np.argmax(gaps))
-        best.append((gaps[k], -2 * k - pos, cs[k], cl[k]))
-    dist, _, cs, cl = max(best)  # equal gaps: the earlier pooled point wins
-    fs, fl = cs / s.size, cl / big.size
-    se = math.sqrt(fs * (1 - fs) / s.size + fl * (1 - fl) / big.size)
-    return float(dist), se
-
-
-def _ks_to_law(a: MaxStatSample, law) -> tuple[float, float]:
-    """One-sample Kolmogorov distance sup_x |F_a(x) - F(x)| of the m draws
-    of ``a`` to a continuous law F.
-
-    With C_k the count of draws <= v_k at the distinct values v_1 < ... <
-    v_K of ``a``, the gap peaks at some v_k, as C_k/m - F(v_k), or just
-    below it, as F(v_k) - C_(k-1)/m; as F does not decrease, the opposite
-    signs are bounded by the neighbouring candidates.  So F is taken once
-    per v_k (at most n + 1 times on a step law of W).  Equal gaps go to the
-    first point in x order, the one below v_k before v_k itself.
-    """
-    v, m = a.values, a.size
+    two_sample = isinstance(b, MaxStatSample)
+    if two_sample and b.size < a.size:
+        a, b = b, a
+    v = a.values
     count = np.flatnonzero(np.append(v[1:] != v[:-1], True))  # tie run ends
-    f = law.cdf(v[count])
-    count += 1                                    # C_k
-    gaps = count / m
-    gaps -= f                                     # C_k/m - F(v_k)
-    # the candidate at v_k is point 2k + 1 in x order, the one below it 2k
-    k = int(np.argmax(gaps))
-    at = (gaps[k], -2 * k - 1, f[k])
-    np.divide(count[:-1], m, out=gaps[1:])
-    gaps[0] = 0.0
-    np.subtract(f, gaps, out=gaps)                # F(v_k) - C_(k-1)/m
-    k = int(np.argmax(gaps))
-    below = (gaps[k], -2 * k, f[k])
-    dist, _, fk = max(at, below)  # equal gaps: the earlier point wins
-    return float(dist), math.sqrt(fk * (1 - fk) / m)
+    v = v[count]
+    if two_sample:
+        at = np.searchsorted(b.values, v, side="right") / b.size
+        below = np.searchsorted(b.values, v, side="left") / b.size
+    else:
+        at = below = b.cdf(v)
+    count += 1                                    # #a <= v_k
+    dist, fa, fb = maxlaw.step_sup(count / a.size, at, below)
+    if two_sample:
+        var = fa * (1 - fa) / a.size + fb * (1 - fb) / b.size
+    else:
+        var = fb * (1 - fb) / a.size
+    return dist, math.sqrt(var)
 
 
 def ks_two_sample_critical(ra: int, rb: int, alpha: float = 0.01) -> float:

@@ -178,16 +178,32 @@ class TestKsDistance:
         if case == "identical":
             # every gap is 0, so the sup is at the first pooled point
             return np.round(va, 1), np.round(va, 1)
+        if case.startswith("grid"):
+            # small samples on a grid of 2 to 8 atoms in [0, 1); where the
+            # first size is a multiple of 4, the second sample is the first
+            # tiled 1 to 3 times, so every gap is 0
+            rng = substream(33, int(case[4:]))
+            atoms = int(rng.integers(2, 9))
+            sizes = rng.integers(1, 61, 2)
+            ga, gb = (rng.integers(0, atoms, size) / atoms for size in sizes)
+            return (ga, np.tile(ga, 1 + sizes[1] % 3)) if sizes[0] % 4 == 0 \
+                else (ga, gb)
         return va, vb
 
     @pytest.mark.parametrize("case", [
         "tied", "untied", "unequal", "step", "size_one", "both_size_one",
-        "all_tied", "cross_ties", "equal_step", "identical"])
+        "all_tied", "cross_ties", "equal_step", "identical",
+        *(f"grid{i}" for i in range(40))])
     def test_merge_matches_searchsorted(self, case):
         va, vb = self._case(case)
         a, b = MaxStatSample(va), MaxStatSample(vb)
         assert ks_distance_with_se(a, b) == self._searchsorted_ks(a, b)
         assert ks_distance_with_se(b, a) == self._searchsorted_ks(b, a)
+        # each sample against a continuous law: U(0, 1), whose CDF is exact
+        # and flat outside [0, 1], where a point below v_k may repeat v_(k-1)
+        for x in (a, b):
+            assert ks_distance_with_se(x, _Uniform()) == \
+                brute_force_ks_to_law(x.values, _Uniform().cdf)
 
     def test_equal_gaps_take_the_first_pooled_point(self):
         # |F_a - F_b| is 1/2 at x = 0 (F_a = 1/2, F_b = 0) and again at x = 1

@@ -306,6 +306,19 @@ class TestExactDistances:
         assert fit_power_law([250, 500, 1000, 2000], got)[0] == \
             pytest.approx(-0.482, abs=5e-4)
 
+    @pytest.mark.parametrize("law, args, pinned", [
+        (TwoPointMax, (2.0, 250, 50), 0.10092184441209479),
+        (TwoPointMax, (2.0, 500, 50), 0.07237356621540142),
+        (TwoPointMax, (2.0, 1000, 50), 0.05177489217480424),
+        (TwoPointMax, (2.0, 2000, 50), 0.03704089523712001),
+        (LocalMeansMax, (500, 10), 0.13749304082774683),
+        (LocalMeansMax, (2000, 40), 0.1469555250055018)])
+    def test_step_law_distances_pinned(self, law, args, pinned):
+        # the rate_vs_n and local_means defaults, recorded while the atom
+        # sweep was sup_distance's own: sharing step_sup moves no bit
+        law = law(*args)
+        assert sup_distance(law, IsotropicGaussianMax(law.d)) == pinned
+
     def test_zero_skew_rate_defaults(self):
         ref = IsotropicGaussianMax(20, math.sqrt(2.0))
         got = [sup_distance(RademacherGaussianMax(n, 20), ref)

@@ -810,10 +810,16 @@ class TestCli:
     @pytest.mark.parametrize("experiment, grid", [
         ("rate_vs_n", "replications = 100\nref_factor = 1"),
         ("zero_skew_rate", "n_list = 1 2\nreplications = 100\nref_factor = 1")])
-    def test_one_sided_family_runs(self, tmp_path, experiment, grid):
-        cfg = self._write(tmp_path, f"experiment = {experiment}\n{grid}\n"
-                                    "family = one_sided_max\n")
+    def test_one_sided_family_runs(self, tmp_path, capsys, experiment, grid):
+        # the family the rate rows name is a constant, so even its one
+        # value is an unknown key
+        text = f"experiment = {experiment}\n{grid}\n"
+        cfg = self._write(tmp_path, text + "family = one_sided_max\n")
         out = tmp_path / "out"
+        assert cli_main(["run", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "unknown key 'family'" in capsys.readouterr().err
+        cfg = self._write(tmp_path, text)
         assert cli_main(["run", cfg, "--out", str(out)]) == 0
         with open(out / f"{experiment}.csv", newline="") as fh:
             assert {row["family"] for row in csv.DictReader(fh)} == \
