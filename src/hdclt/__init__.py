@@ -7,8 +7,8 @@ Modules:
 * :mod:`hdclt.sampler`: seeded distribution families and scaled-sum draws.
 * :mod:`hdclt.bounds`: the bound shapes the experiments report, as plain
   floats at unit constants (shapes, not certified bounds).
-* :mod:`hdclt.bootstrap`: multiplier bootstrap draws, the empirical
-  bootstrap among them as resample-count multipliers, and quantiles.
+* :mod:`hdclt.bootstrap`: max statistics of multiplier bootstrap draws, the
+  empirical bootstrap among them as resample-count multipliers, and quantiles.
 * :mod:`hdclt.distance`: Kolmogorov distances of max statistics, one-sample
   against an exact law or two-sample, and the sampler of scaled sums' max
   statistics.

@@ -1,11 +1,9 @@
-"""Multiplier and empirical bootstrap draws plus the simultaneous quantile.
+"""Max statistics of multiplier and empirical bootstrap draws, and quantiles.
 
-Draws are conditional on a fixed data matrix X; for fixed (X, kind, seed, R)
-the output is bit-identical regardless of how replications are scheduled.
-The empirical bootstrap is the multiplier bootstrap with multipliers
-``M_i - 1``, ``M`` the resample counts, so one block loop draws every kind.
-The empirical covariance uses the 1/n divisor throughout, matching the
-conditional covariance of the draws.
+Draws are conditional on a fixed data matrix X; for fixed (X, kind, side,
+seed, R) the output is bit-identical regardless of how replications are
+scheduled.  The empirical covariance uses the 1/n divisor throughout,
+matching the conditional covariance of the draws.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ import math
 
 import numpy as np
 
-from .distance import max_statistic
 from .matcore import CovarianceModel
 from .sampler import DataMatrix, blocks, substream
 
@@ -60,40 +57,47 @@ def _multipliers(kind: str, rng: np.random.Generator, size) -> np.ndarray:
     return _low_indicator(_TWO_POINT[kind][0], rng, size)
 
 
-def multiplier_draws(x: DataMatrix, reps: int, kind: str,
-                     seed: int) -> np.ndarray:
-    """reps x d draws of the multiplier-bootstrap statistic.
+def multiplier_draws(x: DataMatrix, reps: int, kind: str, seed: int,
+                     side: str) -> np.ndarray:
+    """``reps`` unsorted max statistics, max_j D_j ("one_sided") or
+    max_j |D_j| ("two_sided"), of multiplier-bootstrap draws D.
 
-    Each draw is ``n^{-1/2} sum_i xi_i (X_i - Xbar)`` with fresh multipliers;
-    the Gaussian kind is conditionally exactly N(0, centered empirical cov).
-    That law is drawn as ``z @ R`` from ``min(n, d)`` standard normals ``z``,
-    where ``R`` is the thin-QR factor of the centred data, since
-    ``R^T R = xc^T xc``.  A two-point multiplier is ``high + (low - high)
-    1{low}``, so its draws are one 0/1 product with ``xc`` plus a fixed row.
-    The empirical kind resamples n rows with replacement: with ``M_i`` the
-    count of row i, ``n^{-1/2} sum_i (X*_i - Xbar)`` is the draw with
-    ``xi_i = M_i - 1``.  ``kind`` is one of :data:`MULTIPLIER_KINDS`.
+    Each draw is ``D = n^{-1/2} sum_i xi_i (X_i - Xbar)`` with fresh
+    multipliers; the Gaussian kind is conditionally exactly N(0, centered
+    empirical cov).  That law is drawn as ``z @ R`` from ``min(n, d)``
+    standard normals ``z``, where ``R`` is the thin-QR factor of the centred
+    data, since ``R^T R = xc^T xc``.  A two-point multiplier is ``high +
+    (low - high) 1{low}``, so its draws are one 0/1 product with ``xc`` plus
+    a fixed row.  The empirical kind resamples n rows with replacement: with
+    ``M_i`` the count of row i, ``n^{-1/2} sum_i (X*_i - Xbar)`` is the draw
+    with ``xi_i = M_i - 1``.  ``kind`` is one of :data:`MULTIPLIER_KINDS`.
     """
     if kind not in MULTIPLIER_KINDS:
         raise ValueError(f"unknown multiplier kind {kind!r}")
+    if side not in ("one_sided", "two_sided"):
+        raise ValueError(f"unknown side {side!r}")
     if x.n < 1:
         raise ValueError("multiplier bootstrap requires n >= 1")
     xc = (x.values - x.values.mean(axis=0)) / math.sqrt(x.n)
     if kind == "gaussian":
         xc = np.linalg.qr(xc, mode="r")
     k = xc.shape[0]
-    out = np.empty((reps, x.d))
-    # a block's rows x d product goes into out; its rows x k multipliers are
-    # budgeted max(k, d) floats a row, and an empirical block, which also
-    # holds the int64 picks and their counts, 3n a row
-    row_floats = 3 * k if kind == "empirical" else max(k, x.d)
+    out = np.empty(reps)
+    # a block holds its rows x k multipliers and its rows x d product, which
+    # every block writes to one buffer and reduces to its row maxima: k + d
+    # floats a row, and 3n + d with an empirical block's int64 picks and counts
+    row_floats = (3 * k if kind == "empirical" else k) + x.d
     for idx, rows in blocks(reps, row_floats):
         rng, size = substream(seed, 10, idx), (rows.stop - rows.start, k)
-        block = np.matmul(_multipliers(kind, rng, size), xc, out=out[rows])
+        product = np.empty((size[0], x.d)) if idx == 0 else product[:size[0]]
+        block = np.matmul(_multipliers(kind, rng, size), xc, out=product)
         if kind in _TWO_POINT:
             _, low, high = _TWO_POINT[kind]
             block *= low - high
             block += high * xc.sum(axis=0)
+        if side == "two_sided":
+            np.abs(block, out=block)
+        np.max(block, axis=1, out=out[rows])
     return out
 
 
@@ -105,11 +109,12 @@ def empirical_cov_centered(x: DataMatrix) -> CovarianceModel:
     return CovarianceModel(xc.T @ xc / x.n)
 
 
-def simultaneous_quantile(draws: np.ndarray, level: float) -> float:
-    """Empirical ``level``-quantile of max_j |draw_j| over the draws."""
-    if draws.shape[0] < MIN_QUANTILE_DRAWS:
+def simultaneous_quantile(maxima: np.ndarray, level: float) -> float:
+    """Empirical ``level``-quantile of a 1-D array of max statistics."""
+    if np.ndim(maxima) != 1:
+        raise ValueError("simultaneous_quantile takes 1-D max statistics")
+    if len(maxima) < MIN_QUANTILE_DRAWS:
         raise ValueError(f"need at least {MIN_QUANTILE_DRAWS} replications")
     if not 0.0 < level <= 1.0:
         raise ValueError("level must lie in (0, 1]")
-    return float(np.quantile(max_statistic(draws, "two_sided"), level,
-                             method="higher"))
+    return float(np.quantile(maxima, level, method="higher"))

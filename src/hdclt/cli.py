@@ -71,8 +71,8 @@ def main(argv=None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except HdcltError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (HdcltError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
     checks = manifest.summary.get("checks", {})

@@ -26,7 +26,7 @@ from ._version import __version__
 from .errors import ConfigInvalid, IoFailure, NotPositiveDefinite
 from .matcore import PIVOT_TOL, CovarianceModel, sup_norm_diff
 from .sampler import (DistributionSpec, derive_seed, sample, scaled_sum,
-                      sample_scaled_sums, two_point_support)
+                      two_point_support)
 
 RUN_KEYS = ("experiment", "seed")
 
@@ -313,10 +313,9 @@ def _run_bootstrap_coverage(cfg, pmap):
 
     def replication(r):
         x = sample(spec, cfg.n, derive_seed(cfg.seed, 100, r))
-        draws = bootstrap.multiplier_draws(x, cfg.inner_replications,
-                                           cfg.multiplier,
-                                           derive_seed(cfg.seed, 101, r))
-        quantile = bootstrap.simultaneous_quantile(draws, cfg.level)
+        quantile = bootstrap.simultaneous_quantile(bootstrap.multiplier_draws(
+            x, cfg.inner_replications, cfg.multiplier,
+            derive_seed(cfg.seed, 101, r), "two_sided"), cfg.level)
         stat = float(distance.max_statistic(scaled_sum(x), "two_sided")[0])
         return {"rep": r, "covered": int(stat <= quantile),
                 "quantile": quantile, "max_stat": stat}
@@ -338,15 +337,11 @@ def _run_bootstrap_coverage(cfg, pmap):
 def _run_bootstrap_agreement(cfg, pmap):
     spec = DistributionSpec.gaussian(CovarianceModel.identity(cfg.d))
     x = sample(spec, cfg.n, derive_seed(cfg.seed, 1))
-    # each side's reps x d draws are reduced to their max statistics before
-    # the other side's are drawn, so only one such array is held at a time
-    mult = distance.MaxStatSample.from_draws(bootstrap.multiplier_draws(
-        x, cfg.replications, "gaussian", derive_seed(cfg.seed, 2)), "one_sided")
-    sigma_hat = bootstrap.empirical_cov_centered(x)
-    direct = distance.MaxStatSample.from_draws(sample_scaled_sums(
-        DistributionSpec.gaussian(sigma_hat), 1, cfg.replications,
-        derive_seed(cfg.seed, 3)), "one_sided")
-    ks = distance.ks_distance(mult, direct)
+    mult = distance.MaxStatSample(bootstrap.multiplier_draws(
+        x, cfg.replications, "gaussian", derive_seed(cfg.seed, 2), "one_sided"))
+    ks = distance.ks_distance(mult, distance.max_stat_sample(
+        DistributionSpec.gaussian(bootstrap.empirical_cov_centered(x)), 1,
+        cfg.replications, derive_seed(cfg.seed, 3)))
     crit = distance.ks_two_sample_critical(cfg.replications, cfg.replications)
     rows = [{"n": cfg.n, "d": cfg.d, "replications": cfg.replications,
              "ks": ks, "critical": crit}]

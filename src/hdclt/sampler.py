@@ -51,8 +51,8 @@ def derive_seed(seed: int, *key: int) -> int:
 def blocks(total: int, row_floats: int):
     """Split ``total`` rows into consecutive ``(idx, slice)`` blocks.
 
-    ``row_floats`` is the element count of the widest per-row array a block
-    allocates; each block holds ``max(1, BLOCK_FLOATS // row_floats)`` rows,
+    ``row_floats`` is the element count a block holds at once for each of
+    its rows; each block holds ``max(1, BLOCK_FLOATS // row_floats)`` rows,
     so peak memory stays near ``BLOCK_FLOATS`` whatever ``d`` is.  Callers
     key their substream on ``idx``, so draws depend on this budget, never on
     the thread count.

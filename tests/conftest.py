@@ -1,4 +1,17 @@
+import tracemalloc
+
 import acceptance_report
+
+
+def traced_peak(fn):
+    """Run ``fn()`` under tracemalloc; return its peak traced bytes and
+    ``fn``'s result."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,26 +1,31 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from conftest import traced_peak
 from hdclt.bootstrap import (MAMMEN_HIGH, MAMMEN_LOW, MAMMEN_P_LOW,
                              _TWO_POINT, _low_indicator, empirical_cov_centered,
                              multiplier_draws, simultaneous_quantile)
 from hdclt.bounds import delta0
-from hdclt.distance import MaxStatSample, ks_distance, ks_two_sample_critical
+from hdclt.distance import (MaxStatSample, ks_distance, ks_two_sample_critical,
+                            max_statistic)
 from hdclt.matcore import CovarianceModel
 from hdclt.sampler import (BLOCK_FLOATS, DataMatrix, DistributionSpec, sample,
                            substream)
+
+SIDES = ("one_sided", "two_sided")
 
 
 class TestInputChecks:
     @pytest.mark.parametrize("call, match", [
         (lambda: multiplier_draws(DataMatrix(np.zeros((0, 3))), 100,
-                                  "gaussian", 1), "requires n >= 1"),
+                                  "gaussian", 1, "two_sided"), "requires n >= 1"),
         (lambda: multiplier_draws(DataMatrix(np.zeros((0, 3))), 100,
-                                  "mammen", 1), "requires n >= 1"),
+                                  "mammen", 1, "two_sided"), "requires n >= 1"),
+        (lambda: multiplier_draws(DataMatrix(np.eye(3)), 100, "gaussian", 1,
+                                  "two-sided"), "unknown side"),
         (lambda: empirical_cov_centered(DataMatrix(np.zeros((1, 3)))),
          "requires n >= 2"),
     ])
@@ -42,7 +47,7 @@ class TestMammenLaw:
     def test_unknown_kind_rejected(self):
         x = DataMatrix(np.eye(3))
         with pytest.raises(ValueError):
-            multiplier_draws(x, 10, "cauchy", seed=0)
+            multiplier_draws(x, 10, "cauchy", seed=0, side="one_sided")
 
 
 def _indicator_oracle(p, rng, size):
@@ -94,28 +99,24 @@ class TestTwoPointDraws:
         x = sample(DistributionSpec.uniform_bounded(1.0, d), n, seed=26)
         ind = _low_indicator(p, substream(27, 10, 0), (300, n))
         xi = np.where(ind == 1.0, low, high)
-        np.testing.assert_allclose(multiplier_draws(x, 300, tag, 27),
-                                   xi @ _centred(x), rtol=0, atol=1e-12)
+        for side in SIDES:
+            np.testing.assert_allclose(multiplier_draws(x, 300, tag, 27, side),
+                                       max_statistic(xi @ _centred(x), side),
+                                       rtol=0, atol=1e-12)
 
 
 class TestMultiplierDraws:
     def test_constant_rows_give_zero(self):
         x = DataMatrix(np.tile([1.0, -2.0], (8, 1)))
-        draws = multiplier_draws(x, 50, "gaussian", seed=1)
-        np.testing.assert_array_equal(draws, 0.0)
+        for side in SIDES:
+            maxima = multiplier_draws(x, 50, "gaussian", seed=1, side=side)
+            np.testing.assert_array_equal(maxima, 0.0)
 
     def test_single_row_rademacher_is_zero(self):
         x = DataMatrix(np.array([[3.0, -1.0]]))
-        draws = multiplier_draws(x, 20, "rademacher", seed=2)
-        np.testing.assert_array_equal(draws, 0.0)
-
-    def test_gaussian_kind_covariance_matches_empirical(self):
-        x = sample(DistributionSpec.gaussian(CovarianceModel.identity(3)),
-                   200, seed=3)
-        draws = multiplier_draws(x, 100_000, "gaussian", seed=4)
-        target = empirical_cov_centered(x).entries
-        emp = np.cov(draws.T, bias=True)
-        assert np.max(np.abs(emp - target)) < 0.02
+        for side in SIDES:
+            maxima = multiplier_draws(x, 20, "rademacher", seed=2, side=side)
+            np.testing.assert_array_equal(maxima, 0.0)
 
 
 def _centred(x):
@@ -143,38 +144,35 @@ class TestThinQrGaussianDraws:
         np.testing.assert_allclose(r.T @ r, xc.T @ xc, rtol=0, atol=1e-12)
         # the draws are normals from the seed's first block times that factor
         z = substream(21, 10, 0).standard_normal((300, min(n, d)))
-        np.testing.assert_array_equal(multiplier_draws(x, 300, "gaussian", 21),
-                                      z @ r)
+        for side in SIDES:
+            np.testing.assert_array_equal(
+                multiplier_draws(x, 300, "gaussian", 21, side),
+                max_statistic(z @ r, side))
 
     @pytest.mark.parametrize("n, d", SHAPES)
     def test_max_statistic_matches_explicit_multipliers(self, n, d):
         reps = 100_000
         x = sample(DistributionSpec.uniform_bounded(1.0, d), n, seed=22)
         ks = ks_distance(
-            MaxStatSample.from_draws(multiplier_draws(x, reps, "gaussian", 23)),
+            MaxStatSample(multiplier_draws(x, reps, "gaussian", 23,
+                                           "one_sided")),
             MaxStatSample.from_draws(_explicit_gaussian_draws(x, reps, 24)))
         assert ks <= ks_two_sample_critical(reps, reps, alpha=0.001)
 
     def test_single_row_gives_zero(self):
         x = DataMatrix(np.array([[3.0, -1.0, 0.5]]))
-        draws = multiplier_draws(x, 20, "gaussian", seed=25)
-        assert draws.shape == (20, 3)
-        np.testing.assert_array_equal(draws, 0.0)
+        for side in SIDES:
+            maxima = multiplier_draws(x, 20, "gaussian", seed=25, side=side)
+            assert maxima.shape == (20,)
+            np.testing.assert_array_equal(maxima, 0.0)
 
 
 class TestEmpiricalDraws:
     def test_constant_rows_give_zero(self):
         x = DataMatrix(np.tile([0.5, 1.5, -1.0], (6, 1)))
-        draws = multiplier_draws(x, 40, "empirical", seed=7)
-        np.testing.assert_allclose(draws, 0.0, atol=1e-12)
-
-    def test_conditional_mean_and_covariance(self):
-        x = sample(DistributionSpec.gaussian(CovarianceModel.identity(3)),
-                   150, seed=8)
-        draws = multiplier_draws(x, 100_000, "empirical", seed=9)
-        target = empirical_cov_centered(x).entries
-        assert np.max(np.abs(draws.mean(axis=0))) < 0.02
-        assert np.max(np.abs(np.cov(draws.T, bias=True) - target)) < 0.03
+        for side in SIDES:
+            maxima = multiplier_draws(x, 40, "empirical", seed=7, side=side)
+            np.testing.assert_allclose(maxima, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("n, d", [(500, 20), (8, 20)])
     def test_matches_explicit_resampling(self, n, d):
@@ -183,8 +181,10 @@ class TestEmpiricalDraws:
         picks = substream(29, 10, 0).integers(0, n, size=(300, n))
         want = ((x.values[picks].sum(axis=1) - n * x.values.mean(axis=0))
                 / math.sqrt(n))
-        np.testing.assert_allclose(multiplier_draws(x, 300, "empirical", 29),
-                                   want, rtol=0, atol=1e-12)
+        for side in SIDES:
+            np.testing.assert_allclose(
+                multiplier_draws(x, 300, "empirical", 29, side),
+                max_statistic(want, side), rtol=0, atol=1e-12)
 
 
 class TestBlockBudget:
@@ -192,45 +192,39 @@ class TestBlockBudget:
     # the interpreter's own bookkeeping while tracing
     SLACK_BYTES = 4_000_000
 
-    def _peak(self, fn):
-        tracemalloc.start()
-        try:
-            out = fn()
-            return tracemalloc.get_traced_memory()[1], out
-        finally:
-            tracemalloc.stop()
-
     def _check(self, fn):
-        peak, out = self._peak(fn)
-        assert peak <= BLOCK_FLOATS * 8 + out.nbytes + self.SLACK_BYTES
-        np.testing.assert_array_equal(out, fn())
+        for side in SIDES:
+            peak, out = traced_peak(lambda: fn(side))
+            assert peak <= BLOCK_FLOATS * 8 + out.nbytes + self.SLACK_BYTES
+            np.testing.assert_array_equal(out, fn(side))
 
     def test_peak_memory_independent_of_d(self):
         for d in (10, 50):
             x = sample(DistributionSpec.gaussian(CovarianceModel.identity(d)),
                        100, seed=5)
-            for fn in (lambda: multiplier_draws(x, 1000, "empirical", seed=6),
-                       lambda: multiplier_draws(x, 1000, "mammen", seed=6),
-                       lambda: multiplier_draws(x, 1000, "gaussian", seed=6)):
-                self._check(fn)
-        # n < d: each block's rows x d product is wider than its multipliers
+            for kind in ("empirical", "mammen", "gaussian"):
+                self._check(lambda side: multiplier_draws(x, 1000, kind, 6,
+                                                          side))
+        # n < d: each block's rows x d product is wider than its multipliers,
+        # and it takes three blocks, so each must reuse the first's product
         x = sample(DistributionSpec.gaussian(CovarianceModel.identity(2000)),
                    10, seed=5)
         for kind in ("mammen", "gaussian", "empirical"):
-            self._check(lambda: multiplier_draws(x, 2000, kind, seed=6))
+            self._check(lambda side: multiplier_draws(x, 2000, kind, 6, side))
 
     def test_two_point_block_holds_one_float_slab(self):
-        # n = 2000 fills each block with 1000 x 2000 indicator floats; its
+        # n = 2000 fills each block with 995 x 2000 indicator floats; its
         # 2000 / 8 raw words a row come on top and fit in the slack
         x = sample(DistributionSpec.uniform_bounded(1.0, 10), 2000, seed=5)
         for kind in ("mammen", "rademacher"):
-            self._check(lambda: multiplier_draws(x, 2000, kind, seed=6))
+            self._check(lambda side: multiplier_draws(x, 2000, kind, 6, side))
 
     def test_empirical_block_holds_picks_counts_and_floats(self):
         # n = 2000 picks, counts and float multipliers a row: a block of
-        # max(n, d) = 2000 floats a row would hold 1000 rows, 48 MB of them
+        # n + d = 2010 floats a row would hold 995 rows, 48 MB of them
         x = sample(DistributionSpec.uniform_bounded(1.0, 10), 2000, seed=5)
-        self._check(lambda: multiplier_draws(x, 2000, "empirical", seed=6))
+        self._check(lambda side: multiplier_draws(x, 2000, "empirical", 6,
+                                                  side))
 
 
 class TestEmpiricalCov:
@@ -261,23 +255,29 @@ class TestEmpiricalCov:
 
 class TestSimultaneousQuantile:
     def test_zero_draws(self):
-        assert simultaneous_quantile(np.zeros((200, 3)), 0.9) == 0.0
+        assert simultaneous_quantile(np.zeros(200), 0.9) == 0.0
 
     def test_two_sided_gaussian_matches_normal_quantile(self):
-        # at d = 1 the 0.95-quantile of |Z| is the normal 0.975-quantile
-        draws = substream(12, 0).standard_normal((200_000, 1))
-        q = simultaneous_quantile(draws, 0.95)
+        # at d = 1 the two-sided max is |Z|, whose 0.95-quantile is the
+        # normal 0.975-quantile
+        maxima = np.abs(substream(12, 0).standard_normal(200_000))
+        q = simultaneous_quantile(maxima, 0.95)
         assert q == pytest.approx(float(ndtri(0.975)), abs=0.02)
 
     def test_level_one_is_max(self):
-        rng = substream(13, 0)
-        draws = rng.standard_normal((500, 2))
-        assert simultaneous_quantile(draws, 1.0) == np.abs(draws).max()
+        maxima = substream(13, 0).standard_normal(500)
+        assert simultaneous_quantile(maxima, 1.0) == maxima.max()
 
     def test_requires_enough_draws(self):
         with pytest.raises(ValueError):
-            simultaneous_quantile(np.zeros((99, 2)), 0.9)
+            simultaneous_quantile(np.zeros(99), 0.9)
 
     def test_bad_level(self):
         with pytest.raises(ValueError):
-            simultaneous_quantile(np.zeros((200, 2)), 1.5)
+            simultaneous_quantile(np.zeros(200), 1.5)
+
+    @pytest.mark.parametrize("shape", [(200, 3), ()])
+    def test_rejects_input_that_is_not_1d(self, shape):
+        # a reps x d array of draws is not flattened into one sample
+        with pytest.raises(ValueError, match="1-D"):
+            simultaneous_quantile(np.zeros(shape), 0.9)

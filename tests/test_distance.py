@@ -1,10 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from conftest import traced_peak
 from distance_oracles import (brute_force_ks_to_law, empirical_cdf,
                               rect_family_distance)
 from hdclt.distance import (MaxStatSample, anticoncentration_probe,
@@ -62,12 +62,8 @@ class TestMaxStatHelper:
         # the quasi-Gaussian law has no sampler, so W is drawn in blocks
         for d in (10, 50):
             spec = DistributionSpec.quasi_gaussian(d)
-            tracemalloc.start()
-            try:
-                out = max_stat_sample(spec, 100, 100_000, seed=3)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak, out = traced_peak(
+                lambda: max_stat_sample(spec, 100, 100_000, seed=3))
             assert peak <= (BLOCK_FLOATS * 8 + out.values.nbytes
                             + self.SLACK_BYTES)
             np.testing.assert_array_equal(
@@ -216,15 +212,8 @@ class TestKsDistance:
     @staticmethod
     def _peak_bytes(a, b):
         # in either argument order, so the smaller sample is the one scanned
-        peaks = []
-        for x, y in ((a, b), (b, a)):
-            tracemalloc.start()
-            try:
-                ks_distance_with_se(x, y)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        return max(peaks)
+        return max(traced_peak(lambda: ks_distance_with_se(x, y))[0]
+                   for x, y in ((a, b), (b, a)))
 
     def test_peak_memory(self):
         # a step-law sample has at most n + 1 distinct values, and nothing of

@@ -1,11 +1,11 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from conftest import traced_peak
 from distance_oracles import brute_force_ks_to_law
 from hdclt import maxlaw
 from hdclt.distance import MaxStatSample, ks_distance_with_se, max_stat_sample
@@ -101,12 +101,8 @@ class TestPoissonApprox:
         # hold a reps x d array of coordinates
         for d in (50, 500):
             spec = DistributionSpec.two_point(2.0, d)
-            tracemalloc.start()
-            try:
-                poisson_approx_check(spec, n=100, reps=5_000_000 // d, seed=3)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak, _ = traced_peak(lambda: poisson_approx_check(
+                spec, n=100, reps=5_000_000 // d, seed=3))
             assert peak <= BLOCK_FLOATS * 8 + 4_000_000, (d, peak)
 
 

@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,6 +11,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import binom
 
+from conftest import traced_peak
 from distance_oracles import empirical_cdf
 from hdclt.distance import MaxStatSample, ks_distance, ks_two_sample_critical
 from hdclt.lowerbound import fit_power_law, threshold_xn
@@ -108,12 +108,7 @@ class TestCdf:
         # 256 points at n = 1e5 would hold 200 MB a temporary
         law = RademacherGaussianMax(10**5, 20)
         xs = np.linspace(-1.0, 6.0, 256)
-        tracemalloc.start()
-        try:
-            got = law.cdf(xs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, got = traced_peak(lambda: law.cdf(xs))
         assert peak <= BLOCK_FLOATS * 8 + 4_000_000
         assert np.all(np.diff(got) >= 0) and 0.0 < got[0] < got[-1] < 1.0
 

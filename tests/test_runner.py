@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from distance_oracles import brute_force_ks_to_law
 from hdclt import maxlaw, sampler
 from hdclt.bootstrap import MULTIPLIER_KINDS
@@ -21,7 +22,7 @@ from hdclt.maxlaw import IsotropicGaussianMax, two_point_marginal_tail
 from hdclt.runner import (EXPERIMENTS, KEYS, RUN_KEYS,
                           ExperimentConfig, emit_plot, load_config,
                           parse_config_text, run)
-from hdclt.sampler import DistributionSpec, derive_seed
+from hdclt.sampler import BLOCK_FLOATS, DistributionSpec, derive_seed
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -459,20 +460,42 @@ class TestUniformSpaceDistances:
 
 class TestBootstrapAgreement:
     def test_row_pinned_at_seed_101(self, tmp_path):
-        # recorded from the implementation that held both sides' reps x d
-        # draws at once: reducing each side before drawing the other moves
-        # no stream and no value
+        # the multiplier side keeps the stream of its full-matrix draws and
+        # reduces it block by block; the direct N(0, Sigma_hat) side is
+        # max_stat_sample's block draws, keyed as every fallback draw is
         manifest = run(ExperimentConfig.from_mapping(
             {"experiment": "bootstrap_agreement", "seed": 101}),
             out_dir=str(tmp_path))
-        assert repr(manifest.summary["ks"]) == "0.002850000000000019"
+        assert repr(manifest.summary["ks"]) == "0.00387000000000004"
         assert repr(manifest.summary["critical"]) == "0.007278954160144188"
         with open(manifest.csv_paths[0], newline="") as fh:
             assert [(row["n"], row["d"], row["replications"],
                      repr(float(row["ks"])), repr(float(row["critical"])))
                     for row in csv.DictReader(fh)] == [
-                ("200", "10", "100000", "0.002850000000000019",
+                ("200", "10", "100000", "0.00387000000000004",
                  "0.007278954160144188")]
+
+
+class TestBootstrapPeakMemory:
+    # no bootstrap experiment holds a reps x d array: its traced peak is
+    # one block slab, a few reps-sized arrays of maxima (each side's, their
+    # sorted copies and the KS sweep's), and slack for the n x d data, its
+    # d x d factors and the run's own bookkeeping, whatever d is
+    REPS = 20_000
+    BOUND = BLOCK_FLOATS * 8 + 8 * REPS * 8 + 4_000_000
+
+    @pytest.mark.parametrize("mapping", [
+        {"experiment": "bootstrap_coverage", "n": 500,
+         "inner_replications": REPS, "outer_replications": 2},
+        {"experiment": "bootstrap_agreement", "n": 400, "replications": REPS},
+    ], ids=["bootstrap_coverage", "bootstrap_agreement"])
+    def test_peak_independent_of_d(self, tmp_path, mapping):
+        for d in (10, 200):
+            cfg = ExperimentConfig.from_mapping({**mapping, "d": d,
+                                                 "seed": 101})
+            peak, _ = traced_peak(lambda: run(cfg,
+                                              out_dir=str(tmp_path / str(d))))
+            assert peak <= self.BOUND, (d, peak)
 
 
 class TestExactChecks:
@@ -670,6 +693,17 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: cannot write {out / artifact}: ")
+
+    def test_oversized_config_exit_1(self, tmp_path, capsys):
+        # it validates, but its draws cannot be allocated: 8e15 bytes lie
+        # past the address space, so the allocation fails at once
+        cfg = self._write(tmp_path, "experiment = anticoncentration\n"
+                                    "replications = 1000000000000000\n")
+        assert cli_main(["validate", cfg]) == 0
+        capsys.readouterr()
+        assert cli_main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_bad_manifest_fails_before_compute(self, tmp_path):
         cfg = self._write(tmp_path, "experiment = rate_vs_n\n"

@@ -1,10 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
+from conftest import traced_peak
 from hdclt.matcore import CovarianceModel
 from hdclt.maxlaw import RademacherGaussianMax
 from hdclt.sampler import (DataMatrix, DistributionSpec, _count_sums,
@@ -159,13 +159,8 @@ class TestScaledSumTransforms:
         a, b, p = two_point_support(2.0)
         n, reps, d = 100, 20_000, 50
         k = substream(31, 1).binomial(n, p, size=(reps, d)).astype(float)
-        tracemalloc.start()
-        try:
-            draws = count_scaled_sums(DistributionSpec.two_point(2.0, d), n,
-                                      reps, seed=31)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, draws = traced_peak(lambda: count_scaled_sums(
+            DistributionSpec.two_point(2.0, d), n, reps, seed=31))
         np.testing.assert_array_equal(draws, (k * a + (n - k) * b) / np.sqrt(n))
         assert peak <= 2 * draws.nbytes + 1_000_000
 
