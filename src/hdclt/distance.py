@@ -6,7 +6,8 @@ to Kolmogorov distances of the max statistic: one-sample against an exact
 law where the reference has one, two-sample otherwise.  Every estimate
 therefore lower-bounds the full rectangle-class distance.  Both are one
 sweep, :func:`maxlaw.step_sup`, of a step CDF against a nondecreasing CDF
-at the step CDF's distinct values.
+at the step CDF's distinct values; a law's CDF is taken only at those
+where the sup can lie (:func:`maxlaw.bracketed_cdf`).
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .sampler import (DistributionSpec, blocks, derive_seed,
 _DRAW_ARRAYS = 3
 
 _PROBE_GRID = 512  # z points of the anticoncentration probe's grid
+
+# knot strides of the one-sample KS's distinct values in maxlaw.bracketed_cdf
+_KS_STRIDES = (64, 8)
 
 
 def max_statistic(draws: np.ndarray, side: str = "one_sided") -> np.ndarray:
@@ -85,10 +89,12 @@ def max_stat_sample(spec: DistributionSpec, n: int, reps: int, seed: int,
     ``law.variates`` uniforms.  A one-variate law's uniforms are sorted
     first: inversion does not decrease, so its draws come out sorted, the
     same values as sorting the draws of the unsorted uniforms, and need no
-    second sort.  Otherwise W is drawn by :func:`sample_scaled_sums` in
-    consecutive :func:`blocks`, each from its own seed, and only each
-    block's row maxima are kept, so memory stays near ``BLOCK_FLOATS``
-    whatever ``d`` is.
+    second sort.  A step law inverts them by counts,
+    ``law.sample_sorted``: each atom is repeated by the number of uniforms
+    between two table entries, with no lookup per draw.  Otherwise W is
+    drawn by :func:`sample_scaled_sums` in consecutive :func:`blocks`, each
+    from its own seed, and only each block's row maxima are kept, so
+    memory stays near ``BLOCK_FLOATS`` whatever ``d`` is.
     """
     if law is _LOOK_UP:
         law = maxlaw.law_of(spec, n)
@@ -96,6 +102,9 @@ def max_stat_sample(spec: DistributionSpec, n: int, reps: int, seed: int,
         u = substream(seed, 23).random((law.variates, reps))
         if law.variates == 1:
             u.sort(axis=1)
+            # a step law counts its sorted uniforms per atom
+            return MaxStatSample(getattr(law, "sample_sorted",
+                                         law.sample)(u[0]))
         return MaxStatSample(law.sample(*u))
     out = np.empty(reps)
     for idx, rows in blocks(reps, _DRAW_ARRAYS * spec.dim):
@@ -119,12 +128,17 @@ def ks_distance_with_se(a: MaxStatSample, b) -> tuple[float, float]:
 
     The step CDF is that of ``a``, or of the smaller sample when both are
     samples, and :func:`maxlaw.step_sup` takes the sup at its distinct
-    values, with the other CDF taken once per value: ``b.cdf`` of a law,
-    or binary searches right and left of it in a sample, so no pooled
-    array is built.  Equal gaps go to the first point in x order, as in a
-    merge of two samples.  The standard error is sqrt(F (1 - F) / m)
-    against a law, with m the size of ``a``, and the root of the sum of
-    both samples' binomial variances between two samples.
+    values.  In a sample, the other CDF is two binary searches per value,
+    right and left of it, so no pooled array is built.  A law's ``b.cdf``
+    is taken only at the values where :func:`maxlaw.bracketed_cdf` finds
+    the sup may lie, with knots every ``_KS_STRIDES[0]``-th value; it
+    returns the same distance and standard error, bit for bit, as
+    ``b.cdf`` at every value, provided ``b.cdf`` gives a point the same
+    value whichever points share the call.  Equal gaps go to the first
+    point in x order, as in a merge of two samples.  The standard error is
+    sqrt(F (1 - F) / m) against a law, with m the size of ``a``, and the
+    root of the sum of both samples' binomial variances between two
+    samples.
     """
     two_sample = isinstance(b, MaxStatSample)
     if two_sample and b.size < a.size:
@@ -132,13 +146,14 @@ def ks_distance_with_se(a: MaxStatSample, b) -> tuple[float, float]:
     v = a.values
     count = np.flatnonzero(np.append(v[1:] != v[:-1], True))  # tie run ends
     v = v[count]
+    count += 1                                    # #a <= v_k
+    levels = count / a.size
     if two_sample:
         at = np.searchsorted(b.values, v, side="right") / b.size
         below = np.searchsorted(b.values, v, side="left") / b.size
     else:
-        at = below = b.cdf(v)
-    count += 1                                    # #a <= v_k
-    dist, fa, fb = maxlaw.step_sup(count / a.size, at, below)
+        at = below = maxlaw.bracketed_cdf(b.cdf, v, levels, _KS_STRIDES)
+    dist, fa, fb = maxlaw.step_sup(levels, at, below)
     if two_sample:
         var = fa * (1 - fa) / a.size + fb * (1 - fb) / b.size
     else:

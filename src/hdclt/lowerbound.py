@@ -106,8 +106,9 @@ def reference_distance(spec: DistributionSpec, n: int, reps: int, seed: int,
 
     The law of max W is built once and serves both the draws, which come
     sorted from sorted uniforms where it has a one-variate sampler, and the
-    exact distance.  ``ref``'s CDF is taken once per distinct value of the
-    draws (at most n + 1 of them on a step law)."""
+    exact distance.  ``ref``'s CDF is taken at most once per distinct value
+    of the draws (at most n + 1 of them on a step law), and only at those
+    where the KS sup can lie."""
     w_law = maxlaw.law_of(spec, n)
     w = max_stat_sample(spec, n, reps, seed, w_law)
     dist, se = ks_distance_with_se(w, ref)

@@ -16,6 +16,9 @@ uniforms from ``Generator.random`` to draws of the max statistic.
 :func:`step_sup` is the one sweep for the sup of a step CDF against a
 nondecreasing CDF: the exact distance of a law with atoms,
 :func:`sup_distance`, and every Kolmogorov distance of ``distance`` take it.
+:func:`bracketed_cdf` takes a law's CDF only where such a sup can lie;
+for that, every law's ``cdf`` gives a point the same bits whichever
+points share the call.
 """
 
 from __future__ import annotations
@@ -38,6 +41,13 @@ _G_MAX = 9.0
 # smallest positive value of Generator.random; u = 0, which the quantiles
 # send to -inf, is read as this grid point
 _U_MIN = 2.0**-53
+# knot strides of sup_distance's quantile grid in bracketed_cdf
+_GRID_STRIDES = (8,)
+# how far below the largest gap a block's bound must lie for bracketed_cdf
+# to pass it over: far above the falls of a computed CDF where the law
+# rises (the equicorrelated quadrature falls by up to 9e-16 between
+# neighbouring points)
+_BRACKET_SLACK = 2.0**-30
 
 
 def _open_unit(u) -> np.ndarray:
@@ -104,7 +114,12 @@ class EquicorrelatedGaussianMax:
     the integral there is Phi(window start).  Unlike Gauss-Hermite over all
     of g, which misses the probability's step once rho nears 1 (errors of
     1e-3 at rho = 0.9, d = 10), the window keeps the step resolved: 64 and
-    96 nodes agree to 1e-14 for d up to 1000 and rho up to 0.999.
+    96 nodes agree to 1e-14 for d up to 1000 and rho up to 0.999.  Each
+    point's quadrature is its own dot product with the weights
+    (``np.vecdot``), not one matrix-vector product over all points, whose
+    summation order may change with the number of points; so a point's
+    CDF has the same bits whichever points share the call, as
+    :func:`bracketed_cdf` needs.
     """
 
     d: int
@@ -126,7 +141,7 @@ class EquicorrelatedGaussianMax:
         half = 0.5 * (hi - lo)
         g = lo + half * (t + 1.0)
         f = np.exp(self.d * log_ndtr((a - r * g) / q) - 0.5 * g * g)
-        inside = half[..., 0] * (f @ w) / math.sqrt(2.0 * math.pi)
+        inside = half[..., 0] * np.vecdot(f, w) / math.sqrt(2.0 * math.pi)
         return ndtr(lo[..., 0]) + inside
 
     def sample(self, u, v) -> np.ndarray:
@@ -156,6 +171,15 @@ class _StepLaw:
         idx = np.searchsorted(self.table, u, side="right")
         np.minimum(idx, self.table.size - 1, out=idx)
         return self.atoms[idx]
+
+    def sample_sorted(self, u) -> np.ndarray:
+        """:meth:`sample` of ascending uniforms u, which comes out ascending:
+        the count of u below ``table[i]`` is the number of draws at or
+        below ``atoms[i]``, so each atom is repeated by the difference of
+        two counts, with no lookup per draw."""
+        below = np.searchsorted(u, self.table[:-1], side="left")
+        return np.repeat(self.atoms, np.diff(below, prepend=0,
+                                             append=len(u)))
 
 
 @dataclass(frozen=True)
@@ -355,13 +379,61 @@ def step_sup(levels, at, below) -> tuple[float, float, float]:
     return float(gap), level, f
 
 
+def bracketed_cdf(cdf, x, s, strides: tuple) -> np.ndarray:
+    """``cdf`` at the ascending points x wherever |s - F| can reach its max
+    over x, and ``s`` itself elsewhere, for nondecreasing s and F = cdf.
+
+    F is taken first at every ``strides[0]``-th point and the last, the
+    knots.  Between knots i0 < i1, monotonicity bounds every gap by
+    max(s[i1] - F[i0], F[i1] - s[i0]).  Only the blocks whose bound reaches
+    the largest gap at the knots so far can hold a point of largest gap;
+    F is taken at every next stride's points inside them, which splits
+    them into smaller blocks, and so on down to stride 1, one ``cdf`` call
+    a level.  Elsewhere the gap against the returned s is 0, and the gap
+    between the returned value and s at the point before, which
+    :func:`step_sup` reads below each step point, is one step of s; the
+    rise of s across a block joins its bound, so that gap stays below the
+    max.  The max, and the first point attaining it, are then those of F
+    at every point, bit for bit, provided ``cdf`` gives a point the same
+    value whichever points share the call.  A computed CDF may fall by a
+    rounding or quadrature error where the law rises, so a block is passed
+    over only when its bound lies ``_BRACKET_SLACK`` below the largest
+    gap.  With one block or none, F is taken at every point in one call.
+    """
+    n = x.size
+    if n <= strides[0] + 1:
+        return cdf(x)
+    f = np.array(s, dtype=float)
+    knots = np.append(np.arange(0, n - 1, strides[0]), n - 1)
+    f[knots] = cdf(x[knots])
+    best = np.max(np.abs(s[knots] - f[knots]))
+    lo, hi = knots[:-1], knots[1:]
+    for span, stride in zip(strides, strides[1:] + (1,)):
+        bound = np.maximum(s[hi] - f[lo], f[hi] - s[lo])
+        np.maximum(bound, s[hi] - s[lo], out=bound)
+        keep = bound >= best - _BRACKET_SLACK
+        lo, hi = lo[keep, None], hi[keep, None]
+        grid = np.minimum(lo + np.arange(0, span + stride, stride), hi)
+        new = grid[:, 1:-1][grid[:, 1:-1] < hi]
+        if not new.size:
+            break
+        f[new] = cdf(x[new])
+        best = max(best, np.max(np.abs(s[new] - f[new])))
+        lo, hi = grid[:, :-1].ravel(), grid[:, 1:].ravel()
+    return f
+
+
 def sup_distance(law, ref) -> float:
     """sup_x |law.cdf(x) - ref.cdf(x)| against a one-variate reference law
     with a sampler, taken over the :func:`quantile_grid` of ``ref`` and, for
     a law with atoms, by :func:`step_sup` at every atom, where the sup of a
-    step CDF against a continuous one is attained."""
+    step CDF against a continuous one is attained.  On the grid,
+    ``law.cdf`` is taken only where :func:`bracketed_cdf` finds the sup may
+    lie, every ``_GRID_STRIDES[0]``-th point and a few blocks between them."""
     x = quantile_grid(ref)
-    best = float(np.max(np.abs(law.cdf(x) - ref.cdf(x))))
+    r = ref.cdf(x)
+    f = bracketed_cdf(law.cdf, x, r, _GRID_STRIDES)
+    best = float(np.max(np.abs(f - r)))
     atoms = getattr(law, "atoms", None)
     if atoms is not None:
         g = ref.cdf(atoms)

@@ -7,6 +7,7 @@ from scipy.special import ndtr
 from conftest import traced_peak
 from distance_oracles import (brute_force_ks_to_law, empirical_cdf,
                               rect_family_distance)
+from hdclt import distance
 from hdclt.distance import (MaxStatSample, anticoncentration_probe,
                             ks_distance, ks_distance_with_se,
                             ks_two_sample_critical, max_stat_sample,
@@ -327,6 +328,70 @@ class TestKsToLaw:
         got = ks_distance_with_se(MaxStatSample(values), _Uniform())
         assert got == (dist, math.sqrt(f * (1 - f) / values.size))
         assert got == brute_force_ks_to_law(values, _Uniform().cdf)
+
+
+class TestBracketedKs:
+    """The one-sample KS takes the law's CDF only where its sup can lie; its
+    distance and standard error must be those of the CDF at every draw."""
+
+    STRIDE = distance._KS_STRIDES[0]
+    LAW = IsotropicGaussianMax(10)
+
+    def _check(self, values):
+        values = np.sort(values)
+        got = ks_distance_with_se(MaxStatSample(values), self.LAW)
+        assert repr(got) == repr(brute_force_ks_to_law(values, self.LAW.cdf))
+
+    @pytest.mark.parametrize("size", [1, 2, STRIDE - 1, STRIDE, STRIDE + 1,
+                                      STRIDE + 2, 2 * STRIDE - 1, 2 * STRIDE,
+                                      2 * STRIDE + 1, 2 * STRIDE + 2, 1000,
+                                      200_000])
+    def test_sizes(self, size):
+        u = substream(size, 0).random(size)
+        for shift in (0.0, 0.02, 0.5):
+            self._check(self.LAW.sample(u) + shift)
+
+    @pytest.mark.parametrize("decimals", [0, 1, 2, 3])
+    def test_heavy_ties(self, decimals):
+        x = self.LAW.sample(substream(decimals, 1).random(200_000))
+        self._check(np.round(x, decimals))
+        self._check(np.round(x[:500], decimals))
+
+    @pytest.mark.parametrize("size", [1, 1000])
+    def test_all_equal(self, size):
+        self._check(np.full(size, 1.5))
+
+    @pytest.mark.parametrize("shift", [-12.0, 12.0])
+    def test_far_tails(self, shift):
+        # F is about 0 (or 1) at every draw, so the sup sits at the last
+        # (or first) distinct value, a knot
+        x = self.LAW.sample(substream(3, 2).random(5000)) + shift
+        self._check(x)
+        self._check(np.round(x, 1))
+
+    def test_atom_beside_a_shifted_stretch(self):
+        # one value holds 2-20% of the draws, and the draws below a random
+        # quantile are shifted: the sup lies in the shifted stretch, while
+        # a passed-over block may hold the atom's step, larger than the sup
+        rng = substream(5, 3)
+        for _ in range(50):
+            size = int(rng.integers(200, 3000))
+            x = self.LAW.sample(rng.random(size))
+            cut = np.quantile(x, rng.uniform(0.1, 0.9))
+            x = np.where(x < cut, x + rng.uniform(-0.3, 0.3), x)
+            atom = rng.choice(size, int(rng.uniform(0.02, 0.2) * size),
+                              replace=False)
+            x[atom] = np.quantile(x, rng.uniform(0.05, 0.95))
+            self._check(x)
+
+    def test_random_cases(self):
+        rng = substream(4, 3)
+        for _ in range(100):
+            size = int(10.0 ** rng.uniform(0.0, 5.0))
+            x = (self.LAW.sample(rng.random(size)) * rng.uniform(0.9, 1.1)
+                 + rng.normal(0.0, 0.05))
+            decimals = rng.integers(0, 5)
+            self._check(np.round(x, decimals) if decimals < 4 else x)
 
 
 class TestRectFamilies:

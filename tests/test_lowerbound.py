@@ -179,12 +179,17 @@ class TestReferenceDistance:
         dist, se, floor, _ = reference_distance(spec, n, 20_000, 4, ref)
         monkeypatch.undo()
         w = max_stat_sample(spec, n, 20_000, 4).values
-        # one CDF call, on the draws' distinct values: at most n + 1 of
-        # them on a step law
-        (points,) = seen
-        assert np.array_equal(points, np.unique(w))
-        if spec.kind != "quasi_gaussian":
-            assert points.size <= n + 1
+        # the CDF is taken only at the draws' distinct values (at most
+        # n + 1 of them on a step law), at none of them twice, and at few
+        # of them on a continuous W: only where the sup can lie
+        points = np.concatenate(seen)
+        distinct = np.unique(w)
+        assert np.all(np.isin(points, distinct))
+        assert np.unique(points).size == points.size
+        if spec.kind == "quasi_gaussian":
+            assert points.size < 0.1 * distinct.size
+        else:
+            assert distinct.size <= n + 1
         assert (dist, se) == brute_force_ks_to_law(w, ref.cdf)
         c = math.sqrt(-math.log(0.005) / 2.0)
         assert floor == c / math.sqrt(20_000)

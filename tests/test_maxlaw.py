@@ -13,13 +13,15 @@ from scipy.stats import binom
 
 from conftest import traced_peak
 from distance_oracles import empirical_cdf
-from hdclt.distance import MaxStatSample, ks_distance, ks_two_sample_critical
+from hdclt.distance import (MaxStatSample, ks_distance, ks_two_sample_critical,
+                            max_stat_sample)
 from hdclt.lowerbound import fit_power_law, threshold_xn
 from hdclt.matcore import CovarianceModel
 from hdclt import maxlaw
 from hdclt.maxlaw import (EquicorrelatedGaussianMax, IsotropicGaussianMax,
                           LocalMeansMax, RademacherGaussianMax, TwoPointMax,
-                          law_of, sup_distance, two_point_marginal_tail)
+                          law_of, quantile_grid, step_sup, sup_distance,
+                          two_point_marginal_tail)
 from hdclt.sampler import (BLOCK_FLOATS, DistributionSpec, sample_scaled_sums,
                            substream, two_point_support)
 from sampler_oracles import count_scaled_sums
@@ -254,6 +256,82 @@ class TestSample:
             assert np.all(np.isfinite(x)) and np.all(np.diff(x) >= 0)
 
 
+class _Steps(maxlaw._StepLaw):
+    """A step law with tied table entries and a last entry below 1."""
+
+    atoms = np.array([-1.0, 0.0, 0.5, 2.0])
+    table = np.array([0.25, 0.5, 0.5, 0.75])
+
+
+class TestSortedStepSample:
+    LAWS = [TwoPointMax(2.0, 1, 1), TwoPointMax(2.0, 1, 2),
+            TwoPointMax(2.0, 250, 50), LocalMeansMax(3, 2),
+            LocalMeansMax(500, 10), _Steps()]
+    IDS = ["two_point-1-1", "two_point-1-2", "two_point-250-50",
+           "local_means-3-2", "local_means-500-10", "ties"]
+
+    @pytest.mark.parametrize("law", LAWS, ids=IDS)
+    def test_counts_equal_the_lookup_per_draw(self, law):
+        # uniforms exactly on every table entry below 1, at the extremes
+        # (0 among them), past the last entry when it is below 1, and at
+        # random
+        table = law.table[law.table < 1.0]
+        u = np.sort(np.concatenate([table, U_EXTREMES,
+                                    substream(20, 0).random(5000)]))
+        cases = [u, u[:1], u[-1:], table[-1:], np.zeros(3), u[u > table[-1]]]
+        for case in cases:
+            got = law.sample_sorted(case)
+            np.testing.assert_array_equal(got, law.sample(case))
+            assert got.shape == case.shape and got.dtype == np.float64
+
+    def test_draws_take_the_counts(self, monkeypatch):
+        # max_stat_sample inverts a step law's sorted uniforms by counts,
+        # not by one lookup per draw
+        monkeypatch.setattr(maxlaw._StepLaw, "sample", None)
+        for spec, n in [(DistributionSpec.two_point(2.0, 50), 250),
+                        (DistributionSpec.local_means(10), 500)]:
+            values = max_stat_sample(spec, n, 1000, 3).values
+            assert values.size == 1000
+            assert np.all(np.isin(values, law_of(spec, n).atoms))
+
+
+class TestPointwiseCdf:
+    """A law's CDF at a point has the same bits whichever points share the
+    call, as the bracketed sups of ``bracketed_cdf`` need."""
+
+    LAWS = [IsotropicGaussianMax(20, math.sqrt(2.0)),
+            EquicorrelatedGaussianMax(10, 0.2),
+            EquicorrelatedGaussianMax(1000, 0.9, 1.5),
+            TwoPointMax(2.0, 250, 50), LocalMeansMax(500, 10),
+            RademacherGaussianMax(100, 20)]
+    IDS = ["isotropic", "equicorrelated-10", "equicorrelated-1000",
+           "two_point", "local_means", "rademacher_gaussian"]
+
+    @staticmethod
+    def _bits(a):
+        return np.asarray(a, dtype=float).view(np.uint64)
+
+    @pytest.mark.parametrize("law", LAWS, ids=IDS)
+    def test_random_subsets(self, law):
+        rng = substream(21, 0)
+        x = np.sort(rng.uniform(-1.0, 7.0, 1000))
+        full = self._bits(law.cdf(x))
+        for _ in range(150):
+            idx = np.sort(rng.choice(x.size, rng.integers(1, x.size),
+                                     replace=False))
+            np.testing.assert_array_equal(self._bits(law.cdf(x[idx])),
+                                          full[idx])
+
+    @pytest.mark.parametrize("law", LAWS, ids=IDS)
+    def test_unaligned_slices(self, law):
+        x = np.sort(substream(22, 0).uniform(-1.0, 7.0, 1000))
+        full = self._bits(law.cdf(x))
+        for start in range(9):
+            for stop in (start + 1, start + 7, start + 64, 999, 1000):
+                np.testing.assert_array_equal(
+                    self._bits(law.cdf(x[start:stop])), full[start:stop])
+
+
 class TestLawOf:
     def test_dispatch(self):
         identity = DistributionSpec.gaussian(CovarianceModel.identity(5))
@@ -313,6 +391,33 @@ class TestExactDistances:
         # sweep was sup_distance's own: sharing step_sup moves no bit
         law = law(*args)
         assert sup_distance(law, IsotropicGaussianMax(law.d)) == pinned
+
+    @staticmethod
+    def _full_grid_sup(law, ref):
+        # law.cdf at every point of the quantile grid, then every atom
+        x = quantile_grid(ref)
+        best = float(np.max(np.abs(law.cdf(x) - ref.cdf(x))))
+        if hasattr(law, "atoms"):
+            g = ref.cdf(law.atoms)
+            best = max(best, step_sup(law.table, g, g)[0])
+        return best
+
+    @pytest.mark.parametrize("d", [2, 10, 100, 1000])
+    def test_bracketed_grid_equals_full_grid_equicorrelated(self, d):
+        ref = IsotropicGaussianMax(d)
+        for rho in (0.01, 0.05, 0.2, 0.5, 0.9, 0.99):
+            law = EquicorrelatedGaussianMax(d, rho)
+            assert sup_distance(law, ref) == self._full_grid_sup(law, ref)
+
+    @pytest.mark.parametrize("law, ref", [
+        (TwoPointMax(2.0, 250, 50), IsotropicGaussianMax(50)),
+        (TwoPointMax(2.0, 5, 3), IsotropicGaussianMax(3)),
+        (LocalMeansMax(500, 10), IsotropicGaussianMax(10)),
+        (RademacherGaussianMax(100, 20),
+         IsotropicGaussianMax(20, math.sqrt(2.0))),
+        (RademacherGaussianMax(3, 2), IsotropicGaussianMax(2))])
+    def test_bracketed_grid_equals_full_grid(self, law, ref):
+        assert sup_distance(law, ref) == self._full_grid_sup(law, ref)
 
     def test_zero_skew_rate_defaults(self):
         ref = IsotropicGaussianMax(20, math.sqrt(2.0))
