@@ -15,7 +15,7 @@ from .matcore import CovarianceModel, sup_norm_diff
 
 def xlog_factor(x: float) -> float:
     """x * (1 v |log x|), extended by continuity to 0 at x = 0."""
-    if x < 0:
+    if not x >= 0:  # NaN fails it too
         raise ValueError("xlog_factor expects x >= 0")
     if x == 0.0:
         return 0.0
@@ -37,7 +37,7 @@ def bound_bounded(n: int, d: int, B: float) -> float:
 def bound_gaussian_comparison(D: float, d: int) -> float:
     """Comparison of two unit-variance Gaussian laws over rectangles whose
     covariances are D apart in sup norm: D (1 v |log D|) log d."""
-    if D < 0:
+    if not D >= 0:
         raise ValueError("D must be nonnegative")
     return xlog_factor(D) * math.log(d)
 

@@ -7,7 +7,10 @@ law where the reference has one, two-sample otherwise.  Every estimate
 therefore lower-bounds the full rectangle-class distance.  Both are one
 sweep, :func:`maxlaw.step_sup`, of a step CDF against a nondecreasing CDF
 at the step CDF's distinct values; a law's CDF is taken only at those
-where the sup can lie (:func:`maxlaw.bracketed_cdf`).
+where the sup can lie (:func:`maxlaw.bracketed_cdf`).  The
+anticoncentration probe of N(0, I_d) reads a grid's ends and window counts
+off sorted draws of max Z, and inverts only the draws those read
+(:func:`maxlaw.sample_counts`).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import maxlaw
-from .matcore import CovarianceModel
 from .sampler import (DistributionSpec, blocks, derive_seed,
                       sample_scaled_sums, substream)
 
@@ -175,14 +177,23 @@ def anticoncentration_probe(d: int, eps: float, reps: int,
                             seed: int) -> float:
     """Max over a z-grid of P(max Z <= z + eps) - P(max Z <= z), Z ~ N(0, I_d).
 
-    The grid spans the central 99.9% of the max-statistic distribution with
-    ``_PROBE_GRID`` points.
+    The grid spans the central 99.9% of ``reps`` draws of max Z with
+    ``_PROBE_GRID`` points.  The draws are those of
+    :func:`max_stat_sample`, the exact law's inversion of the same sorted
+    uniforms, but only the draws the probe reads are inverted: the two
+    order statistics behind each grid end (:func:`maxlaw.sample_quantiles`)
+    and two per window end (:func:`maxlaw.sample_counts`).  The probe
+    equals the one taken on every draw, bit for bit.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError("eps must be >= 0")
-    stat = max_stat_sample(DistributionSpec.gaussian(
-        CovarianceModel.identity(d)), 1, reps, seed).values
-    z = np.linspace(*np.quantile(stat, [0.0005, 0.9995]), _PROBE_GRID)
-    upper = np.searchsorted(stat, z + eps, side="right")
-    lower = np.searchsorted(stat, z, side="right")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    law = maxlaw.IsotropicGaussianMax(d)
+    u = substream(seed, 23).random(reps)  # max_stat_sample's stream
+    u.sort()
+    z = np.linspace(*maxlaw.sample_quantiles(law, u, [0.0005, 0.9995]),
+                    _PROBE_GRID)
+    upper, lower = np.split(
+        maxlaw.sample_counts(law, u, np.concatenate([z + eps, z])), 2)
     return float(np.max(upper - lower)) / reps

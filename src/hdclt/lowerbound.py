@@ -24,7 +24,7 @@ from .sampler import DistributionSpec, substream
 
 def threshold_xn(d: float) -> float:
     """Inverse normal CDF at e^{-1/d}; accepts real d > 0 for testing."""
-    if d <= 0:
+    if not d > 0:
         raise ValueError("d must be > 0")
     return float(ndtri(math.exp(-1.0 / d)))
 

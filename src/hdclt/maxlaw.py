@@ -18,7 +18,12 @@ nondecreasing CDF: the exact distance of a law with atoms,
 :func:`sup_distance`, and every Kolmogorov distance of ``distance`` take it.
 :func:`bracketed_cdf` takes a law's CDF only where such a sup can lie;
 for that, every law's ``cdf`` gives a point the same bits whichever
-points share the call.
+points share the call.  :func:`sample_counts` counts the draws of a
+continuous one-variate law at or below given points from its sorted
+uniforms, inverting two uniforms per point rather than all of them, the
+continuous counterpart of a step law's ``sample_sorted``;
+:func:`sample_quantiles` reads numpy's linear quantiles of those draws the
+same way.
 """
 
 from __future__ import annotations
@@ -92,6 +97,9 @@ class IsotropicGaussianMax:
         return np.exp(self.d * log_ndtr(z))
 
     def sample(self, u) -> np.ndarray:
+        """Draws at the uniforms u.  They do not decrease on ascending u,
+        and a point's draw has the same bits whichever points share the
+        call, as :func:`sample_counts` needs."""
         # P(one coordinate above the draw x) = Phi(-x/sigma) = 1 - u^(1/d)
         t = _upper_tail(u, self.d)
         ndtri(t, out=t)
@@ -421,6 +429,64 @@ def bracketed_cdf(cdf, x, s, strides: tuple) -> np.ndarray:
         best = max(best, np.max(np.abs(s[new] - f[new])))
         lo, hi = grid[:, :-1].ravel(), grid[:, 1:].ravel()
     return f
+
+
+def sample_counts(law, u, y) -> np.ndarray:
+    """``np.searchsorted(law.sample(u), y, "right")`` for ascending
+    uniforms u, 1-D queries y and a continuous one-variate law, with
+    ``law.sample`` taken at two uniforms per query rather than at every u.
+
+    A query's count is guessed as the number of uniforms at or below its
+    CDF, c = #{u <= F(y)}, and kept when the draw at u[c-1] is at or below
+    y and the draw at u[c] above it.  Where F rounds the other way, the
+    count is found by bisection between c and the end the failed check
+    points to, one draw per query a step.  The result is exact provided
+    ``law.sample`` does not decrease on ascending uniforms and gives a
+    point the same bits whichever points share the call, as
+    :meth:`IsotropicGaussianMax.sample` does.
+    """
+    u = np.asarray(u, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = u.size
+    c = np.searchsorted(u, law.cdf(y), side="right")
+    if not n:
+        return c
+    draws = law.sample(np.concatenate([u[np.maximum(c - 1, 0)],
+                                       u[np.minimum(c, n - 1)]]))
+    # a draw counts unless it is above y, as in searchsorted's order, where
+    # a NaN query sorts after every draw
+    low_ok = (c == 0) | ~(draws[:y.size] > y)
+    high_ok = (c == n) | (draws[y.size:] > y)
+    bad = np.flatnonzero(~(low_ok & high_ok))
+    if bad.size:
+        # the count lies in [lo, hi]: below c when the draw at u[c-1] is
+        # above y, else above c
+        lo = np.where(low_ok[bad], c[bad] + 1, 0)
+        hi = np.where(low_ok[bad], n, c[bad] - 1)
+        while (open_ := np.flatnonzero(lo < hi)).size:
+            mid = (lo[open_] + hi[open_]) // 2
+            counted = ~(law.sample(u[mid]) > y[bad[open_]])
+            lo[open_] = np.where(counted, mid + 1, lo[open_])
+            hi[open_] = np.where(counted, hi[open_], mid)
+        c[bad] = lo
+    return c
+
+
+def sample_quantiles(law, u, q) -> np.ndarray:
+    """``np.quantile(law.sample(u), q)`` for ascending uniforms u, from
+    the two order statistics each quantile reads: numpy's ``linear`` rule
+    interpolates the draws at floor((n - 1) q) and the index after it, by
+    numpy's lerp, which works from the nearer end.  Exact under the
+    premise of :func:`sample_counts`."""
+    u = np.asarray(u, dtype=float)
+    at = (u.size - 1) * np.asarray(q, dtype=float)
+    i = np.floor(at)
+    gamma = at - i
+    i = i.astype(np.intp)
+    a, b = np.split(law.sample(u[np.concatenate([i, np.minimum(
+        i + 1, u.size - 1)])]), 2)
+    rise = b - a
+    return np.where(gamma >= 0.5, b - rise * (1 - gamma), a + rise * gamma)
 
 
 def sup_distance(law, ref) -> float:

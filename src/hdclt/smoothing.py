@@ -123,9 +123,10 @@ class SmoothingParams:
     eps: float
 
     def __post_init__(self):
-        if self.phi <= 0:
+        # written so that NaN fails them too
+        if not self.phi > 0:
             raise ValueError("phi must be > 0")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError("eps must be > 0")
 
     @property

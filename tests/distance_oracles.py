@@ -1,9 +1,11 @@
 """Test-only oracles of the distance layer.
 
 Rectangle-family distances between two draw matrices (the null calibration
-of C9 runs them), the empirical CDF of a max-statistic sample, and a
+of C9 runs them), the empirical CDF of a max-statistic sample, a
 brute-force one-sample Kolmogorov distance that
-:func:`hdclt.distance.ks_distance_with_se` is checked against.  No
+:func:`hdclt.distance.ks_distance_with_se` is checked against, and the
+anticoncentration probe taken on every draw, which
+:func:`hdclt.distance.anticoncentration_probe` is checked against.  No
 experiment runs them, so they live beside the tests that do.
 """
 
@@ -11,8 +13,10 @@ import math
 
 import numpy as np
 
-from hdclt.distance import MaxStatSample, ks_distance, max_statistic
-from hdclt.sampler import blocks, substream
+from hdclt.distance import (_PROBE_GRID, MaxStatSample, ks_distance,
+                            max_stat_sample, max_statistic)
+from hdclt.matcore import CovarianceModel
+from hdclt.sampler import DistributionSpec, blocks, substream
 
 # the max rectangle families, each the side of the max statistic it reduces to
 FAMILIES = {"one_sided_max": "one_sided", "two_sided_max": "two_sided"}
@@ -39,6 +43,18 @@ def brute_force_ks_to_law(values, cdf) -> tuple[float, float]:
     k = int(np.argmax(gaps))
     fk = f[k // 2]
     return float(gaps[k]), math.sqrt(fk * (1 - fk) / m)
+
+
+def full_inversion_probe(d: int, eps: float, reps: int, seed: int) -> float:
+    """The anticoncentration probe on all ``reps`` draws of max Z, Z ~
+    N(0, I_d): every sorted uniform inverted, the grid ends by
+    ``np.quantile`` and each window counted by binary search."""
+    stat = max_stat_sample(DistributionSpec.gaussian(
+        CovarianceModel.identity(d)), 1, reps, seed).values
+    z = np.linspace(*np.quantile(stat, [0.0005, 0.9995]), _PROBE_GRID)
+    upper = np.searchsorted(stat, z + eps, side="right")
+    lower = np.searchsorted(stat, z, side="right")
+    return float(np.max(upper - lower)) / reps
 
 
 def rect_family_distance(draws_a: np.ndarray, draws_b: np.ndarray,

@@ -14,6 +14,11 @@ class TestInputChecks:
     @pytest.mark.parametrize("call, match", [
         (lambda: xlog_factor(-0.5), "expects x >= 0"),
         (lambda: bound_gaussian_comparison(-0.5, 10), "D must be nonnegative"),
+        # NaN fails a "< 0" guard, so each guard asks ">= 0" instead
+        pytest.param(lambda: xlog_factor(math.nan), "expects x >= 0",
+                     id="xlog_factor-nan"),
+        pytest.param(lambda: bound_gaussian_comparison(math.nan, 10),
+                     "D must be nonnegative", id="gaussian_comparison-nan"),
         (lambda: bounds_local_means(100, 1), "requires d >= 2, n >= 3"),
         (lambda: bounds_local_means(2, 10), "requires d >= 2, n >= 3"),
     ])

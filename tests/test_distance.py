@@ -6,8 +6,8 @@ from scipy.special import ndtr
 
 from conftest import traced_peak
 from distance_oracles import (brute_force_ks_to_law, empirical_cdf,
-                              rect_family_distance)
-from hdclt import distance
+                              full_inversion_probe, rect_family_distance)
+from hdclt import distance, maxlaw
 from hdclt.distance import (MaxStatSample, anticoncentration_probe,
                             ks_distance, ks_distance_with_se,
                             ks_two_sample_critical, max_stat_sample,
@@ -29,6 +29,11 @@ class TestInputChecks:
          "at least one draw"),
         (lambda: anticoncentration_probe(5, -0.1, reps=1000, seed=1),
          "eps must be >= 0"),
+        pytest.param(
+            lambda: anticoncentration_probe(5, math.nan, reps=1000, seed=1),
+            "eps must be >= 0", id="probe-nan-eps"),
+        (lambda: anticoncentration_probe(5, 0.1, reps=0, seed=1),
+         "reps must be >= 1"),
     ])
     def test_rejected(self, call, match):
         with pytest.raises(ValueError, match=match):
@@ -438,6 +443,28 @@ class TestAnticoncentration:
         small = anticoncentration_probe(20, 0.05, reps=400_000, seed=3)
         large = anticoncentration_probe(20, 0.10, reps=400_000, seed=3)
         assert 1.5 <= large / small <= 2.5
+
+    @pytest.mark.parametrize("d", [2, 5, 20, 100])
+    def test_equals_the_probe_on_every_draw(self, d):
+        for seed in (0, 7, 101):
+            for reps in (1, 2, 3, 999, 200_000):
+                for eps in (0.0, 0.05, 0.3):
+                    assert (anticoncentration_probe(d, eps, reps, seed)
+                            == full_inversion_probe(d, eps, reps, seed))
+
+    def test_inverts_only_the_draws_it_reads(self, monkeypatch):
+        # two per grid end and two per window end; inverting every draw
+        # again would fail this
+        inverted = []
+        sample = maxlaw.IsotropicGaussianMax.sample
+
+        def counted(law, u):
+            inverted.append(np.size(u))
+            return sample(law, u)
+
+        monkeypatch.setattr(maxlaw.IsotropicGaussianMax, "sample", counted)
+        anticoncentration_probe(20, 0.1, reps=200_000, seed=5)
+        assert 0 < sum(inverted) <= 4 * distance._PROBE_GRID + 4
 
 
 class TestMaxStatSample:

@@ -37,6 +37,10 @@ class TestThreshold:
         with pytest.raises(ValueError):
             threshold_xn(0.0)
 
+    def test_nan_d_rejected(self):
+        with pytest.raises(ValueError, match="d must be > 0"):
+            threshold_xn(math.nan)
+
 
 class TestSkewness:
     def test_two_point_closed_form(self):

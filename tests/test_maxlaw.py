@@ -332,6 +332,117 @@ class TestPointwiseCdf:
                     self._bits(law.cdf(x[start:stop])), full[start:stop])
 
 
+class TestIsotropicSamplePremise:
+    """:func:`maxlaw.sample_counts` is exact because the isotropic law's
+    ``sample`` does not decrease on ascending uniforms and gives a point
+    the same bits whichever points share the call."""
+
+    DIMS = [2, 10, 20, 50, 1000]
+
+    @staticmethod
+    def _uniforms(seed):
+        # the extremes, runs of neighbouring doubles, and random uniforms
+        rng = substream(seed, 0)
+        runs = [np.nextafter(c, 1.0) + np.arange(50) * np.spacing(c)
+                for c in (2.0**-40, 0.3, 0.999)]
+        return np.sort(np.concatenate([U_EXTREMES, *runs,
+                                       rng.random(20_000)]))
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_nondecreasing(self, d):
+        x = IsotropicGaussianMax(d).sample(self._uniforms(30))
+        assert np.all(np.isfinite(x)) and np.all(np.diff(x) >= 0)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_pointwise(self, d):
+        law, u = IsotropicGaussianMax(d), self._uniforms(31)
+        full = law.sample(u).view(np.uint64)
+        rng = substream(32, 0)
+        for _ in range(50):
+            idx = np.sort(rng.choice(u.size, rng.integers(1, 3000),
+                                     replace=False))
+            np.testing.assert_array_equal(law.sample(u[idx]).view(np.uint64),
+                                          full[idx])
+        for start in range(9):
+            for stop in (start + 1, start + 7, start + 64, u.size):
+                np.testing.assert_array_equal(
+                    law.sample(u[start:stop]).view(np.uint64),
+                    full[start:stop])
+
+
+class _ShiftedCdf:
+    """A law whose ``cdf`` is ``base``'s moved by ``ulps`` units in the last
+    place, or replaced by ``constant``, so that its guessed counts miss."""
+
+    def __init__(self, base, ulps=0, constant=None):
+        self.base, self.ulps, self.constant = base, ulps, constant
+
+    def cdf(self, x):
+        f = self.base.cdf(x)
+        if self.constant is not None:
+            return np.full_like(f, self.constant)
+        step = np.inf if self.ulps > 0 else -np.inf
+        for _ in range(abs(self.ulps)):
+            f = np.nextafter(f, step)
+        return f
+
+    def sample(self, u):
+        return self.base.sample(u)
+
+
+class TestSampleCounts:
+    @staticmethod
+    def _case(law, seed, size=5000):
+        # sorted uniforms with the extremes and a tie, and queries at +-inf,
+        # on every fifth draw exactly, beside draws and at random
+        u = np.sort(np.concatenate([U_EXTREMES, [0.5],
+                                    substream(seed, 0).random(size)]))
+        x = law.sample(u)
+        y = np.concatenate([[-np.inf, np.inf], x[::5], np.nextafter(
+            x[::7], np.inf), np.nextafter(x[::7], -np.inf),
+            substream(seed, 1).uniform(x[0] - 1.0, x[-1] + 1.0, 500)])
+        return u, y, np.searchsorted(x, y, side="right")
+
+    @pytest.mark.parametrize("law", [
+        IsotropicGaussianMax(2), IsotropicGaussianMax(20),
+        IsotropicGaussianMax(1000, 1.5)], ids=["d2", "d20", "d1000-sigma"])
+    def test_equals_search_on_full_inversion(self, law):
+        u, y, expected = self._case(law, 33)
+        np.testing.assert_array_equal(maxlaw.sample_counts(law, u, y),
+                                      expected)
+        for part in (u[:1], u[-1:], u[:2], np.zeros(3), u[:0]):
+            np.testing.assert_array_equal(
+                maxlaw.sample_counts(law, part, y),
+                np.searchsorted(law.sample(part), y, side="right"))
+
+    @pytest.mark.parametrize("ulps, constant", [
+        (3, None), (-3, None), (40, None), (-40, None), (0, 0.0),
+        (0, 0.5), (0, 1.0)])
+    def test_repairs_guesses_that_miss(self, ulps, constant):
+        base = IsotropicGaussianMax(20)
+        law = _ShiftedCdf(base, ulps, constant)
+        u, y, expected = self._case(base, 34)
+        # the repair is taken: the CDF's guessed counts miss some queries
+        guess = np.searchsorted(u, law.cdf(y), side="right")
+        assert np.any(guess != expected)
+        np.testing.assert_array_equal(maxlaw.sample_counts(law, u, y),
+                                      expected)
+
+
+class TestSampleQuantiles:
+    def test_equals_numpy_linear_quantile(self):
+        # sizes where (n - 1) q is whole, just past it and just short of
+        # it, and lerps from either end of an interval
+        law = IsotropicGaussianMax(20)
+        q = np.concatenate([[0.0, 0.0005, 0.25, 0.5, 0.9995, 1.0],
+                            substream(35, 0).random(40)])
+        for n in [*range(1, 300), 999, 2001, 200_000]:
+            u = np.sort(substream(36, n).random(n))
+            np.testing.assert_array_equal(
+                maxlaw.sample_quantiles(law, u, q).view(np.uint64),
+                np.quantile(law.sample(u), q).view(np.uint64))
+
+
 class TestLawOf:
     def test_dispatch(self):
         identity = DistributionSpec.gaussian(CovarianceModel.identity(5))

@@ -52,7 +52,8 @@ class TestHermite:
 class TestInputChecks:
     @pytest.mark.parametrize("phi, eps, match", [
         (0.0, 1.0, "phi must be > 0"), (-2.0, 1.0, "phi must be > 0"),
-        (4.0, 0.0, "eps must be > 0"), (math.inf, -0.5, "eps must be > 0")])
+        (4.0, 0.0, "eps must be > 0"), (math.inf, -0.5, "eps must be > 0"),
+        (math.nan, 1.0, "phi must be > 0"), (4.0, math.nan, "eps must be > 0")])
     def test_smoothing_params_reject_nonpositive_scales(self, phi, eps, match):
         with pytest.raises(ValueError, match=match):
             _params(phi=phi, eps=eps)
