@@ -1,16 +1,15 @@
 """Pass rates of every experiment's checks across seeds.
 
 Runs each seeded experiment at its default config through
-``hdclt.runner.run`` at seeds 100-129 (``--first``, ``--count``), with 2
-worker threads (``--threads``), all in this one process; the deterministic
-``smoothing_verify`` runs once, at the first seed.  BLAS runs on one
-thread unless the environment says otherwise.  Writes one JSON file
-with, per experiment:
+``hdclt.runner.run`` at seeds 100-129, with 2 worker threads, all in this
+one process; the deterministic ``smoothing_verify`` runs once, at the
+first seed.  BLAS runs on one thread unless the environment says
+otherwise.  Writes one JSON file with, per experiment:
 
 - for each check in ``checks`` and ``exact_checks``, the count of runs it
   passed and the seeds it failed at;
-- per seed, the summary values its verdicts rest on, and the sha256 of
-  the run's CSV and ``summary.json``.
+- per seed, the run's summary, which holds the values its verdicts rest
+  on, and the sha256 of the run's CSV and ``summary.json``.
 
 The file holds no timings, so two runs of one tree give the same bytes,
 and two trees whose outputs agree give the same file.  Usage::
@@ -24,10 +23,8 @@ checkout's ``src``).  The sweep is a report, not a gate.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -35,78 +32,13 @@ import time
 from pathlib import Path
 
 
-def _rate_values(summary, rows):
-    values = {"slope": summary["slope"],
-              "exact_slope": summary["exact_slope"],
-              "noise_floor": summary["noise_floor"],
-              "exact_distance": summary["exact_distance"]}
-    if "bound" in summary:  # rate_vs_n's normalized band
-        norm = summary["normalized"]
-        values["normalized_max_over_min"] = max(norm) / min(norm)
-    return values
-
-
-def _local_means_values(summary, rows):
-    return {key: [row[key] / row["combined_bound"] for row in rows]
-            for key in ("distance", "exact_distance")}
-
-
-def _smoothing_values(summary, rows):
-    # the attained constants the stability checks compare, per order v
-    values = {}
-    for v in sorted({row["v"] for row in rows}):
-        values[f"attained_C61_v{v:g}"] = [
-            row["attained_C61"] for row in rows if row["v"] == v
-            and row["eps"] == 1.0 and math.isfinite(row["phi"])]
-        values[f"attained_C62_v{v:g}"] = [
-            row["attained_C62"] for row in rows
-            if row["v"] == v and math.isinf(row["phi"])]
-    values["decay_ratio_v1"] = [row["decay_ratio"] for row in rows
-                                if row["v"] == 1]
-    return values
-
-
-def _keys(*keys):
-    def values(summary, rows):
-        return {key: [row[key] for row in rows] for key in keys}
-    return values
-
-
-# per experiment, the values its verdicts rest on, from its summary and rows
-VERDICT_VALUES = {
-    "rate_vs_n": _rate_values,
-    "zero_skew_rate": _rate_values,
-    "bootstrap_coverage": lambda s, rows: {"coverage": s["coverage"],
-                                           "se": s["se"]},
-    "bootstrap_agreement": lambda s, rows: {"ks": s["ks"],
-                                            "critical": s["critical"]},
-    "local_means": _local_means_values,
-    "smoothing_verify": _smoothing_values,
-    "gaussian_comparison": _keys("measured", "exact_distance", "bound"),
-    "poisson_check": lambda s, rows: {
-        key: s["record"][key] for key in (
-            "residual", "residual_bound", "propagated_se", "lambda_hat",
-            "exact_residual", "exact_lambda")},
-    "anticoncentration": _keys("probe", "exact_probe", "nazarov_shape"),
-}
+# every seeded experiment runs at these seeds, with this many worker threads
+SEEDS = range(100, 130)
+THREADS = 2
 
 
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _read_rows(path) -> list:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return [{k: float(v) if _is_float(v) else v for k, v in row.items()}
-                for row in csv.DictReader(fh)]
-
-
-def _is_float(text) -> bool:
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
 
 
 def sweep(runner, seeds, threads: int, log=sys.stderr) -> dict:
@@ -124,9 +56,8 @@ def sweep(runner, seeds, threads: int, log=sys.stderr) -> dict:
             with tempfile.TemporaryDirectory() as tmp:
                 manifest = runner.run(config, out_dir=tmp, threads=threads)
                 csv_path = manifest.csv_paths[0]
-                rows = _read_rows(csv_path)
                 per_seed[str(seed)] = {
-                    "values": VERDICT_VALUES[name](manifest.summary, rows),
+                    "summary": manifest.summary,
                     "sha256": {os.path.basename(csv_path): _sha256(csv_path),
                                "summary.json":
                                    _sha256(manifest.summary_path)}}
@@ -157,20 +88,14 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(Path(__file__).resolve()
                                              .parents[1] / "src"),
                         help="source tree whose hdclt is run")
-    parser.add_argument("--first", type=int, default=100)
-    parser.add_argument("--count", type=int, default=30)
-    parser.add_argument("--threads", type=int, default=2)
     args = parser.parse_args(argv)
-    if args.count < 1 or args.threads < 1:
-        parser.error("--count and --threads must be >= 1")
     # BLAS on one thread, so the worker threads do not oversubscribe it
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")
     sys.path.insert(0, args.src)
     from hdclt import runner
 
-    seeds = list(range(args.first, args.first + args.count))
-    result = sweep(runner, seeds, args.threads)
+    result = sweep(runner, list(SEEDS), THREADS)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -74,6 +74,14 @@ class MaxStatSample:
         return MaxStatSample(max_statistic(draws, side))
 
 
+def _sorted_uniforms(seed: int, reps: int) -> np.ndarray:
+    """The ascending uniforms a one-variate law inverts in
+    :func:`max_stat_sample` and :func:`anticoncentration_probe`."""
+    u = substream(seed, 23).random(reps)
+    u.sort()
+    return u
+
+
 # max_stat_sample's default law: look it up, since None means "no law"
 _LOOK_UP = object()
 
@@ -101,13 +109,12 @@ def max_stat_sample(spec: DistributionSpec, n: int, reps: int, seed: int,
     if law is _LOOK_UP:
         law = maxlaw.law_of(spec, n)
     if hasattr(law, "sample"):
-        u = substream(seed, 23).random((law.variates, reps))
         if law.variates == 1:
-            u.sort(axis=1)
             # a step law counts its sorted uniforms per atom
-            return MaxStatSample(getattr(law, "sample_sorted",
-                                         law.sample)(u[0]))
-        return MaxStatSample(law.sample(*u))
+            return MaxStatSample(getattr(law, "sample_sorted", law.sample)(
+                _sorted_uniforms(seed, reps)))
+        return MaxStatSample(law.sample(*substream(seed, 23).random(
+            (law.variates, reps))))
     out = np.empty(reps)
     for idx, rows in blocks(reps, _DRAW_ARRAYS * spec.dim):
         # one expression, so no block's draw outlives its maxima
@@ -190,8 +197,7 @@ def anticoncentration_probe(d: int, eps: float, reps: int,
     if reps < 1:
         raise ValueError("reps must be >= 1")
     law = maxlaw.IsotropicGaussianMax(d)
-    u = substream(seed, 23).random(reps)  # max_stat_sample's stream
-    u.sort()
+    u = _sorted_uniforms(seed, reps)
     z = np.linspace(*maxlaw.sample_quantiles(law, u, [0.0005, 0.9995]),
                     _PROBE_GRID)
     upper, lower = np.split(

@@ -438,9 +438,9 @@ def sample_counts(law, u, y) -> np.ndarray:
 
     A query's count is guessed as the number of uniforms at or below its
     CDF, c = #{u <= F(y)}, and kept when the draw at u[c-1] is at or below
-    y and the draw at u[c] above it.  Where F rounds the other way, the
-    count is found by bisection between c and the end the failed check
-    points to, one draw per query a step.  The result is exact provided
+    y and the draw at u[c] above it.  Where F rounds the other way for any
+    query, every u is inverted and the counts are taken on all the draws,
+    the cost this function otherwise saves.  The result is exact provided
     ``law.sample`` does not decrease on ascending uniforms and gives a
     point the same bits whichever points share the call, as
     :meth:`IsotropicGaussianMax.sample` does.
@@ -457,18 +457,8 @@ def sample_counts(law, u, y) -> np.ndarray:
     # a NaN query sorts after every draw
     low_ok = (c == 0) | ~(draws[:y.size] > y)
     high_ok = (c == n) | (draws[y.size:] > y)
-    bad = np.flatnonzero(~(low_ok & high_ok))
-    if bad.size:
-        # the count lies in [lo, hi]: below c when the draw at u[c-1] is
-        # above y, else above c
-        lo = np.where(low_ok[bad], c[bad] + 1, 0)
-        hi = np.where(low_ok[bad], n, c[bad] - 1)
-        while (open_ := np.flatnonzero(lo < hi)).size:
-            mid = (lo[open_] + hi[open_]) // 2
-            counted = ~(law.sample(u[mid]) > y[bad[open_]])
-            lo[open_] = np.where(counted, mid + 1, lo[open_])
-            hi[open_] = np.where(counted, hi[open_], mid)
-        c[bad] = lo
+    if not np.all(low_ok & high_ok):
+        return np.searchsorted(law.sample(u), y, side="right")
     return c
 
 

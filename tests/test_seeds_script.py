@@ -26,8 +26,7 @@ class _StubRunner:
         cls.threads.append(threads)
         even = config.seed % 2 == 0
         if config.experiment == "smoothing_verify":
-            csv = "v,eps,phi,attained_C61,attained_C62,decay_ratio\n" \
-                  "1,1.0,4.0,0.5,nan,3.0\n1,1.0,inf,nan,0.25,4.0\n"
+            csv = "v,decay_ratio\n1,3.0\n"
             summary = {"checks": {"decay_v1": even},
                        "exact_checks": {"none": None}}
         else:
@@ -52,8 +51,8 @@ def test_sweep_counts_verdicts_and_digests_outputs(capsys):
     agreement = result["experiments"]["bootstrap_agreement"]
     assert agreement["checks"]["ks_below_critical"] == {
         "passed": 2, "runs": 3, "failed_seeds": [101], "rate": "2/3"}
-    assert agreement["runs"]["101"]["values"] == {"ks": 0.101,
-                                                  "critical": 0.1}
+    assert agreement["runs"]["101"]["summary"] == {
+        "ks": 0.101, "critical": 0.1, "checks": {"ks_below_critical": False}}
     assert agreement["runs"]["102"]["sha256"] == {
         "bootstrap_agreement.csv": _sha("ks,critical\n0.102,0.1\n"),
         "summary.json": _sha(json.dumps({
@@ -64,9 +63,6 @@ def test_sweep_counts_verdicts_and_digests_outputs(capsys):
     smoothing = result["experiments"]["smoothing_verify"]
     assert list(smoothing["runs"]) == ["100"]
     assert smoothing["exact_checks"]["none"]["rate"] == "0/0"
-    assert smoothing["runs"]["100"]["values"] == {
-        "attained_C61_v1": [0.5], "attained_C62_v1": [0.25],
-        "decay_ratio_v1": [3.0, 4.0]}
 
 
 def test_sweep_is_deterministic():
